@@ -1,6 +1,6 @@
 // E14 — explorer engine throughput: the rebuilt explorer (fingerprint
-// dedup, iterative DFS with move-at-branch-point, partial-order reduction,
-// optional lbmf::ws parallel fan-out, plus the Machine snapshot/serialize
+// dedup, iterative DFS with reusable frame slots, partial-order reduction,
+// optional lbmf::ws parallel fan-out, plus the Machine snapshot/fingerprint
 // optimizations that came with it) against the seed engine it replaced, at
 // equal max_states. The baseline is the *complete* seed stack — the
 // seed-commit Machine (std::map memory, heap-vector cache lines, allocating

@@ -5,38 +5,35 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "lbmf/sim/types.hpp"
+#include "lbmf/util/check.hpp"
 
 namespace lbmf::sim {
 
-/// Small-buffer word storage for one cache line. The explorer snapshots
-/// whole machines millions of times, and with the default line_words = 1 a
-/// heap-allocated vector per line dominated the copy cost — so lines up to
-/// kInlineWords wide (every bundled config, including the false-sharing
-/// experiments) live entirely inline; wider lines spill to the heap.
+/// The words of one cache line, stored inline. The Machine constructor
+/// caps SimConfig::line_words at kInlineWords, so a line — and the cache
+/// vector holding it — is trivially copyable: the explorer's millions of
+/// machine snapshots copy caches with a memcpy.
 class LineData {
  public:
   static constexpr std::size_t kInlineWords = 8;
 
   LineData() = default;
-  explicit LineData(std::size_t n) : size_(n) {
-    if (n > kInlineWords) heap_.resize(n);
+  explicit LineData(std::size_t n) : size_(static_cast<std::uint8_t>(n)) {
+    LBMF_CHECK(n <= kInlineWords);
   }
   LineData(std::initializer_list<Word> ws) : LineData(ws.size()) {
-    std::copy(ws.begin(), ws.end(), data());
+    std::copy(ws.begin(), ws.end(), words_.begin());
   }
 
   std::size_t size() const noexcept { return size_; }
-  Word* data() noexcept {
-    return size_ <= kInlineWords ? inline_.data() : heap_.data();
-  }
-  const Word* data() const noexcept {
-    return size_ <= kInlineWords ? inline_.data() : heap_.data();
-  }
-  Word& operator[](std::size_t i) noexcept { return data()[i]; }
-  Word operator[](std::size_t i) const noexcept { return data()[i]; }
+  Word* data() noexcept { return words_.data(); }
+  const Word* data() const noexcept { return words_.data(); }
+  Word& operator[](std::size_t i) noexcept { return words_[i]; }
+  Word operator[](std::size_t i) const noexcept { return words_[i]; }
   Word* begin() noexcept { return data(); }
   Word* end() noexcept { return data() + size_; }
   const Word* begin() const noexcept { return data(); }
@@ -48,9 +45,8 @@ class LineData {
   }
 
  private:
-  std::size_t size_ = 0;
-  std::array<Word, kInlineWords> inline_{};
-  std::vector<Word> heap_;  // only engaged when size_ > kInlineWords
+  std::array<Word, kInlineWords> words_{};
+  std::uint8_t size_ = 0;
 };
 
 /// One resident line in a private cache. Lines hold `SimConfig::line_words`
@@ -67,6 +63,7 @@ struct CacheLine {
   Word& at(std::size_t offset) noexcept { return data[offset]; }
   Word at(std::size_t offset) const noexcept { return data[offset]; }
 };
+static_assert(std::is_trivially_copyable_v<CacheLine>);
 
 /// A fully associative, LRU private cache keyed by line base address.
 /// Value-semantic (copyable) so the interleaving explorer can snapshot

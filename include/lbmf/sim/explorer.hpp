@@ -49,11 +49,15 @@ struct ExploreResult {
 /// checker exhibits a concrete violating schedule once fences are removed.
 ///
 /// Engine (see docs/ARCHITECTURE.md "Explorer internals"):
-///  * visited states are 128-bit fingerprints of Machine::canonical_state()
-///    in an open-addressing flat set (16 bytes/state); `exact_dedup` keeps
-///    the full canonical keys instead so collision behaviour is auditable;
-///  * the DFS is iterative (explicit frame stack, no recursion limit) and
-///    moves — rather than copies — the parent snapshot into its last child;
+///  * visited states are 128-bit Machine::fingerprint()s — hashed from the
+///    fields, per-CPU hashes cached across steps — in an open-addressing
+///    flat set (16 bytes/state); `exact_dedup` serializes and keeps the
+///    full canonical_state() keys instead so collision behaviour is
+///    auditable;
+///  * the DFS is iterative (explicit frame stack, no recursion limit); each
+///    edge steps a copy-assigned scratch snapshot, and a new state swaps
+///    into a frame slot kept from earlier pops, so steady-state exploration
+///    neither allocates nor frees a Machine;
 ///  * partial-order reduction prunes commuting interleavings of *local*
 ///    actions (Machine::action_is_local) via singleton ample sets with an
 ///    in-stack cycle proviso; terminal states, outcomes, and the built-in

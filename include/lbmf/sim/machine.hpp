@@ -18,9 +18,10 @@ namespace lbmf::sim {
 
 class TraceRecorder;
 
-/// Compact identity of an architectural state: a 128-bit hash of the
-/// canonical encoding. Used by the explorer's default dedup set (16 bytes
-/// per state instead of the full ~256-byte serialization).
+/// Compact identity of an architectural state: a 128-bit hash carrying the
+/// same information as the canonical encoding (see Machine::fingerprint).
+/// Used by the explorer's default dedup set (16 bytes per state instead of
+/// the full ~256-byte serialization).
 using Fingerprint = lbmf::Hash128;
 
 /// Shared memory as a sorted flat array of (address, word) pairs. Litmus
@@ -86,7 +87,9 @@ struct CpuState {
   explicit CpuState(const SimConfig& cfg)
       : sb(cfg.sb_capacity), cache(cfg.cache_capacity) {}
 
-  std::shared_ptr<const Program> program;  // immutable, shared across copies
+  /// Into the owning Machine's program table (null until load_program);
+  /// machine copies share the table, so the pointer stays valid.
+  const Program* program = nullptr;
   std::int32_t pc = 0;
   std::array<Word, 8> regs{};
   StoreBuffer sb;
@@ -105,6 +108,12 @@ struct CpuState {
   /// mask are zero in every reachable state, so canonical encodings skip
   /// them.
   std::uint8_t regs_written_mask = 0;
+
+  /// Hash of this CPU's canonical block, cached by Machine::fingerprint()
+  /// and valid while `hash_valid`. Machine clears the flag wherever the
+  /// CPU's architectural state can change.
+  mutable Fingerprint block_hash{};
+  mutable bool hash_valid = false;
 
   CpuCounters counters;
 };
@@ -156,20 +165,24 @@ class Machine {
   /// Number of CPUs currently inside a critical section.
   std::size_t cpus_in_cs() const;
 
-  /// Canonical encoding of the architectural state (excludes counters), for
-  /// explorer memoization. Two machines with equal canonical state have
-  /// identical future behaviour.
+  /// Canonical encoding of the architectural state (excludes counters):
+  /// the explorer's exact-dedup key. Two machines with equal canonical
+  /// state have identical future behaviour.
   std::string canonical_state() const;
 
-  /// Append the canonical encoding to `out` (without clearing it). The
-  /// allocation-free workhorse behind canonical_state()/fingerprint(): the
-  /// explorer reuses one scratch buffer across millions of states instead
-  /// of materializing a fresh std::string per state.
+  /// Append the canonical encoding to `out` (without clearing it), so the
+  /// exact-dedup explorer reuses one scratch buffer across states.
   void append_canonical(std::string& out) const;
 
-  /// 128-bit hash of the canonical encoding, serialized into `scratch`
-  /// (cleared first, capacity reused across calls).
-  Fingerprint fingerprint(std::string& scratch) const;
+  /// 128-bit identity of the canonical state: equal fingerprints <=> equal
+  /// canonical_state(), up to hash collisions. Nothing is serialized: each
+  /// CPU's block is hashed from its fields with lbmf::WordHasher, the
+  /// result is cached in the CpuState until that CPU changes, and symmetric
+  /// groups are canonicalized by sorting their members' block hashes.
+  /// Because of the cache, fingerprint() writes to the machine although it
+  /// is const: one Machine must not be fingerprinted from two threads at
+  /// once (copies are independent).
+  Fingerprint fingerprint() const;
 
   /// Whether `step(cpu, a)` is *local*: it reads and writes only the
   /// private, coherence-invisible state of `cpu` (pc, registers, its own
@@ -217,9 +230,11 @@ class Machine {
   // representative per orbit reaches a violation iff the full space does,
   // and the terminal outcome set is unchanged. canonical_state() picks the
   // representative by serializing each grouped CPU's state block and
-  // emitting the blocks in sorted order within the group; Explorer's
-  // exact_dedup audit mode keys on this same canonical string, so the
-  // fingerprint-vs-exact parity check continues to cover the reduction.
+  // emitting the blocks in sorted order within the group; fingerprint()
+  // hashes each group's sorted block hashes instead, which identifies the
+  // same orbit. Explorer's exact_dedup audit mode keys on the canonical string,
+  // so the fingerprint-vs-exact parity check continues to cover the
+  // reduction.
 
   /// Declare groups of interchangeable CPUs, canonicalized over by
   /// canonical_state()/fingerprint(). Every group must name >= 2 distinct
@@ -292,9 +307,15 @@ class Machine {
 
   /// Serialize one CPU's canonical block into `s` (shared tail excluded).
   void append_cpu_block(const CpuState& c, std::string& s) const;
+  /// Hash of the same block, from the cache when valid.
+  const Fingerprint& block_hash(const CpuState& c) const;
 
   SimConfig cfg_;
   std::vector<CpuState> cpus_;
+  /// Loaded programs by CPU. Shared across machine copies and never
+  /// mutated while shared (load_program copies it), so a snapshot pays one
+  /// refcount for all CPUs' programs.
+  std::shared_ptr<const std::vector<Program>> programs_;
   FlatMemory mem_;
   TraceRecorder* trace_ = nullptr;
   /// Interchangeable-CPU groups (see set_symmetric_groups). Shared across

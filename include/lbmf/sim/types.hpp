@@ -50,7 +50,8 @@ struct SimConfig {
   /// Cache lines per CPU (fully associative, LRU). Small values force
   /// evictions of guarded lines — the notify-on-evict path of Sec. 3.
   std::size_t cache_capacity = 64;
-  /// Words per cache line. 1 (default) keeps litmus tests exact; larger
+  /// Words per cache line, at most 8 (LineData::kInlineWords; the Machine
+  /// constructor checks). 1 (default) keeps litmus tests exact; larger
   /// values model *false sharing*: a remote access to a neighbouring word
   /// in the guarded line fires the l-mfence guard even though the guarded
   /// location itself was never touched.

@@ -39,6 +39,48 @@ inline std::uint64_t load64(const unsigned char* p) noexcept {
   return v;
 }
 
+constexpr std::uint64_t kMurmurC1 = 0x87c37b91114253d5ULL;
+constexpr std::uint64_t kMurmurC2 = 0x4cf5ad432745937fULL;
+
+inline std::uint64_t mix_k1(std::uint64_t k1) noexcept {
+  k1 *= kMurmurC1;
+  k1 = rotl64(k1, 31);
+  return k1 * kMurmurC2;
+}
+
+inline std::uint64_t mix_k2(std::uint64_t k2) noexcept {
+  k2 *= kMurmurC2;
+  k2 = rotl64(k2, 33);
+  return k2 * kMurmurC1;
+}
+
+/// MurmurHash3 x64 128's body: fold one 16-byte block (k1, k2) into h1/h2.
+inline void mix_block(std::uint64_t& h1, std::uint64_t& h2, std::uint64_t k1,
+                      std::uint64_t k2) noexcept {
+  h1 ^= mix_k1(k1);
+  h1 = rotl64(h1, 27);
+  h1 += h2;
+  h1 = h1 * 5 + 0x52dce729;
+  h2 ^= mix_k2(k2);
+  h2 = rotl64(h2, 31);
+  h2 += h1;
+  h2 = h2 * 5 + 0x38495ab5;
+}
+
+/// MurmurHash3 x64 128's finalization over `len` hashed bytes.
+inline Hash128 finish(std::uint64_t h1, std::uint64_t h2,
+                      std::uint64_t len) noexcept {
+  h1 ^= len;
+  h2 ^= len;
+  h1 += h2;
+  h2 += h1;
+  h1 = fmix64(h1);
+  h2 = fmix64(h2);
+  h1 += h2;
+  h2 += h1;
+  return Hash128{h1, h2};
+}
+
 }  // namespace detail
 
 /// MurmurHash3 x64 128-bit over an arbitrary byte range. Not cryptographic;
@@ -46,37 +88,15 @@ inline std::uint64_t load64(const unsigned char* p) noexcept {
 /// avalanche behaviour, which is what a dedup fingerprint needs.
 inline Hash128 hash128(const void* data, std::size_t len,
                        std::uint64_t seed = 0) noexcept {
-  using detail::fmix64;
   using detail::load64;
-  using detail::rotl64;
 
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t nblocks = len / 16;
 
   std::uint64_t h1 = seed;
   std::uint64_t h2 = seed;
-  constexpr std::uint64_t c1 = 0x87c37b91114253d5ULL;
-  constexpr std::uint64_t c2 = 0x4cf5ad432745937fULL;
-
   for (std::size_t i = 0; i < nblocks; ++i) {
-    std::uint64_t k1 = load64(p + i * 16);
-    std::uint64_t k2 = load64(p + i * 16 + 8);
-
-    k1 *= c1;
-    k1 = rotl64(k1, 31);
-    k1 *= c2;
-    h1 ^= k1;
-    h1 = rotl64(h1, 27);
-    h1 += h2;
-    h1 = h1 * 5 + 0x52dce729;
-
-    k2 *= c2;
-    k2 = rotl64(k2, 33);
-    k2 *= c1;
-    h2 ^= k2;
-    h2 = rotl64(h2, 31);
-    h2 += h1;
-    h2 = h2 * 5 + 0x38495ab5;
+    detail::mix_block(h1, h2, load64(p + i * 16), load64(p + i * 16 + 8));
   }
 
   const unsigned char* tail = p + nblocks * 16;
@@ -91,10 +111,7 @@ inline Hash128 hash128(const void* data, std::size_t len,
     case 10: k2 ^= std::uint64_t{tail[9]} << 8; [[fallthrough]];
     case 9:
       k2 ^= std::uint64_t{tail[8]};
-      k2 *= c2;
-      k2 = rotl64(k2, 33);
-      k2 *= c1;
-      h2 ^= k2;
+      h2 ^= detail::mix_k2(k2);
       [[fallthrough]];
     case 8: k1 ^= std::uint64_t{tail[7]} << 56; [[fallthrough]];
     case 7: k1 ^= std::uint64_t{tail[6]} << 48; [[fallthrough]];
@@ -105,23 +122,43 @@ inline Hash128 hash128(const void* data, std::size_t len,
     case 2: k1 ^= std::uint64_t{tail[1]} << 8; [[fallthrough]];
     case 1:
       k1 ^= std::uint64_t{tail[0]};
-      k1 *= c1;
-      k1 = rotl64(k1, 31);
-      k1 *= c2;
-      h1 ^= k1;
+      h1 ^= detail::mix_k1(k1);
       break;
     case 0: break;
   }
-
-  h1 ^= static_cast<std::uint64_t>(len);
-  h2 ^= static_cast<std::uint64_t>(len);
-  h1 += h2;
-  h2 += h1;
-  h1 = fmix64(h1);
-  h2 = fmix64(h2);
-  h1 += h2;
-  h2 += h1;
-  return Hash128{h1, h2};
+  return detail::finish(h1, h2, len);
 }
+
+/// hash128() streamed over 64-bit words: the result equals hash128() of
+/// the words' little-endian bytes, but nothing is serialized first. The
+/// explorer fingerprints machine state with it straight from the fields.
+class WordHasher {
+ public:
+  explicit WordHasher(std::uint64_t seed = 0) noexcept : h1_(seed), h2_(seed) {}
+
+  void add(std::uint64_t w) noexcept {
+    if ((words_++ & 1) == 0) {
+      pending_ = w;
+    } else {
+      detail::mix_block(h1_, h2_, pending_, w);
+    }
+  }
+  void add(const Hash128& h) noexcept {
+    add(h.lo);
+    add(h.hi);
+  }
+
+  Hash128 finish() const noexcept {
+    std::uint64_t h1 = h1_;
+    if ((words_ & 1) != 0) h1 ^= detail::mix_k1(pending_);
+    return detail::finish(h1, h2_, words_ * 8);
+  }
+
+ private:
+  std::uint64_t h1_;
+  std::uint64_t h2_;
+  std::uint64_t pending_ = 0;  // first word of an unfinished 16-byte block
+  std::uint64_t words_ = 0;
+};
 
 }  // namespace lbmf

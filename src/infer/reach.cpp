@@ -71,7 +71,10 @@ struct Reader {
   }
 };
 
-constexpr char kGraphMagic[8] = {'L', 'B', 'M', 'F', 'P', 'G', '1', '\n'};
+// Version 2: fingerprints hash CPU blocks from their fields (version 1
+// hashed the serialized canonical state), so version-1 visited sets would
+// never match and must not be preloaded.
+constexpr char kGraphMagic[8] = {'L', 'B', 'M', 'F', 'P', 'G', '2', '\n'};
 
 /// Root machine of the *base* (all-none) problem.
 Machine base_machine(const InferProblem& p) {
@@ -159,10 +162,9 @@ PrefixGraph build_prefix_graph(const InferProblem& p,
   };
   std::deque<Item> queue;
   sim::FingerprintSet seen;
-  std::string scratch;
 
   Machine root = base_machine(p);
-  const Fingerprint root_fp = root.fingerprint(scratch);
+  const Fingerprint root_fp = root.fingerprint();
   seen.insert(root_fp);
   g.visited.push_back(root_fp);
   g.base.states_explored = 1;  // the root, as in Explorer::run
@@ -205,7 +207,7 @@ PrefixGraph build_prefix_graph(const InferProblem& p,
       Machine child = i + 1 == normal.size() ? std::move(it.m) : it.m;
       child.step(c.cpu, c.action);
       ++g.base.transitions;
-      const Fingerprint fp = child.fingerprint(scratch);
+      const Fingerprint fp = child.fingerprint();
       if (!seen.insert(fp)) {
         ++g.base.dedup_hits;
         continue;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -30,9 +29,8 @@ constexpr std::size_t kMaxChoices = 128;
 struct ChoiceList {
   std::array<Choice, kMaxChoices> v{};  // only the first n entries are set
   std::uint8_t n = 0;
-  /// True when POR selected a strict subset of the enabled actions; such a
-  /// frame may be re-expanded to the full set by the cycle proviso, so its
-  /// snapshot must not be moved out.
+  /// True when POR selected a strict subset of the enabled actions; the
+  /// cycle proviso may re-expand such a frame to the full set.
   bool reduced = false;
 
   void add(std::uint8_t cpu, Action a) {
@@ -78,6 +76,70 @@ void choose_actions(const Machine& m, bool por, ChoiceList& out) {
   }
 }
 
+/// The states on the current DFS path, keyed by the low fingerprint half,
+/// for the POR cycle proviso: open addressing with linear probing and
+/// backward-shift deletion, so the insert/erase per frame allocates nothing
+/// once the table has grown to the deepest path. 0 marks an empty slot (a
+/// key of 0 is stored as 1).
+class PathSet {
+ public:
+  PathSet() : slots_(64, 0) {}
+
+  void insert(std::uint64_t k) {
+    k = k == 0 ? 1 : k;
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    std::size_t i = k & mask();
+    for (; slots_[i] != 0; i = (i + 1) & mask()) {
+      if (slots_[i] == k) return;
+    }
+    slots_[i] = k;
+    ++size_;
+  }
+
+  bool contains(std::uint64_t k) const noexcept {
+    k = k == 0 ? 1 : k;
+    for (std::size_t i = k & mask(); slots_[i] != 0; i = (i + 1) & mask()) {
+      if (slots_[i] == k) return true;
+    }
+    return false;
+  }
+
+  void erase(std::uint64_t k) noexcept {
+    k = k == 0 ? 1 : k;
+    std::size_t hole = k & mask();
+    for (; slots_[hole] != k; hole = (hole + 1) & mask()) {
+      if (slots_[hole] == 0) return;
+    }
+    // Pull each later key of the probe run whose home slot does not lie
+    // cyclically in (hole, j] back into the hole, so lookups never stop
+    // early at the gap.
+    for (std::size_t j = (hole + 1) & mask(); slots_[j] != 0;
+         j = (j + 1) & mask()) {
+      if (((j - slots_[j]) & mask()) >= ((j - hole) & mask())) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = 0;
+    --size_;
+  }
+
+ private:
+  std::size_t mask() const noexcept { return slots_.size() - 1; }
+
+  void grow() {
+    std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(old.size() * 2, 0);
+    size_ = 0;
+    for (const std::uint64_t k : old) {
+      if (k != 0) insert(k);
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;  // power-of-two size
+  std::size_t size_ = 0;
+};
+
 /// State shared by every worker of one run() (trivially so when sequential).
 struct Shared {
   explicit Shared(const Explorer::Options& o)
@@ -106,6 +168,16 @@ struct Shared {
     } while (!states.compare_exchange_weak(cur, cur + 1,
                                            std::memory_order_relaxed));
     return true;
+  }
+
+  /// Record `m` (fingerprint `fp`) as visited; true if it is new. Only the
+  /// exact-dedup audit mode serializes the canonical key (into `scratch`).
+  bool visit(const Machine& m, const Fingerprint& fp, std::string& scratch) {
+    if (opts.exact_dedup) {
+      scratch.clear();
+      m.append_canonical(scratch);
+    }
+    return visited.insert(fp, scratch);
   }
 
   std::optional<std::string> check_state(const Machine& m) const {
@@ -155,44 +227,41 @@ class Worker {
       merge();
       return;
     }
-    if (sh_.opts.por) on_path_.insert(start_fp.lo);
-    stack_.push_back(Frame{std::move(start), start_fp.lo, cl, 0});
+    scratch_m_.emplace(std::move(start));
+    push_scratch(start_fp.lo, cl);
     loop();
     merge();
   }
 
  private:
   struct Frame {
-    std::optional<Machine> m;  // empty once moved into the last child
+    Machine m;
     std::uint64_t path_key;
     ChoiceList choices;
     std::uint8_t next;
   };
 
   void loop() {
-    while (!stack_.empty()) {
+    while (depth_ > 0) {
       if (sh_.done.load(std::memory_order_relaxed)) return;
-      Frame& f = stack_.back();
+      Frame& f = stack_[depth_ - 1];
       if (f.next >= f.choices.n) {
         pop_frame();
         continue;
       }
       const Choice c = f.choices.v[f.next++];
-      // Step into the worker's reusable scratch snapshot first: most edges
-      // land on an already-visited state and are discarded immediately, and
-      // assigning into the scratch machine's warm vectors skips the
-      // malloc/free round trip a fresh Machine copy would pay per edge.
-      if (scratch_m_) {
-        *scratch_m_ = *f.m;
-      } else {
-        scratch_m_.emplace(*f.m);
-      }
+      // Step a copy of the frame's snapshot in the worker's scratch
+      // machine: most edges land on an already-visited state and are
+      // discarded, and copy-assigning into the scratch's warm buffers
+      // allocates nothing. The copy carries the parent's cached CPU block
+      // hashes, so fingerprinting rehashes only the CPUs the step touched.
       Machine& child = *scratch_m_;
+      child = f.m;
       child.step(c.cpu, c.action);
       ++local_.transitions;
 
-      const Fingerprint fp = child.fingerprint(scratch_);
-      if (!sh_.visited.insert(fp, scratch_)) {
+      const Fingerprint fp = child.fingerprint();
+      if (!sh_.visit(child, fp, canonical_)) {
         ++local_.dedup_hits;
         // Cycle proviso: a reduced frame whose ample successor closes a
         // cycle must be fully expanded, or the skipped CPUs could be
@@ -200,8 +269,7 @@ class Worker {
         // sequential test is `successor on the current DFS path`; parallel
         // workers cannot see each other's paths, so they conservatively
         // treat every revisit as a potential cycle.
-        if (f.choices.reduced &&
-            (parallel_ || on_path_.count(fp.lo) != 0)) {
+        if (f.choices.reduced && (parallel_ || on_path_.contains(fp.lo))) {
           expand_fully(f, c);
         }
         continue;
@@ -225,35 +293,40 @@ class Worker {
         continue;
       }
       trace_.push_back(c);
-      if (sh_.opts.por) on_path_.insert(fp.lo);
-      // Materialize the new frame's snapshot. The parent moves into its
-      // last child — re-running the deterministic step in place costs one
-      // step instead of one copy; earlier children copy the scratch state.
-      // Reduced frames keep their snapshot in case the cycle proviso
-      // re-expands them.
-      const bool last = f.next == f.choices.n && !f.choices.reduced;
-      if (last) {
-        f.m->step(c.cpu, c.action);
-        Machine snap = std::move(*f.m);
-        f.m.reset();  // before push_back: it may reallocate the stack
-        stack_.push_back(Frame{std::move(snap), fp.lo, cl, 0});
-      } else {
-        stack_.push_back(Frame{Machine(child), fp.lo, cl, 0});
-      }
+      push_scratch(fp.lo, cl);
     }
   }
 
+  /// Make the scratch machine the top frame. Popped frames stay in stack_
+  /// as slots: the scratch swaps into the next free slot and that slot's
+  /// old machine becomes the new scratch, so a discovered state costs no
+  /// Machine copy-construct or free — only growing to a new maximum depth
+  /// appends a slot.
+  void push_scratch(std::uint64_t path_key, const ChoiceList& cl) {
+    if (sh_.opts.por) on_path_.insert(path_key);
+    if (depth_ == stack_.size()) {
+      stack_.push_back(Frame{std::move(*scratch_m_), path_key, cl, 0});
+    } else {
+      Frame& slot = stack_[depth_];
+      std::swap(slot.m, *scratch_m_);
+      slot.path_key = path_key;
+      slot.choices = cl;
+      slot.next = 0;
+    }
+    ++depth_;
+  }
+
   void pop_frame() {
-    if (sh_.opts.por) on_path_.erase(stack_.back().path_key);
-    stack_.pop_back();
-    if (!stack_.empty()) trace_.pop_back();
+    --depth_;
+    if (sh_.opts.por) on_path_.erase(stack_[depth_].path_key);
+    if (depth_ > 0) trace_.pop_back();
   }
 
   /// Replace a reduced frame's remaining agenda with every enabled action
   /// except the ample one just taken.
   void expand_fully(Frame& f, const Choice& taken) {
     ChoiceList all;
-    enabled_choices(*f.m, all);
+    enabled_choices(f.m, all);
     ChoiceList rest;
     for (std::uint8_t i = 0; i < all.n; ++i) {
       if (!(all.v[i] == taken)) rest.add(all.v[i].cpu, all.v[i].action);
@@ -279,11 +352,12 @@ class Worker {
   Shared& sh_;
   bool parallel_;
   ExploreResult local_;
-  std::string scratch_;
-  std::optional<Machine> scratch_m_;  // reusable per-edge successor snapshot
-  std::vector<Frame> stack_;
+  std::string canonical_;  // exact-dedup key scratch
+  std::optional<Machine> scratch_m_;  // per-edge successor snapshot
+  std::vector<Frame> stack_;  // [0, depth_) live frames, the rest free slots
+  std::size_t depth_ = 0;
   std::vector<Choice> trace_;
-  std::unordered_set<std::uint64_t> on_path_;
+  PathSet on_path_;
 };
 
 /// A frontier entry for the parallel mode: a deduped, counted, checked,
@@ -310,8 +384,8 @@ ExploreResult Explorer::run() {
   // Root accounting (the root is never safety-checked, matching the
   // original explorer: properties are evaluated after transitions).
   Machine root = initial_;
-  const Fingerprint root_fp = root.fingerprint(scratch);
-  sh.visited.insert(root_fp, scratch);
+  const Fingerprint root_fp = root.fingerprint();
+  sh.visit(root, root_fp, scratch);
   if (!sh.count_state()) {
     ExploreResult result;
     result.hit_limit = true;
@@ -348,8 +422,8 @@ ExploreResult Explorer::run() {
         Machine child = i + 1 == cl.n ? std::move(item.m) : item.m;
         child.step(c.cpu, c.action);
         ++sh.merged.transitions;
-        const Fingerprint fp = child.fingerprint(scratch);
-        if (!sh.visited.insert(fp, scratch)) {
+        const Fingerprint fp = child.fingerprint();
+        if (!sh.visit(child, fp, scratch)) {
           ++sh.merged.dedup_hits;
           continue;
         }
@@ -422,8 +496,7 @@ ExploreResult explore_seeded(std::vector<SeedState> seeds,
     LBMF_CHECK(!seed.agenda.empty() && seed.agenda.size() <= kMaxChoices);
     ChoiceList cl;
     for (const Choice& c : seed.agenda) cl.add(c.cpu, c.action);
-    std::string scratch;
-    const Fingerprint fp = seed.m.fingerprint(scratch);
+    const Fingerprint fp = seed.m.fingerprint();
     Worker w(sh, parallel);
     w.explore(std::move(seed.m), fp, std::move(seed.prefix), &cl);
   };

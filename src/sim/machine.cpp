@@ -66,7 +66,8 @@ Machine::Machine(SimConfig cfg) : cfg_(cfg) {
   LBMF_CHECK(cfg_.num_cpus >= 1 && cfg_.num_cpus <= 64);
   LBMF_CHECK(cfg_.sb_capacity >= 1);
   LBMF_CHECK(cfg_.cache_capacity >= 2);
-  LBMF_CHECK(cfg_.line_words >= 1);
+  LBMF_CHECK(cfg_.line_words >= 1 &&
+             cfg_.line_words <= LineData::kInlineWords);
   cpus_.reserve(cfg_.num_cpus);
   for (std::size_t i = 0; i < cfg_.num_cpus; ++i) cpus_.emplace_back(cfg_);
 }
@@ -90,8 +91,18 @@ void Machine::load_program(std::size_t cpu, Program p) {
         break;
     }
   }
+  // Copy-on-write: machines copied earlier keep the table they share.
+  auto table = programs_ != nullptr
+                   ? std::make_shared<std::vector<Program>>(*programs_)
+                   : std::make_shared<std::vector<Program>>(cpus_.size());
+  (*table)[cpu] = std::move(p);
+  cpus_[cpu].program = &(*table)[cpu];
+  for (std::size_t i = 0; i < cpus_.size(); ++i) {
+    if (cpus_[i].program != nullptr) cpus_[i].program = &(*table)[i];
+  }
+  programs_ = std::move(table);
   cpus_[cpu].regs_written_mask = mask;
-  cpus_[cpu].program = std::make_shared<const Program>(std::move(p));
+  cpus_[cpu].hash_valid = false;
 }
 
 Word Machine::memory(Addr a) const { return mem_.get(a); }
@@ -261,6 +272,7 @@ void Machine::deliver_interrupt(std::size_t cpu) {
 
 void Machine::exec_instr(CpuState& c) {
   LBMF_CHECK(c.program != nullptr && !c.halted);
+  c.hash_valid = false;
   LBMF_CHECK(c.pc >= 0 &&
              static_cast<std::size_t>(c.pc) < c.program->code.size());
   const Instr& i = c.program->code[c.pc];
@@ -467,6 +479,7 @@ void Machine::handle_self_eviction(CpuState& c, const CacheLine& evicted) {
 
 std::uint64_t Machine::bus_read(CpuState& c, Addr a, Word& out) {
   ++c.counters.bus_transactions;
+  c.hash_valid = false;
   const Addr base = line_base(a);
   trace(c, static_cast<int>(EventKind::kBusRead), base);
   std::uint64_t latency = cfg_.cost_bus_transfer;
@@ -477,6 +490,7 @@ std::uint64_t Machine::bus_read(CpuState& c, Addr a, Word& out) {
     if (&other == &c) continue;
     const CacheLine* l = other.cache.peek(base);
     if (l == nullptr) continue;
+    other.hash_valid = false;
     someone_else_holds = true;
     if (is_exclusive_state(l->state)) {
       // A downgrade request: fire the guard first, then surrender
@@ -520,6 +534,7 @@ std::uint64_t Machine::bus_read(CpuState& c, Addr a, Word& out) {
 
 std::uint64_t Machine::bus_read_exclusive(CpuState& c, Addr a, Word& out) {
   ++c.counters.bus_transactions;
+  c.hash_valid = false;
   const Addr base = line_base(a);
   trace(c, static_cast<int>(EventKind::kBusReadX), base);
   std::uint64_t latency = cfg_.cost_bus_transfer;
@@ -533,6 +548,7 @@ std::uint64_t Machine::bus_read_exclusive(CpuState& c, Addr a, Word& out) {
     if (&other == &c) continue;
     const CacheLine* l = other.cache.peek(base);
     if (l == nullptr) continue;
+    other.hash_valid = false;
     if (is_exclusive_state(l->state)) {
       latency += notify_guard_remote(other, base);
       if (const CacheLine* after = other.cache.peek(base)) {
@@ -566,6 +582,7 @@ std::uint64_t Machine::acquire_exclusive(CpuState& c, Addr a) {
 
 std::uint64_t Machine::complete_oldest(CpuState& c) {
   LBMF_CHECK(!c.sb.empty());
+  c.hash_valid = false;
   const StoreEntry e = c.sb.pop_oldest();
   trace(c, static_cast<int>(EventKind::kDrain), e.addr, e.value);
   std::uint64_t latency = cfg_.cost_drain_entry;
@@ -623,12 +640,45 @@ std::optional<std::string> Machine::check_coherence() const {
       if (e.guarded && e.addr == c.le_addr) has_guarded_entry = true;
     }
     if (!has_guarded_entry) continue;
-    const CacheLine* g = c.cache.peek(c.le_addr);
+    const CacheLine* g = c.cache.peek(line_base(c.le_addr));
     if (g == nullptr || !is_exclusive_state(g->state)) {
       char buf[96];
       std::snprintf(buf, sizeof(buf), "armed link without E/M line on cpu %zu",
                     i);
       return std::string(buf);
+    }
+  }
+  // One census entry per distinct resident line: its holders by state and
+  // its dirty copy, gathered in a single pass over the caches.
+  struct LineCensus {
+    Addr base;
+    std::uint32_t exclusive;  // E or M
+    std::uint32_t owned;      // O (MOESI)
+    std::uint32_t shared;
+    const CacheLine* dirty;
+  };
+  thread_local std::vector<LineCensus> census;
+  census.clear();
+  auto find = [](Addr base) -> LineCensus* {
+    for (LineCensus& e : census) {
+      if (e.base == base) return &e;
+    }
+    return nullptr;
+  };
+  for (const CpuState& c : cpus_) {
+    for (const CacheLine& l : c.cache.lines()) {
+      LineCensus* e = find(l.base);
+      if (e == nullptr) {
+        e = &census.emplace_back(LineCensus{l.base, 0, 0, 0, nullptr});
+      }
+      if (is_exclusive_state(l.state)) {
+        ++e->exclusive;
+      } else if (l.state == Mesi::Owned) {
+        ++e->owned;
+      } else if (l.state == Mesi::Shared) {
+        ++e->shared;
+      }
+      if (is_dirty_state(l.state)) e->dirty = &l;
     }
   }
   // Single-writer-multiple-reader, protocol-conformance and value
@@ -645,36 +695,28 @@ std::optional<std::string> Machine::check_coherence() const {
       if (l.data.size() != cfg_.line_words) {
         return "cache line has wrong width";
       }
-
-      std::size_t exclusive_holders = 0;  // E or M
-      std::size_t owned_holders = 0;      // O (MOESI)
-      std::size_t sharers = 0;
-      LineData authoritative = memory_line(l.base);
-      for (std::size_t j = 0; j < cpus_.size(); ++j) {
-        const CacheLine* o = cpus_[j].cache.peek(l.base);
-        if (o == nullptr) continue;
-        if (is_exclusive_state(o->state)) {
-          ++exclusive_holders;
-        } else if (o->state == Mesi::Owned) {
-          ++owned_holders;
-        } else if (o->state == Mesi::Shared) {
-          ++sharers;
-        }
-        if (is_dirty_state(o->state)) authoritative = o->data;
-      }
-      if (exclusive_holders > 1 ||
-          (exclusive_holders == 1 && (sharers > 0 || owned_holders > 0)) ||
-          owned_holders > 1) {
+      const LineCensus& e = *find(l.base);
+      if (e.exclusive > 1 ||
+          (e.exclusive == 1 && (e.shared > 0 || e.owned > 0)) ||
+          e.owned > 1) {
         char buf[112];
         std::snprintf(buf, sizeof(buf),
-                      "SWMR violated at line %u: %zu E/M, %zu O, %zu S",
-                      l.base, exclusive_holders, owned_holders, sharers);
+                      "SWMR violated at line %u: %u E/M, %u O, %u S", l.base,
+                      e.exclusive, e.owned, e.shared);
         return std::string(buf);
       }
       // Non-dirty copies must agree with the authoritative data (the
       // dirty owner's line under MOESI, memory otherwise).
-      if ((l.state == Mesi::Shared || l.state == Mesi::Exclusive) &&
-          l.data != authoritative) {
+      if (l.state != Mesi::Shared && l.state != Mesi::Exclusive) continue;
+      bool stale = false;
+      if (e.dirty != nullptr) {
+        stale = l.data != e.dirty->data;
+      } else {
+        for (std::size_t w = 0; w < l.data.size(); ++w) {
+          stale |= l.data[w] != mem_.get(l.base + static_cast<Addr>(w));
+        }
+      }
+      if (stale) {
         char buf[96];
         std::snprintf(buf, sizeof(buf),
                       "clean line stale at line %u on cpu %zu", l.base, i);
@@ -692,10 +734,39 @@ std::string Machine::canonical_state() const {
   return s;
 }
 
-Fingerprint Machine::fingerprint(std::string& scratch) const {
-  scratch.clear();
-  append_canonical(scratch);
-  return lbmf::hash128(scratch.data(), scratch.size());
+Fingerprint Machine::fingerprint() const {
+  lbmf::WordHasher h;
+  if (sym_groups_ == nullptr) {
+    for (const CpuState& c : cpus_) h.add(block_hash(c));
+  } else {
+    // Thread-symmetry canonicalization: the ungrouped CPUs' block hashes in
+    // CPU order, then each group's in sorted order — the same information
+    // as append_canonical()'s layout of sorted serialized blocks.
+    std::uint64_t grouped = 0;  // Machine caps num_cpus at 64
+    for (const auto& g : *sym_groups_) {
+      for (const std::uint8_t m : g) grouped |= std::uint64_t{1} << m;
+    }
+    for (std::size_t i = 0; i < cpus_.size(); ++i) {
+      if (((grouped >> i) & 1u) == 0) h.add(block_hash(cpus_[i]));
+    }
+    std::array<Fingerprint, 64> sorted;
+    for (const auto& g : *sym_groups_) {
+      for (std::size_t j = 0; j < g.size(); ++j) {
+        sorted[j] = block_hash(cpus_[g[j]]);
+      }
+      std::sort(sorted.begin(), sorted.begin() + g.size(),
+                [](const Fingerprint& a, const Fingerprint& b) {
+                  return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+                });
+      for (std::size_t j = 0; j < g.size(); ++j) h.add(sorted[j]);
+    }
+  }
+  h.add(mem_.size());
+  for (const auto& [a, v] : mem_) {
+    h.add(a);
+    h.add(static_cast<std::uint64_t>(v));
+  }
+  return h.finish();
 }
 
 bool Machine::action_is_local(std::size_t cpu, Action a) const {
@@ -800,6 +871,38 @@ void Machine::append_cpu_block(const CpuState& c, std::string& s) const {
     }
     put32(rank);
   }
+}
+
+const Fingerprint& Machine::block_hash(const CpuState& c) const {
+  if (c.hash_valid) return c.block_hash;
+  // The fields append_cpu_block() serializes, packed into 64-bit words.
+  // Counts precede their lists and the register mask and line width are
+  // fixed per machine, so equal word streams mean equal blocks.
+  lbmf::WordHasher h;
+  h.add(static_cast<std::uint32_t>(c.pc) |
+        std::uint64_t{c.le_addr} << 32);
+  h.add(std::uint64_t{(c.halted ? 1u : 0u) | (c.in_cs ? 2u : 0u) |
+                      (c.le_bit ? 4u : 0u)} |
+        std::uint64_t{c.sb.size()} << 8 | std::uint64_t{c.cache.size()} << 32);
+  for (std::uint8_t m = c.regs_written_mask, i = 0; m != 0; m >>= 1, ++i) {
+    if (m & 1u) h.add(static_cast<std::uint64_t>(c.regs[i]));
+  }
+  for (const StoreEntry& e : c.sb.entries()) {
+    h.add(e.addr | std::uint64_t{e.guarded} << 32);
+    h.add(static_cast<std::uint64_t>(e.value));
+  }
+  // LRU as eviction rank, as in append_cpu_block().
+  const std::vector<CacheLine>& lines = c.cache.lines();
+  for (const CacheLine& l : lines) {
+    std::uint64_t rank = 0;
+    for (const CacheLine& o : lines) rank += o.lru < l.lru ? 1u : 0u;
+    h.add(l.base | std::uint64_t{static_cast<std::uint8_t>(l.state)} << 32 |
+          rank << 40);
+    for (const Word w : l.data) h.add(static_cast<std::uint64_t>(w));
+  }
+  c.block_hash = h.finish();
+  c.hash_valid = true;
+  return c.block_hash;
 }
 
 void Machine::append_canonical(std::string& s) const {
@@ -982,6 +1085,7 @@ bool Machine::restore_arch(std::string_view in) {
   if (!get32(&magic) || magic != kArchMagic) return false;
   if (!get32(&ncpus) || ncpus != cpus_.size()) return false;
   for (CpuState& c : cpus_) {
+    c.hash_valid = false;
     std::uint32_t pc = 0;
     if (!get32(&pc)) return false;
     c.pc = static_cast<std::int32_t>(pc);
@@ -1053,6 +1157,7 @@ void Machine::set_pc(std::size_t cpu, std::int32_t pc) {
   LBMF_CHECK(cpus_[cpu].program != nullptr && pc >= 0 &&
              static_cast<std::size_t>(pc) <= cpus_[cpu].program->code.size());
   cpus_[cpu].pc = pc;
+  cpus_[cpu].hash_valid = false;
 }
 
 }  // namespace lbmf::sim

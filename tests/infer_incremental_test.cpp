@@ -108,6 +108,33 @@ TEST(PrefixGraph, SaveLoadRoundtripAndKeyMismatch) {
   std::remove(path.c_str());
 }
 
+TEST(PrefixGraph, RefusesVersionOneFile) {
+  // Version-1 files hold fingerprints of the serialized canonical state,
+  // which no current fingerprint matches: preloading them would silently
+  // re-explore the region. The same bytes under the old magic must be
+  // refused.
+  const InferProblem p = problem_from_file("dekker_holes.lit");
+  const InferenceEngine::Options o;
+  const PrefixGraph g =
+      build_prefix_graph(p, InferenceEngine::explorer_options_for(p, o));
+  ASSERT_TRUE(g.valid);
+  const std::string path = tmp_graph_path("v1");
+  ASSERT_TRUE(save_prefix_graph(g, path));
+  PrefixGraph loaded;
+  ASSERT_TRUE(load_prefix_graph(loaded, path, problem_graph_key(p)));
+
+  std::string bytes = slurp(path);
+  ASSERT_EQ(bytes.compare(0, 8, "LBMFPG2\n"), 0);
+  bytes[6] = '1';
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << bytes;
+  }
+  EXPECT_FALSE(load_prefix_graph(loaded, path, problem_graph_key(p)));
+  EXPECT_FALSE(loaded.valid);
+  std::remove(path.c_str());
+}
+
 // ----------------------------------------------------- cold/warm parity
 
 // The core soundness pin: for each big protocol, the four combinations of

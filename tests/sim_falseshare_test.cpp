@@ -84,6 +84,30 @@ TEST(SimFalseShare, NeighbourAccessFiresTheGuard) {
   EXPECT_FALSE(m.check_coherence().has_value());
 }
 
+TEST(SimFalseShare, GuardOnWordOffTheLineBaseSatisfiesDefinition3) {
+  // l-mfence on word 1 of the 4-word line [0..3]: once the guarded ST has
+  // committed, Def. 3 must find the E/M line by its base, not by the
+  // guarded word's address.
+  Machine m(wide_cfg(4));
+  ProgramBuilder p("primary");
+  p.lmfence(1, 1).halt();
+  ProgramBuilder q("neighbour");
+  q.load(reg::kObs0, 2).halt();  // same line as the guarded word
+  m.load_program(0, p.build());
+  m.load_program(1, q.build());
+  const Machine initial = m;
+  for (int i = 0; i < 3; ++i) m.step(0, Action::Execute);  // SetLink, LE, ST
+  ASSERT_TRUE(m.cpu(0).le_bit);
+  ASSERT_EQ(m.cpu(0).sb.size(), 1u);
+  const auto v = m.check_coherence();
+  EXPECT_FALSE(v.has_value()) << *v;
+
+  const ExploreResult r = explore_all(initial);
+  EXPECT_FALSE(r.violation.has_value()) << *r.violation;
+  EXPECT_FALSE(r.hit_limit);
+  EXPECT_GT(r.states_explored, 5u);
+}
+
 TEST(SimFalseShare, SeparateLinesDoNotInterfere) {
   // Same program, but the neighbour reads word 4 — the next line. The
   // guard must NOT fire.

@@ -10,6 +10,7 @@
 #include "lbmf/util/barrier.hpp"
 #include "lbmf/util/cacheline.hpp"
 #include "lbmf/util/check.hpp"
+#include "lbmf/util/hash.hpp"
 #include "lbmf/util/histogram.hpp"
 #include "lbmf/util/rng.hpp"
 #include "lbmf/util/spin.hpp"
@@ -352,6 +353,20 @@ TEST(LogHistogram, ResetClears) {
   EXPECT_EQ(h.percentile(99), 0u);
   h.record(9);
   EXPECT_EQ(h.percentile(50), 9u);
+}
+
+// --------------------------------------------------------------------- hash
+
+TEST(WordHasher, MatchesHash128OverTheSameBytes) {
+  std::vector<std::uint64_t> words;
+  for (std::uint64_t n = 0; n < 9; ++n) {
+    WordHasher h(7);
+    for (const std::uint64_t w : words) h.add(w);
+    EXPECT_TRUE(h.finish() ==
+                hash128(words.data(), words.size() * sizeof(words[0]), 7))
+        << n << " words";
+    words.push_back(0x9e3779b97f4a7c15ULL * (n + 1));
+  }
 }
 
 }  // namespace
