@@ -25,12 +25,12 @@
 //
 // A second section replays a high-symmetric-traffic phase (pops ≈ steals,
 // the double-l-mfence cell of BENCH_sweep.json at LE/ST-scale round
-// trips) across the serialization-backend matrix {signal, membarrier-pair,
-// sim-lest}. Gates:
-//   - on the role-inverting backends the selector books double-l-mfence
-//     AND the fence realizes it (realized_mode, not just requested), with
-//     zero degradations, and the modeled tail cost beats parity with the
-//     best static policy;
+// trips) on each drain mechanism {signal, membarrier-pair}, priced at the
+// paper's ~150-cycle LE/ST round trip. Gates:
+//   - on membarrier-pair, which inverts roles, the selector books
+//     double-l-mfence AND the fence realizes it (realized_mode, not just
+//     requested), with zero degradations, and the modeled tail cost beats
+//     parity with the best static policy;
 //   - on the signal backend double-l-mfence is never proposed (its table
 //     plane clamps the cell), and a forced request_mode(double) books it
 //     but realizes only the asymmetric mix, counted by degraded_count —
@@ -44,7 +44,7 @@
 #include <string>
 
 #include "lbmf/adapt/adapt.hpp"
-#include "lbmf/backend/backend.hpp"
+#include "lbmf/core/membarrier.hpp"
 #include "lbmf/model/cost_model.hpp"
 #include "lbmf/ws/scheduler.hpp"
 
@@ -98,26 +98,28 @@ void append_num(std::string& s, double v) {
 
 struct BackendLeg {
   bool gate_ok = true;
-  bool skipped = false;  // host cannot realize this backend's inversion
+  bool skipped = false;  // host cannot realize this mechanism's inversion
 };
 
-// One backend's replay of the high-symmetric-traffic phase: pops ≈ steals
-// at an LE/ST-scale modeled round trip — the double-l-mfence cell of
-// BENCH_sweep.json. The selector consults the backend's table plane, the
-// fence is re-bound to the backend, and every window is priced under the
-// *realized* mode. Appends one JSON object to `json`.
-BackendLeg run_backend_leg(backend::BackendId id, int windows,
+// One mechanism's replay of the high-symmetric-traffic phase: pops ≈
+// steals at an LE/ST-scale modeled round trip — the double-l-mfence cell
+// of BENCH_sweep.json. The selector consults the mechanism's table plane,
+// the fence is re-bound to the mechanism, and every window is priced under
+// the *realized* mode. Appends one JSON object to `json`.
+BackendLeg run_backend_leg(adapt::BackendId id, int windows,
                            const model::CostTable& costs, std::string& json) {
-  const char* name = backend::to_string(id);
+  const char* name = adapt::to_string(id);
   const bool inverting =
-      backend::serialization_backend(id).caps().inverts_roles;
+      adapt::realize(adapt::PolicyMode::kDoubleLmfence, id,
+                     membarrier::available(), /*signal_slot_valid=*/true) ==
+      adapt::PolicyMode::kDoubleLmfence;
   BackendLeg leg;
 
   adapt::SelectorConfig cfg;
-  // The sim-lest backend's configurable RTT (~150 cycles, the paper's
-  // LE/ST constant) — pinned so the replay is deterministic and both new
-  // backends are priced in the regime the double cell belongs to.
-  cfg.fixed_roundtrip_cycles = 150.0;
+  // The paper's ~150-cycle LE/ST round trip, pinned so the replay is
+  // deterministic and prices every mechanism in the regime the double
+  // cell belongs to.
+  cfg.fixed_roundtrip_cycles = costs.lest_roundtrip_cycles;
   cfg.backend = name;
   adapt::PolicySelector sel(adapt::PolicyTable::builtin_default(), cfg);
 
@@ -158,7 +160,7 @@ BackendLeg run_backend_leg(backend::BackendId id, int windows,
       (sym_w < asym_w ? sym_w : asym_w) * static_cast<double>(windows / 4);
   const bool parity_ok = tail_cost <= 1.10 * best_static_tail;
 
-  if (id == backend::BackendId::kSignal) {
+  if (id == adapt::BackendId::kSignal) {
     // Fixed roles: the signal plane clamps the double cell, so double must
     // never even be *booked* from the selector...
     leg.gate_ok &= !booked_double && !realized_double && parity_ok;
@@ -202,7 +204,7 @@ BackendLeg run_backend_leg(backend::BackendId id, int windows,
               static_cast<unsigned long long>(booked_switches),
               static_cast<unsigned long long>(degraded), tail_cost,
               best_static_tail,
-              leg.skipped ? "SKIPPED (backend unavailable)"
+              leg.skipped ? "SKIPPED (membarrier unavailable)"
                           : (leg.gate_ok ? "ok" : "GATE FAILED"));
 
   if (!json.empty()) json += ',';
@@ -281,7 +283,7 @@ int main(int argc, char** argv) {
       // Between replay windows no announce is outstanding on this thread —
       // the quiescent point where a decided switch may be adopted.
       adapt::AdaptiveFence::quiescent_point(h);
-      const adapt::PolicyMode mode = adapt::AdaptiveFence::current_mode(h);
+      const adapt::PolicyMode mode = adapt::AdaptiveFence::realized_mode(h);
       const double c = window_cost(mode, ph.pops, ph.steals, costs);
       cost_adaptive += c;
       if (w >= tail_from) tail_cost += c;
@@ -334,17 +336,16 @@ int main(int argc, char** argv) {
   std::printf("  live scheduler checksum: fib(18) = %ld vs %ld  %s\n", got,
               want, live_ok ? "ok" : "MISMATCH");
 
-  // Backend matrix: the double-l-mfence cell across serialization
-  // backends (see the header comment for the gates).
+  // Backend matrix: the double-l-mfence cell on each drain mechanism (see
+  // the header comment for the gates).
   const int matrix_windows = quick ? 20 : 60;
   std::printf("\nbackend matrix (pops = steals = 200/window, rt 150, "
               "%d windows):\n",
               matrix_windows);
   std::string backends_json;
   bool backends_ok = true;
-  for (backend::BackendId id :
-       {backend::BackendId::kSignal, backend::BackendId::kMembarrierPair,
-        backend::BackendId::kSimLest}) {
+  for (adapt::BackendId id :
+       {adapt::BackendId::kSignal, adapt::BackendId::kMembarrierPair}) {
     backends_ok &= run_backend_leg(id, matrix_windows, costs,
                                    backends_json).gate_ok;
   }

@@ -12,13 +12,13 @@
 //   bench_sweep --quick    # CI smoke mode: 3x2 grid around the frontier
 //
 // The sweep also runs the serialization-backend dimension: one extra
-// plane per backend {signal, membarrier-pair, sim-lest}. The signal
-// backend cannot invert roles, so its plane re-solves with l-mfence
-// banned on the thief's holes and must never contain a double-l-mfence
-// optimum; the two role-inverting backends admit the full lattice and
-// their planes must equal the base grid — in particular the cheap-trip
-// corner (freq 1, rt 10) keeps the double-l-mfence placement that the
-// adaptive runtime can now realize (bench_adapt gates the realization).
+// plane per backend {signal, membarrier-pair}. The signal backend cannot
+// invert roles, so its plane re-solves with l-mfence banned on the
+// thief's holes and must never contain a double-l-mfence optimum;
+// membarrier-pair inverts roles, admits the full lattice, and its plane
+// must equal the base grid — in particular the cheap-trip corner (freq 1,
+// rt 10) keeps the double-l-mfence placement that the adaptive runtime
+// can now realize (bench_adapt gates the realization).
 //
 // Emits BENCH_sweep.json (per-point optima, crossover boundaries, backend
 // planes, cache accounting) in the working directory. Exit 0 requires
@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
 
   infer::SweepOptions so;
   so.backends = {{"signal", /*inverts_roles=*/false},
-                 {"membarrier-pair", /*inverts_roles=*/true},
-                 {"sim-lest", /*inverts_roles=*/true}};
+                 {"membarrier-pair", /*inverts_roles=*/true}};
   if (quick) {
     // The smallest grid that still crosses the frontier twice: the freq
     // axis at rt=150 flips between f=1 and f=10, and the cheap-round-trip

@@ -30,7 +30,7 @@
 //                                            # also write the sweep as the
 //                                            # compact runtime policy table
 //                                            # adapt::PolicyTable loads
-//   fence_inferencer test.lit --sweep --backends=signal,membarrier-pair,sim-lest
+//   fence_inferencer test.lit --sweep --backends=signal,membarrier-pair
 //                                            # add the serialization-backend
 //                                            # dimension: one extra plane per
 //                                            # backend (non-inverting backends
@@ -108,7 +108,7 @@ CliOptions parse_flags(int argc, char** argv) {
       // Comma-separated serialization-backend planes for --sweep. The
       // role-inversion capability is fixed per name rather than probed on
       // the host, so the emitted planes are identical wherever the sweep
-      // runs: signal cannot invert roles; membarrier-pair and sim-lest can.
+      // runs: signal cannot invert roles; membarrier-pair can.
       const std::string list = a.substr(11);
       if (list.empty()) bad_flag(a);
       std::size_t pos = 0;
@@ -119,7 +119,7 @@ CliOptions parse_flags(int argc, char** argv) {
         b.name = list.substr(pos, comma - pos);
         if (b.name == "signal") {
           b.inverts_roles = false;
-        } else if (b.name == "membarrier-pair" || b.name == "sim-lest") {
+        } else if (b.name == "membarrier-pair") {
           b.inverts_roles = true;
         } else {
           bad_flag(a);

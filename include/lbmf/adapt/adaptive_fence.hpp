@@ -7,14 +7,58 @@
 #include <span>
 
 #include "lbmf/adapt/policy_table.hpp"
-#include "lbmf/backend/backend.hpp"
 #include "lbmf/core/fence.hpp"
-#include "lbmf/core/membarrier.hpp"
 #include "lbmf/core/policies.hpp"
 #include "lbmf/core/serializer.hpp"
 #include "lbmf/util/cacheline.hpp"
 
 namespace lbmf::adapt {
+
+/// The remote-drain mechanism an AdaptiveFence primary is bound to: the
+/// drain of one of the two asymmetric static policies. to_string() names
+/// the PolicyTable plane a selector bound to the mechanism consults.
+///
+///  * kSignal — AsymmetricSignalFence's SerializerRegistry round trip
+///    (the paper's Sec. 5 prototype). One-directional: only the
+///    registered primary can be drained, so it never inverts roles.
+///  * kMembarrierPair — AsymmetricMembarrierFence's EXPEDITED membarrier(2)
+///    broadcast, which drains every thread in either direction: when the
+///    kernel supports it, the primary can drain its peers as cheaply as
+///    they drain it, which the double-l-mfence regime requires.
+enum class BackendId : std::uint8_t {
+  kSignal = 0,
+  kMembarrierPair = 1,
+};
+
+const char* to_string(BackendId b) noexcept;
+
+/// Clamp a requested regime to what mechanism `b` can realize for one
+/// primary: kDoubleLmfence needs role inversion (membarrier-pair on a
+/// kernel with EXPEDITED membarrier), kAsymmetric needs a working remote
+/// drain (a valid signal slot, or EXPEDITED membarrier), and anything
+/// unservable degrades toward kSymmetric — always safe, as the primary
+/// fences for itself. Pure, so every clamp is testable on every host.
+constexpr PolicyMode realize(PolicyMode requested, BackendId b,
+                             bool membarrier_available,
+                             bool signal_slot_valid) noexcept {
+  const bool membarrier = b == BackendId::kMembarrierPair;
+  const bool drains = membarrier ? membarrier_available : signal_slot_valid;
+  const bool inverts = membarrier && membarrier_available;
+  if (requested == PolicyMode::kDoubleLmfence && !inverts) {
+    requested = PolicyMode::kAsymmetric;
+  }
+  if (requested != PolicyMode::kSymmetric && !drains) {
+    requested = PolicyMode::kSymmetric;
+  }
+  return requested;
+}
+
+/// Advisory price of one remote trip through `b` in TSC cycles: the
+/// measured EWMA once one exists (SerializerRegistry's for signal,
+/// membarrier's for membarrier-pair), else the documented default
+/// (~10k cycles for a signal round trip, ~2.5k for a broadcast). The
+/// scheduler's adaptation hook prices the policy frontier with it.
+double roundtrip_cycles(BackendId b) noexcept;
 
 /// A FencePolicy whose strength is chosen *per primary, at runtime*: each
 /// registered primary carries a mode cell (PolicyMode) that secondaries
@@ -25,13 +69,12 @@ namespace lbmf::adapt {
 /// paper's asymmetric protocol through a pop-heavy phase, without
 /// recompiling or even re-registering.
 ///
-/// Each primary is additionally bound to a serialization *backend*
-/// (backend::BackendId, re-bindable at quiescent points like the mode): the
-/// mechanism secondaries use to drain it remotely. Backends differ in what
-/// regimes they can realize — only a backend whose caps().inverts_roles
-/// holds (membarrier-pair; sim-lest on membarrier kernels) lets the
-/// *primary* drain its peers too, which is what the double-l-mfence regime
-/// requires.
+/// Each primary is additionally bound to a drain mechanism (BackendId,
+/// re-bindable at quiescent points like the mode): the static policy whose
+/// serialize() secondaries use to drain it remotely. Mechanisms differ in
+/// what regimes they can realize (see realize()) — only membarrier-pair
+/// lets the *primary* drain its peers too, which is what the
+/// double-l-mfence regime requires.
 ///
 /// Mode semantics on each side of the Dekker duality:
 ///
@@ -41,8 +84,8 @@ namespace lbmf::adapt {
 ///                   secondary_fence(h) are compiler fences, and each side
 ///                   pays a remote drain at conflict time instead —
 ///                   serialize(h) for the secondary, serialize_peers(h) for
-///                   the primary. Requires a role-inverting backend; when the
-///                   bound backend cannot invert, quiescent_point() *books*
+///                   the primary. Requires a role-inverting mechanism; when
+///                   the bound one cannot invert, quiescent_point() *books*
 ///                   the request but *realizes* kAsymmetric (visible via
 ///                   booked_mode() vs realized_mode(), counted in
 ///                   degraded_count()) — it never silently pretends.
@@ -114,21 +157,20 @@ class AdaptiveFence {
     std::atomic<PolicyMode> requested{PolicyMode::kSymmetric};
     /// Last regime the controller's request *booked* at a quiescent point,
     /// before capability clamping — realized_mode() == booked_mode() unless
-    /// the bound backend could not serve the request.
+    /// the bound mechanism could not serve the request.
     std::atomic<PolicyMode> booked{PolicyMode::kSymmetric};
-    /// Serialization backend secondaries use to drain this primary; written
-    /// at quiescent points, advisory-read (relaxed) by secondaries after the
+    /// Drain mechanism secondaries use on this primary; written at
+    /// quiescent points, advisory-read (relaxed) by secondaries after the
     /// seq_cst mode load.
-    std::atomic<backend::BackendId> bound_backend{backend::BackendId::kSignal};
-    std::atomic<backend::BackendId> requested_backend{
-        backend::BackendId::kSignal};
+    std::atomic<BackendId> bound_backend{BackendId::kSignal};
+    std::atomic<BackendId> requested_backend{BackendId::kSignal};
     /// Realized transitions (mode cell actually changed).
     std::atomic<std::uint64_t> switches{0};
     /// Booked transitions (controller's request changed) — the pre-fix
     /// switch count, kept so misbooking is measurable.
     std::atomic<std::uint64_t> booked_switches{0};
     /// Quiescent points where the realized regime fell short of the booked
-    /// one (backend could not invert roles / could not serialize).
+    /// one (mechanism could not invert roles / could not serialize).
     std::atomic<std::uint64_t> degraded{0};
     std::atomic<bool> used{false};
     std::atomic<bool> live{false};
@@ -150,8 +192,8 @@ class AdaptiveFence {
 
   /// Registers the calling thread with the SerializerRegistry and claims a
   /// mode slot; starts in kSymmetric (the self-sufficient regime — safe
-  /// before any monitor has spoken) on the process-default backend. One
-  /// adaptive registration per thread. Returns an invalid handle when the
+  /// before any monitor has spoken) bound to kSignal. One adaptive
+  /// registration per thread. Returns an invalid handle when the
   /// pool is exhausted, in which case primary_fence() falls back to a real
   /// fence and serialize() to a no-op: the pair degenerates to
   /// SymmetricFence.
@@ -170,20 +212,19 @@ class AdaptiveFence {
   static void secondary_fence(const Handle& h) noexcept;
 
   /// Dispatch on the primary's current mode: no remote work when the
-  /// primary fences for itself, a trip through the primary's bound backend
-  /// (signal round trip, membarrier broadcast, or simulated LE/ST) when it
-  /// does not.
+  /// primary fences for itself, the bound mechanism's drain (a signal round
+  /// trip or a membarrier broadcast) when it does not.
   static bool serialize(const Handle& h);
 
   /// Primary-side drain of every peer — called by the registered primary
   /// between its announce and its conflict-deciding read. A no-op (false)
-  /// unless the realized mode is kDoubleLmfence, where the bound backend's
+  /// unless the realized mode is kDoubleLmfence, where the membarrier
   /// broadcast both serializes the caller and drains the peers.
   static bool serialize_peers(const Handle& h);
 
   /// Batched wave: symmetric primaries are skipped, and asymmetric
-  /// primaries are bucketed per bound backend — signal-mode primaries share
-  /// one overlapped wave, membarrier-backed ones collapse into a single
+  /// primaries are split per bound mechanism — signal-bound primaries share
+  /// one overlapped wave, membarrier-bound ones collapse into a single
   /// broadcast.
   static std::size_t serialize_many(std::span<const Handle> hs);
 
@@ -197,24 +238,22 @@ class AdaptiveFence {
   /// point. Callable from any thread. Returns false on an invalid handle.
   static bool request_mode(const Handle& h, PolicyMode m) noexcept;
 
-  /// Ask the primary behind `h` to re-bind to backend `b` at its next
+  /// Ask the primary behind `h` to re-bind to mechanism `b` at its next
   /// quiescent point. Callable from any thread.
-  static bool request_backend(const Handle& h, backend::BackendId b) noexcept;
+  static bool request_backend(const Handle& h, BackendId b) noexcept;
 
-  /// Adopt the requested mode and backend. MUST be called by the registered
-  /// primary itself, strictly between protocol operations (no announce in
-  /// flight) — a worker's own scheduling-loop boundary, a safepoint, an
-  /// epoch edge. The request is first *booked*, then clamped to what the
-  /// requested backend can realize (kDoubleLmfence needs inverts_roles;
-  /// kAsymmetric needs a working remote drain; anything unservable degrades
-  /// toward kSymmetric, loudly — warn-once + degraded_count()). Returns
-  /// true iff the *realized* mode changed.
+  /// Adopt the requested mode and mechanism. MUST be called by the
+  /// registered primary itself, strictly between protocol operations (no
+  /// announce in flight) — a worker's own scheduling-loop boundary, a
+  /// safepoint, an epoch edge. The request is first *booked*, then clamped
+  /// by realize() to what the requested mechanism can deliver, loudly when
+  /// it degrades (warn-once + degraded_count()). Returns true iff the
+  /// *realized* mode changed.
   static bool quiescent_point(const Handle& h);
 
   /// The regime actually in force — what primary_fence()/serialize()
-  /// dispatch on. current_mode() is a synonym (kept for existing callers).
+  /// dispatch on.
   static PolicyMode realized_mode(const Handle& h) noexcept;
-  static PolicyMode current_mode(const Handle& h) noexcept;
   /// The regime last booked from the controller's request, before
   /// capability clamping.
   static PolicyMode booked_mode(const Handle& h) noexcept;
@@ -228,13 +267,7 @@ class AdaptiveFence {
   /// Quiescent points that clamped the booked regime down.
   static std::uint64_t degraded_count(const Handle& h) noexcept;
 
-  static backend::BackendId current_backend(const Handle& h) noexcept;
-
-  /// Process-wide default backend new registrations start on. Intended to
-  /// be set once at startup; per-primary re-binding goes through
-  /// request_backend() + quiescent_point().
-  static void set_backend(backend::BackendId b) noexcept;
-  static backend::BackendId backend_id() noexcept;
+  static BackendId current_backend(const Handle& h) noexcept;
 };
 
 static_assert(FencePolicy<AdaptiveFence>);
@@ -246,7 +279,6 @@ concept AdaptiveFencePolicy =
     FencePolicy<P> && requires(const typename P::Handle h, PolicyMode m) {
       { P::request_mode(h, m) } -> std::convertible_to<bool>;
       { P::quiescent_point(h) } -> std::convertible_to<bool>;
-      { P::current_mode(h) } -> std::same_as<PolicyMode>;
       { P::realized_mode(h) } -> std::same_as<PolicyMode>;
       { P::switch_count(h) } -> std::convertible_to<std::uint64_t>;
     };

@@ -24,9 +24,9 @@ namespace lbmf::adapt {
 ///                    round trip costs a few tens-to-hundreds of cycles.
 ///                    Realizing it needs a serialization backend that can
 ///                    invert roles (either side may run the light path):
-///                    membarrier-pair or simulated-LE/ST. The signal
-///                    backend cannot, so AdaptiveFence degrades the mode
-///                    to kAsymmetric there (see AdaptiveFence::realize).
+///                    membarrier-pair. The signal backend cannot, so
+///                    AdaptiveFence degrades the mode to kAsymmetric there
+///                    (see adapt::realize).
 enum class PolicyMode : std::uint8_t {
   kSymmetric = 0,
   kAsymmetric = 1,
@@ -51,7 +51,7 @@ PolicyMode mode_from_optimum(std::string_view optimum,
 /// plane never contains kDoubleLmfence). Produced by the E17 sweep's
 /// backend dimension (infer::SweepOptions::backends).
 struct BackendPlane {
-  std::string backend;            // backend::to_string spelling
+  std::string backend;            // adapt::to_string(BackendId) spelling
   std::vector<PolicyMode> modes;  // row-major, same shape as the base grid
   bool operator==(const BackendPlane&) const = default;
 };
@@ -94,7 +94,7 @@ class PolicyTable {
   /// (asymmetric wins once ratio · mfence_cycles outgrows the round trip).
   /// Carries one plane per built-in serialization backend: the signal
   /// plane clamps kDoubleLmfence cells to kAsymmetric (it cannot invert
-  /// roles); the membarrier-pair and sim-lest planes additionally mark the
+  /// roles); the membarrier-pair plane additionally marks the
   /// symmetric-traffic column double-l-mfence up through the LE/ST-scale
   /// round-trip rows, where two light announces plus a cheap drain undercut
   /// two full fences.

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+
 namespace lbmf {
 
 /// Linux membarrier(2)-based remote serialization — the mechanism that
@@ -23,6 +25,16 @@ bool available() noexcept;
 /// full fence (which is NOT a remote serialization) if unsupported — callers
 /// must gate on available().
 void barrier() noexcept;
+
+/// EXPEDITED broadcasts barrier() has issued in this process; degraded
+/// local-fence calls are not counted.
+std::uint64_t broadcasts() noexcept;
+
+/// Decayed (EWMA, α = 1/8) estimate of one broadcast's wall-clock cost in
+/// TSC cycles, timed around every barrier() syscall — the membarrier
+/// counterpart of SerializerRegistry::measured_roundtrip_cycles(). 0.0
+/// until the first broadcast.
+double measured_roundtrip_cycles() noexcept;
 
 }  // namespace membarrier
 }  // namespace lbmf

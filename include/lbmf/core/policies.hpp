@@ -58,18 +58,6 @@ concept FencePolicy =
       { P::kAsymmetric } -> std::convertible_to<bool>;
     };
 
-/// Sequential fallback for serialize_many: N independent round trips. The
-/// correct (if slow) default for any policy without a cheaper wave.
-template <typename P>
-inline std::size_t serialize_many_sequential(
-    std::span<const typename P::Handle> hs) {
-  std::size_t done = 0;
-  for (const auto& h : hs) {
-    if (P::serialize(h)) ++done;
-  }
-  return done;
-}
-
 /// Program-based fences on both sides — the baseline the paper compares
 /// against (plain Dekker / Cilk-5 / SRW lock).
 struct SymmetricFence {
@@ -208,21 +196,5 @@ static_assert(FencePolicy<SymmetricFence>);
 static_assert(FencePolicy<AsymmetricSignalFence>);
 static_assert(FencePolicy<AsymmetricMembarrierFence>);
 static_assert(FencePolicy<UnsafeNoFence>);
-
-/// RAII registration of the calling thread as a primary under policy P.
-template <FencePolicy P>
-class ScopedPrimary {
- public:
-  ScopedPrimary() : handle_(P::register_primary()) {}
-  ~ScopedPrimary() { P::unregister_primary(handle_); }
-  ScopedPrimary(const ScopedPrimary&) = delete;
-  ScopedPrimary& operator=(const ScopedPrimary&) = delete;
-
-  typename P::Handle& handle() noexcept { return handle_; }
-  const typename P::Handle& handle() const noexcept { return handle_; }
-
- private:
-  typename P::Handle handle_;
-};
 
 }  // namespace lbmf

@@ -19,12 +19,12 @@ namespace lbmf::infer {
 /// point re-ranks cached verdicts — which is what makes a 30-point grid
 /// cost barely more than a single solve.
 /// One plane of the sweep's serialization-backend dimension.
-/// `inverts_roles` mirrors backend::BackendCaps::inverts_roles but is
-/// supplied by the caller, so CI sweeps identical planes regardless of
-/// whether the build host itself supports the backend (membarrier
+/// `inverts_roles` mirrors what adapt::realize grants the named mechanism
+/// but is supplied by the caller, so CI sweeps identical planes regardless
+/// of whether the build host itself supports the mechanism (membarrier
 /// availability must not change the shipped frontier).
 struct SweepBackend {
-  std::string name;  // backend::to_string spelling, e.g. "membarrier-pair"
+  std::string name;  // adapt::to_string spelling, e.g. "membarrier-pair"
   bool inverts_roles = false;
 };
 

@@ -9,6 +9,7 @@
 #include "lbmf/util/cacheline.hpp"
 #include "lbmf/util/check.hpp"
 #include "lbmf/util/counters.hpp"
+#include "lbmf/util/spin.hpp"
 
 namespace lbmf::ws {
 
@@ -123,7 +124,7 @@ class TheDeque {
     bump_relaxed(vstats_->victim_fences);
     // Double-l-mfence regime only (false otherwise): drain the thieves
     // before the conflict-deciding head read, mirroring the serialize()
-    // thieves aim at us. The backend broadcast is also this side's
+    // thieves aim at us. The membarrier broadcast is also this side's
     // StoreLoad, completing the announce that primary_fence left light.
     if (P::serialize_peers(owner_handle_)) {
       bump_relaxed(vstats_->victim_serializations);
@@ -136,9 +137,14 @@ class TheDeque {
           std::memory_order_relaxed);
     }
     // Possible conflict with a thief racing for the last task: retreat and
-    // resolve under the thief gate (the augmented-Dekker slow path).
+    // resolve under the thief gate (the augmented-Dekker slow path). The
+    // gate is polled, not waited on: the thief holding it may be parked
+    // until this thread's signal handler acknowledges its serialize(), and
+    // a thread blocked in a contended mutex lock need not run that handler
+    // (ThreadSanitizer defers it), which would deadlock the pair.
     tail_->store(t + 1, std::memory_order_release);
-    std::lock_guard<std::mutex> g(gate_);
+    for (SpinWait w; !gate_.try_lock();) w.wait();
+    std::lock_guard<std::mutex> g(gate_, std::adopt_lock);
     bump_relaxed(vstats_->pops_conflict);
     const std::int64_t h2 = head_->load(std::memory_order_acquire);
     if (h2 <= t) {
@@ -265,7 +271,7 @@ inline extract::Spec record_the_deque_protocol() {
   LBMF_LOAD(victim, r0, "H");        // read the thieves' head
   LBMF_BEQ(victim, r0, 0, "claim");  // no conflict: keep the task
   LBMF_FENCE_HOLE(victim, "T", 1);   // retreat before taking the gate
-  LBMF_RMW_ACQUIRE(victim, "G");     // std::lock_guard g(gate_)
+  LBMF_RMW_ACQUIRE(victim, "G");     // poll gate_.try_lock()
   LBMF_LOAD(victim, r1, "H");        // re-check under the gate
   LBMF_BNE(victim, r1, 0, "empty");
   LBMF_STORE(victim, "T", 0);        // win the conflict: re-take the tail

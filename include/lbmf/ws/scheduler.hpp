@@ -34,8 +34,8 @@ struct SchedulerStats {
   std::uint64_t serializations = 0;
   /// Adaptive policies only: total *realized* quiescent-point mode switches
   /// across the pool (0 for the static policies). A switch counts only when
-  /// the regime actually in force changed — a booked request the backend
-  /// could not realize (e.g. double-l-mfence on a non-inverting backend)
+  /// the regime actually in force changed — a booked request the mechanism
+  /// could not realize (e.g. double-l-mfence on the signal drain)
   /// shows up in policy_switches_booked but not here.
   std::uint64_t policy_switches = 0;
   /// Adaptive policies only: switches as *booked* by the controller before
@@ -61,12 +61,12 @@ struct AdaptationOptions {
   /// selector window; the loop boundary doubles as the quiescent point where
   /// a decided switch is adopted.
   std::uint64_t sample_every = 1024;
-  /// Serialization backend every worker re-binds to at its first quiescent
-  /// point (policies with a request_backend hook only). The selector's
-  /// table lookups use this backend's plane, and its roundtrip_cycles()
-  /// prices the frontier — a role-inverting backend is what lets workers
-  /// genuinely enter the double-l-mfence cell.
-  backend::BackendId backend = backend::BackendId::kSignal;
+  /// Drain mechanism every worker re-binds to at its first quiescent point
+  /// (policies with a request_backend hook only). The selector's table
+  /// lookups use this mechanism's plane, and adapt::roundtrip_cycles()
+  /// prices the frontier — membarrier-pair, which inverts roles, is what
+  /// lets workers genuinely enter the double-l-mfence cell.
+  adapt::BackendId backend = adapt::BackendId::kSignal;
 };
 
 /// A child-stealing work-stealing scheduler in the style of Cilk-5's
@@ -127,7 +127,7 @@ class Scheduler {
     adapt_options_ = std::move(opts);
     if (adapt_options_.selector.backend.empty()) {
       adapt_options_.selector.backend =
-          backend::to_string(adapt_options_.backend);
+          adapt::to_string(adapt_options_.backend);
     }
     adapt_enabled_.store(true, std::memory_order_release);
   }
@@ -283,12 +283,9 @@ void Scheduler<P, DequeT>::maybe_adapt(Worker& w) {
           adapt_options_.table, adapt_options_.selector);
     }
     // One selector window per sample: this worker's own pop-announce and
-    // steal-attempt counters, plus the bound backend's round-trip price
-    // (its measured EWMA, or — for sim-lest — the simulated LE/ST RTT).
+    // steal-attempt counters, plus the bound mechanism's round-trip price.
     const DequeStats d = w.deque.stats();
-    const double rtt =
-        backend::serialization_backend(adapt_options_.backend)
-            .roundtrip_cycles();
+    const double rtt = adapt::roundtrip_cycles(adapt_options_.backend);
     const adapt::PolicyMode m =
         w.selector->update(d.victim_fences, d.thief_fences, rtt);
     if constexpr (requires { P::request_backend(w.handle,

@@ -39,8 +39,8 @@ fi
 # Gates on the E17 acceptance (every grid point SAT+SAFE, >= 2 distinct
 # optima along the freq axis at the paper's 150-cycle round trip, three
 # hand-checked grid points reproduced) plus the backend-axis planes (the
-# signal plane never contains double-l-mfence, the role-inverting planes
-# keep the (freq 1, rt 10) double-l-mfence corner); leaves BENCH_sweep.json
+# signal plane never contains double-l-mfence, the role-inverting plane
+# keeps the (freq 1, rt 10) double-l-mfence corner); leaves BENCH_sweep.json
 # with the backend_planes section.
 "$BUILD_DIR"/bench/bench_sweep --quick
 # Gates on the E18 acceptance (exactly 2 *realized* quiescent-point
@@ -48,17 +48,17 @@ fi
 # static policy at both steady-state extremes, worst static >= 1.5x
 # adaptive, live scheduler checksum) plus the backend matrix: in the
 # high-symmetric-traffic phase the adaptive policy must book AND realize
-# double-l-mfence on both role-inverting backends at >= parity with the
-# best static policy, and the signal backend must degrade loudly (booked
-# double, realized asymmetric, degraded counter bumped); leaves
-# BENCH_adapt.json with the backend_matrix section.
+# double-l-mfence on the role-inverting membarrier-pair backend at >=
+# parity with the best static policy, and the signal backend must degrade
+# loudly (booked double, realized asymmetric, degraded counter bumped);
+# leaves BENCH_adapt.json with the backend_matrix section.
 "$BUILD_DIR"/bench/bench_adapt --quick
 
-# Double-l-mfence realization gate on the emitted report: both new
-# backends must have booked AND realized the double cell — unless the leg
-# was skipped because the host cannot run membarrier at all (the bench
-# already verified loud degradation in that case).
-for b in membarrier-pair sim-lest; do
+# Double-l-mfence realization gate on the emitted report: the
+# role-inverting backend must have booked AND realized the double cell —
+# unless the leg was skipped because the host cannot run membarrier at all
+# (the bench already verified loud degradation in that case).
+for b in membarrier-pair; do
   if grep -q "\"backend\":\"$b\",\"booked_double\":true,\"realized_double\":true" \
        BENCH_adapt.json; then
     continue

@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "lbmf/core/membarrier.hpp"
+#include "lbmf/model/cost_model.hpp"
 #include "lbmf/util/check.hpp"
 
 namespace lbmf::adapt {
@@ -16,12 +18,10 @@ thread_local AdaptiveFence::Slot* tls_mode_slot = nullptr;
 /// Set by secondary_fence(h) when it went light (read kDoubleLmfence),
 /// consumed by the same thread's serialize(h): if the trip it performs is
 /// not itself a full barrier on the caller (the mode switched away from
-/// double in between, or the backend fell back to the signal path), a local
+/// double in between, or the primary is bound to the signal drain), a local
 /// full fence restores the secondary's serialization point. See the
 /// switching proof sketch in the header.
 thread_local bool tls_weak_announce = false;
-
-std::atomic<backend::BackendId> g_default_backend{backend::BackendId::kSignal};
 
 AdaptiveFence::Slot& pool_slot(std::size_t i) {
   // Slot's first member carries the cache-line alignment; function-local
@@ -34,40 +34,36 @@ bool is_asymmetric(PolicyMode m) noexcept {
   return m != PolicyMode::kSymmetric;
 }
 
-/// Whether backend `b` can remotely drain a primary registered as `sig`.
-/// The signal path needs a valid registry slot; the membarrier broadcast
-/// needs kernel support; sim-lest drains through whichever of the two it
-/// has.
-bool can_serialize(backend::BackendId b,
-                   const SerializerRegistry::Handle& sig) noexcept {
-  switch (b) {
-    case backend::BackendId::kSignal:
-      return sig.valid();
-    case backend::BackendId::kMembarrierPair:
-      return membarrier::available();
-    case backend::BackendId::kSimLest:
-      return membarrier::available() || sig.valid();
-  }
-  return false;
-}
-
-/// Clamp a booked regime to what backend `b` can actually realize:
-/// kDoubleLmfence needs role inversion, kAsymmetric needs a working remote
-/// drain, and anything unservable degrades toward kSymmetric (always safe —
-/// the primary fences for itself).
-PolicyMode realize(PolicyMode req, backend::BackendId b,
-                   const SerializerRegistry::Handle& sig) noexcept {
-  if (req == PolicyMode::kDoubleLmfence &&
-      !backend::serialization_backend(b).caps().inverts_roles) {
-    req = PolicyMode::kAsymmetric;
-  }
-  if (is_asymmetric(req) && !can_serialize(b, sig)) {
-    req = PolicyMode::kSymmetric;
-  }
-  return req;
+/// AsymmetricMembarrierFence's handle carries only the kernel's EXPEDITED
+/// verdict, which is process-wide: every primary shares it.
+AsymmetricMembarrierFence::Handle broadcast_handle() noexcept {
+  return {membarrier::available()};
 }
 
 }  // namespace
+
+const char* to_string(BackendId b) noexcept {
+  switch (b) {
+    case BackendId::kSignal:
+      return "signal";
+    case BackendId::kMembarrierPair:
+      return "membarrier-pair";
+  }
+  return "unknown";
+}
+
+double roundtrip_cycles(BackendId b) noexcept {
+  // Documented price of one EXPEDITED broadcast before the first
+  // measurement: an IPI fan-out plus syscall entry/exit, well under the
+  // ~10k signal round trip but far above the paper's ~150-cycle LE/ST.
+  constexpr double kMembarrierDefaultCycles = 2'500.0;
+  if (b == BackendId::kSignal) {
+    const double m = SerializerRegistry::measured_roundtrip_cycles();
+    return m > 0.0 ? m : model::CostTable{}.signal_roundtrip_cycles;
+  }
+  const double m = membarrier::measured_roundtrip_cycles();
+  return m > 0.0 ? m : kMembarrierDefaultCycles;
+}
 
 AdaptiveFence::Handle AdaptiveFence::register_primary() {
   LBMF_CHECK_MSG(tls_mode_slot == nullptr,
@@ -80,15 +76,14 @@ AdaptiveFence::Handle AdaptiveFence::register_primary() {
                                           std::memory_order_acq_rel)) {
       // Signal-path registration may fail (registry full); the slot is still
       // usable — quiescent_point() clamps any asymmetric request to what the
-      // bound backend can serve without it.
+      // bound mechanism can serve without it.
       slot.sig = SerializerRegistry::instance().register_self();
-      const backend::BackendId b =
-          g_default_backend.load(std::memory_order_relaxed);
       slot.mode.store(PolicyMode::kSymmetric, std::memory_order_relaxed);
       slot.requested.store(PolicyMode::kSymmetric, std::memory_order_relaxed);
       slot.booked.store(PolicyMode::kSymmetric, std::memory_order_relaxed);
-      slot.bound_backend.store(b, std::memory_order_relaxed);
-      slot.requested_backend.store(b, std::memory_order_relaxed);
+      slot.bound_backend.store(BackendId::kSignal, std::memory_order_relaxed);
+      slot.requested_backend.store(BackendId::kSignal,
+                                   std::memory_order_relaxed);
       // Counters are per registration, so a reused pool slot does not leak
       // a previous tenant's transitions into this one's accounting.
       slot.switches.store(0, std::memory_order_relaxed);
@@ -96,7 +91,7 @@ AdaptiveFence::Handle AdaptiveFence::register_primary() {
       slot.degraded.store(0, std::memory_order_relaxed);
       tls_mode_slot = &slot;
       // Publication edge: a secondary that acquires `live == true` sees the
-      // signal handle, the backend binding and the symmetric starting mode.
+      // signal handle, the mechanism binding and the symmetric starting mode.
       slot.live.store(true, std::memory_order_release);
       return Handle(&slot);
     }
@@ -173,10 +168,13 @@ bool AdaptiveFence::serialize(const Handle& h) {
     // *primary*, not us.
     full_fence();
   }
-  auto& be = backend::serialization_backend(
-      slot->bound_backend.load(std::memory_order_relaxed));
-  if (be.serialize(slot->sig)) return true;
-  // In double mode the backend trip doubled as our own barrier; if it could
+  // The bound mechanism's drain is exactly its static policy's serialize().
+  const bool drained =
+      slot->bound_backend.load(std::memory_order_relaxed) == BackendId::kSignal
+          ? AsymmetricSignalFence::serialize(slot->sig)
+          : AsymmetricMembarrierFence::serialize(broadcast_handle());
+  if (drained) return true;
+  // In double mode the broadcast doubled as our own barrier; if it could
   // not run (primary unregistering under us, capability lost), cover
   // locally before the caller acts on its reads.
   if (weak && m == PolicyMode::kDoubleLmfence) full_fence();
@@ -194,16 +192,19 @@ bool AdaptiveFence::serialize_peers(const Handle& h) {
       PolicyMode::kDoubleLmfence) {
     return false;
   }
-  return backend::serialization_backend(
-             slot->bound_backend.load(std::memory_order_relaxed))
-      .serialize_peers();
+  return slot->bound_backend.load(std::memory_order_relaxed) ==
+                 BackendId::kSignal
+             ? AsymmetricSignalFence::serialize_peers(slot->sig)
+             : AsymmetricMembarrierFence::serialize_peers(broadcast_handle());
 }
 
 std::size_t AdaptiveFence::serialize_many(std::span<const Handle> hs) {
   std::size_t serialized = 0;
-  // Bucket the asymmetric primaries per bound backend: each bucket pays one
-  // overlapped wave (signals) or one broadcast (membarrier-backed).
-  std::vector<SerializerRegistry::Handle> waves[backend::kBackendCount];
+  // Split the asymmetric primaries per bound mechanism: the signal-bound
+  // ones share one overlapped wave, and a single broadcast drains every
+  // thread, so it covers all the membarrier-bound ones at once.
+  std::vector<SerializerRegistry::Handle> signal_wave;
+  std::size_t broadcast_wave = 0;
   for (const Handle& h : hs) {
     Slot* slot = h.slot_;
     if (slot == nullptr || !slot->live.load(std::memory_order_acquire)) {
@@ -213,14 +214,19 @@ std::size_t AdaptiveFence::serialize_many(std::span<const Handle> hs) {
       ++serialized;  // symmetric primaries need no remote trip
       continue;
     }
-    const auto b = slot->bound_backend.load(std::memory_order_relaxed);
-    waves[static_cast<std::size_t>(b)].push_back(slot->sig);
+    if (slot->bound_backend.load(std::memory_order_relaxed) ==
+        BackendId::kSignal) {
+      signal_wave.push_back(slot->sig);
+    } else {
+      ++broadcast_wave;
+    }
   }
-  for (std::size_t i = 0; i < backend::kBackendCount; ++i) {
-    if (waves[i].empty()) continue;
-    serialized +=
-        backend::serialization_backend(static_cast<backend::BackendId>(i))
-            .serialize_many(waves[i]);
+  if (!signal_wave.empty()) {
+    serialized += AsymmetricSignalFence::serialize_many(signal_wave);
+  }
+  if (broadcast_wave > 0 &&
+      AsymmetricMembarrierFence::serialize(broadcast_handle())) {
+    serialized += broadcast_wave;
   }
   return serialized;
 }
@@ -231,8 +237,7 @@ bool AdaptiveFence::request_mode(const Handle& h, PolicyMode m) noexcept {
   return true;
 }
 
-bool AdaptiveFence::request_backend(const Handle& h,
-                                    backend::BackendId b) noexcept {
+bool AdaptiveFence::request_backend(const Handle& h, BackendId b) noexcept {
   if (!h.valid()) return false;
   h.slot_->requested_backend.store(b, std::memory_order_release);
   return true;
@@ -244,32 +249,34 @@ bool AdaptiveFence::quiescent_point(const Handle& h) {
   LBMF_CHECK_MSG(tls_mode_slot == slot,
                  "quiescent_point must run on the registered primary");
   const PolicyMode req = slot->requested.load(std::memory_order_acquire);
-  const backend::BackendId reqb =
+  const BackendId reqb =
       slot->requested_backend.load(std::memory_order_acquire);
   const PolicyMode cur = slot->mode.load(std::memory_order_relaxed);
 
-  // Book the controller's request as asked, then clamp to what the backend
-  // can realize. Booked vs realized is the misbooking fix: switch_count()
-  // (and through it SchedulerStats::policy_switches / BENCH_adapt.json)
-  // counts only transitions of the regime actually in force.
+  // Book the controller's request as asked, then clamp to what the
+  // mechanism can realize. Booked vs realized is the misbooking fix:
+  // switch_count() (and through it SchedulerStats::policy_switches /
+  // BENCH_adapt.json) counts only transitions of the regime actually in
+  // force.
   if (req != slot->booked.load(std::memory_order_relaxed)) {
     slot->booked.store(req, std::memory_order_relaxed);
     slot->booked_switches.fetch_add(1, std::memory_order_relaxed);
   }
-  const PolicyMode realized = realize(req, reqb, slot->sig);
+  const PolicyMode realized =
+      realize(req, reqb, membarrier::available(), slot->sig.valid());
   if (realized != req) {
     slot->degraded.fetch_add(1, std::memory_order_relaxed);
     static std::atomic<bool> warned{false};
     detail::warn_once(warned,
-                      "adaptive quiescent point: bound backend cannot realize "
-                      "the booked regime; degrading (booked vs realized modes "
-                      "diverge)");
+                      "adaptive quiescent point: bound mechanism cannot "
+                      "realize the booked regime; degrading (booked vs "
+                      "realized modes diverge)");
   }
-  // Publish the backend binding before the mode RMW: a secondary that
+  // Publish the mechanism binding before the mode RMW: a secondary that
   // observes the new mode (seq_cst load after the RMW) also finds the
-  // backend it should drain through. A stale binding read under the *old*
-  // mode is safe — realize() vetted the pairing in force at every switch,
-  // and all backends drain the same registered primary.
+  // mechanism it should drain through. A stale binding read under the
+  // *old* mode is safe — realize() vetted the pairing in force at every
+  // switch, and both mechanisms drain the same registered primary.
   slot->bound_backend.store(reqb, std::memory_order_relaxed);
   if (realized == cur) return false;
   // The locked RMW is the Def. 2 serialization point between the regimes
@@ -284,10 +291,6 @@ bool AdaptiveFence::quiescent_point(const Handle& h) {
 PolicyMode AdaptiveFence::realized_mode(const Handle& h) noexcept {
   return h.valid() ? h.slot_->mode.load(std::memory_order_acquire)
                    : PolicyMode::kSymmetric;
-}
-
-PolicyMode AdaptiveFence::current_mode(const Handle& h) noexcept {
-  return realized_mode(h);
 }
 
 PolicyMode AdaptiveFence::booked_mode(const Handle& h) noexcept {
@@ -313,17 +316,9 @@ std::uint64_t AdaptiveFence::degraded_count(const Handle& h) noexcept {
   return h.valid() ? h.slot_->degraded.load(std::memory_order_relaxed) : 0;
 }
 
-backend::BackendId AdaptiveFence::current_backend(const Handle& h) noexcept {
+BackendId AdaptiveFence::current_backend(const Handle& h) noexcept {
   return h.valid() ? h.slot_->bound_backend.load(std::memory_order_relaxed)
-                   : backend::BackendId::kSignal;
-}
-
-void AdaptiveFence::set_backend(backend::BackendId b) noexcept {
-  g_default_backend.store(b, std::memory_order_relaxed);
-}
-
-backend::BackendId AdaptiveFence::backend_id() noexcept {
-  return g_default_backend.load(std::memory_order_relaxed);
+                   : BackendId::kSignal;
 }
 
 }  // namespace lbmf::adapt

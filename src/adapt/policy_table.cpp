@@ -153,26 +153,25 @@ PolicyTable PolicyTable::builtin_default() {
       });
   // Signal plane: signals only drain the registered primary, so roles are
   // fixed and double-l-mfence is unrealizable — clamp those cells to the
-  // asymmetric mix, matching what AdaptiveFence::realize would do anyway.
+  // asymmetric mix, matching what adapt::realize would do anyway.
   std::vector<PolicyMode> signal_modes = t.modes();
   for (PolicyMode& m : signal_modes) {
     if (m == D) m = A;
   }
   t.add_plane({"signal", std::move(signal_modes)});
-  // Role-inverting planes (membarrier-pair, sim-lest): in the
-  // symmetric-traffic column (ratio ≈ 1) each side's announce is on the
-  // hot path, so per announce the comparison is light fence + drain
-  // (≈ lest_victim 3 + round trip) against mfence + remote serialization
-  // (≈ 100 + 200 in the E18 window model). Double-l-mfence wins through
-  // the LE/ST-scale rows (rt ≤ 150) and loses once the drain dominates
-  // (rt ≥ 500), where the base grid's symmetric verdict stands.
+  // Role-inverting plane (membarrier-pair): in the symmetric-traffic
+  // column (ratio ≈ 1) each side's announce is on the hot path, so per
+  // announce the comparison is light fence + drain (≈ lest_victim 3 +
+  // round trip) against mfence + remote serialization (≈ 100 + 200 in
+  // the E18 window model). Double-l-mfence wins through the LE/ST-scale
+  // rows (rt ≤ 150) and loses once the drain dominates (rt ≥ 500), where
+  // the base grid's symmetric verdict stands.
   std::vector<PolicyMode> inverting_modes = t.modes();
   const std::size_t ncols = t.ratios().size();
   for (std::size_t row = 0; row < 3; ++row) {  // rt rows 10, 50, 150
     inverting_modes[row * ncols] = D;
   }
-  t.add_plane({"membarrier-pair", inverting_modes});
-  t.add_plane({"sim-lest", std::move(inverting_modes)});
+  t.add_plane({"membarrier-pair", std::move(inverting_modes)});
   return t;
 }
 

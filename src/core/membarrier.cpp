@@ -3,7 +3,10 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <atomic>
+
 #include "lbmf/core/fence.hpp"
+#include "lbmf/util/timing.hpp"
 
 namespace lbmf::membarrier {
 namespace {
@@ -23,6 +26,20 @@ long sys_membarrier(int cmd) noexcept {
 #endif
 }
 
+std::atomic<std::uint64_t> g_broadcasts{0};
+std::atomic<std::uint64_t> g_rtt_ewma_cycles{0};
+
+// Same racy-on-purpose fixed-point EWMA as SerializerRegistry's
+// record_roundtrip: a dropped sample under contention only slows the
+// convergence of an advisory estimate. The count's locked RMW follows a
+// syscall that already fully fenced the caller, so counting adds no fence.
+void record_broadcast(std::uint64_t cycles) noexcept {
+  const std::uint64_t old = g_rtt_ewma_cycles.load(std::memory_order_relaxed);
+  g_rtt_ewma_cycles.store(old == 0 ? cycles : old - old / 8 + cycles / 8,
+                          std::memory_order_relaxed);
+  g_broadcasts.fetch_add(1, std::memory_order_relaxed);
+}
+
 bool probe_and_register() noexcept {
   const long mask = sys_membarrier(kCmdQuery);
   if (mask < 0) return false;
@@ -38,9 +55,26 @@ bool available() noexcept {
 }
 
 void barrier() noexcept {
-  if (available() && sys_membarrier(kCmdPrivateExpedited) == 0) return;
+  if (available()) {
+    const std::uint64_t t0 = rdtsc();
+    if (sys_membarrier(kCmdPrivateExpedited) == 0) {
+      record_broadcast(rdtsc() - t0);
+      return;
+    }
+  }
   // Degraded mode: at least order this thread. Callers gate on available().
   full_fence();
+}
+
+std::uint64_t broadcasts() noexcept {
+  return g_broadcasts.load(std::memory_order_relaxed);
+}
+
+double measured_roundtrip_cycles() noexcept {
+  return broadcasts() > 0
+             ? static_cast<double>(
+                   g_rtt_ewma_cycles.load(std::memory_order_relaxed))
+             : 0.0;
 }
 
 }  // namespace lbmf::membarrier

@@ -1,17 +1,19 @@
 // Unit and integration tests for lbmf::adapt — the decayed-window
 // estimator, the PolicyTable frontier lookup, the selector's hysteresis,
-// and the AdaptiveFence policy's quiescent-point switching (including a
-// threaded Dekker mutual-exclusion check while a controller flips the
-// regime under load).
+// the realize() capability clamp, and the AdaptiveFence policy's
+// quiescent-point switching (including a threaded Dekker mutual-exclusion
+// check while a controller flips the regime under load).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "lbmf/adapt/adapt.hpp"
+#include "lbmf/core/membarrier.hpp"
 #include "lbmf/ws/scheduler.hpp"
 
 namespace lbmf::adapt {
@@ -227,7 +229,7 @@ TEST(PolicyTable, ModeFromOptimumReadsTheAnnounceSites) {
 
 TEST(PolicyTable, BuiltinPlanesEncodeBackendCapabilities) {
   const PolicyTable t = PolicyTable::builtin_default();
-  ASSERT_EQ(t.planes().size(), 3u);
+  ASSERT_EQ(t.planes().size(), 2u);
   // The signal backend cannot invert roles: its plane replaces the
   // double-l-mfence corner with the asymmetric mix and must never propose
   // double anywhere (an unrealizable proposal would only bump the
@@ -237,15 +239,15 @@ TEST(PolicyTable, BuiltinPlanesEncodeBackendCapabilities) {
     if (p.backend != "signal") continue;
     for (PolicyMode m : p.modes) EXPECT_NE(m, PolicyMode::kDoubleLmfence);
   }
-  // Role-inverting backends keep the corner and extend double-l-mfence
-  // through the LE/ST-scale rows of the symmetric-traffic column.
+  // The role-inverting backend keeps the corner and extends
+  // double-l-mfence through the LE/ST-scale rows of the symmetric-traffic
+  // column.
   EXPECT_EQ(t.lookup(1, 10, "membarrier-pair"), PolicyMode::kDoubleLmfence);
   EXPECT_EQ(t.lookup(1, 150, "membarrier-pair"), PolicyMode::kDoubleLmfence);
-  EXPECT_EQ(t.lookup(1, 150, "sim-lest"), PolicyMode::kDoubleLmfence);
   // Past the LE/ST range, and off the symmetric column, the base verdicts
   // stand unchanged.
-  EXPECT_EQ(t.lookup(1, 15'000, "sim-lest"), t.lookup(1, 15'000));
-  EXPECT_EQ(t.lookup(1'000, 150, "sim-lest"), t.lookup(1'000, 150));
+  EXPECT_EQ(t.lookup(1, 15'000, "membarrier-pair"), t.lookup(1, 15'000));
+  EXPECT_EQ(t.lookup(1'000, 150, "membarrier-pair"), t.lookup(1'000, 150));
 }
 
 TEST(PolicyTable, LookupFallsBackToBaseGridWithoutAMatchingPlane) {
@@ -260,13 +262,14 @@ TEST(PolicyTable, LookupFallsBackToBaseGridWithoutAMatchingPlane) {
 TEST(PolicyTable, AddPlaneReplacesByNameAndRoundTripsJson) {
   PolicyTable t({1, 1'000}, {150},
                 {PolicyMode::kSymmetric, PolicyMode::kAsymmetric});
-  t.add_plane(
-      {"sim-lest", {PolicyMode::kDoubleLmfence, PolicyMode::kAsymmetric}});
-  EXPECT_EQ(t.lookup(1, 150, "sim-lest"), PolicyMode::kDoubleLmfence);
+  t.add_plane({"membarrier-pair",
+               {PolicyMode::kDoubleLmfence, PolicyMode::kAsymmetric}});
+  EXPECT_EQ(t.lookup(1, 150, "membarrier-pair"), PolicyMode::kDoubleLmfence);
   // Re-adding under the same name replaces in place, no duplicate plane.
-  t.add_plane({"sim-lest", {PolicyMode::kSymmetric, PolicyMode::kSymmetric}});
+  t.add_plane(
+      {"membarrier-pair", {PolicyMode::kSymmetric, PolicyMode::kSymmetric}});
   ASSERT_EQ(t.planes().size(), 1u);
-  EXPECT_EQ(t.lookup(1, 150, "sim-lest"), PolicyMode::kSymmetric);
+  EXPECT_EQ(t.lookup(1, 150, "membarrier-pair"), PolicyMode::kSymmetric);
   const std::optional<PolicyTable> back = PolicyTable::from_json(t.to_json());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, t);
@@ -294,7 +297,8 @@ TEST(PolicyTable, FromJsonParsesTheSweepBackendPlanes) {
       "{\"freq\":1000,\"roundtrip\":150,\"status\":\"sat\","
       "\"optimum\":\"{l-mfence, none, mfence, none}\",\"cost\":3260,"
       "\"recheck_safe\":true}]},"
-      "{\"backend\":\"sim-lest\",\"inverts_roles\":true,\"points\":["
+      "{\"backend\":\"membarrier-pair\",\"inverts_roles\":true,"
+      "\"points\":["
       "{\"freq\":1,\"roundtrip\":150,\"status\":\"sat\","
       "\"optimum\":\"{l-mfence, none, l-mfence, none}\",\"cost\":120,"
       "\"recheck_safe\":true},"
@@ -305,8 +309,9 @@ TEST(PolicyTable, FromJsonParsesTheSweepBackendPlanes) {
   ASSERT_TRUE(t.has_value());
   ASSERT_EQ(t->planes().size(), 2u);
   EXPECT_EQ(t->lookup(1, 150, "signal"), PolicyMode::kSymmetric);
-  EXPECT_EQ(t->lookup(1, 150, "sim-lest"), PolicyMode::kDoubleLmfence);
-  EXPECT_EQ(t->lookup(1'000, 150, "sim-lest"), PolicyMode::kAsymmetric);
+  EXPECT_EQ(t->lookup(1, 150, "membarrier-pair"), PolicyMode::kDoubleLmfence);
+  EXPECT_EQ(t->lookup(1'000, 150, "membarrier-pair"),
+            PolicyMode::kAsymmetric);
   // The base grid is untouched by the planes.
   EXPECT_EQ(t->lookup(1, 150), PolicyMode::kSymmetric);
   // And the planes survive the compact round trip too.
@@ -386,6 +391,54 @@ TEST(PolicySelector, BackendPlaneConstrainsProposals) {
   EXPECT_EQ(sig_sel.current(), PolicyMode::kAsymmetric);
 }
 
+// --------------------------------------------------------------- realize
+
+// Every input of the capability clamp, so each degradation — EXPEDITED
+// membarrier unavailable, signal registry full (no valid slot) — is
+// exercised on every host, not only on hosts that lack the feature.
+TEST(Realize, ClampsEveryInput) {
+  constexpr PolicyMode S = PolicyMode::kSymmetric;
+  constexpr PolicyMode A = PolicyMode::kAsymmetric;
+  constexpr PolicyMode D = PolicyMode::kDoubleLmfence;
+  constexpr BackendId kSig = BackendId::kSignal;
+  constexpr BackendId kMb = BackendId::kMembarrierPair;
+  struct Case {
+    PolicyMode requested;
+    BackendId mechanism;
+    bool membarrier_available;
+    bool signal_slot_valid;
+    PolicyMode realized;
+  };
+  constexpr Case kCases[] = {
+      // Symmetric needs nothing remote: never clamped.
+      {S, kSig, false, false, S}, {S, kSig, false, true, S},
+      {S, kSig, true, false, S},  {S, kSig, true, true, S},
+      {S, kMb, false, false, S},  {S, kMb, false, true, S},
+      {S, kMb, true, false, S},   {S, kMb, true, true, S},
+      // Asymmetric needs the bound mechanism's drain: a valid signal slot,
+      // or EXPEDITED membarrier.
+      {A, kSig, false, false, S}, {A, kSig, false, true, A},
+      {A, kSig, true, false, S},  {A, kSig, true, true, A},
+      {A, kMb, false, false, S},  {A, kMb, false, true, S},
+      {A, kMb, true, false, A},   {A, kMb, true, true, A},
+      // Double needs role inversion, which only an EXPEDITED broadcast
+      // gives; the signal drain falls back to the asymmetric mix.
+      {D, kSig, false, false, S}, {D, kSig, false, true, A},
+      {D, kSig, true, false, S},  {D, kSig, true, true, A},
+      {D, kMb, false, false, S},  {D, kMb, false, true, S},
+      {D, kMb, true, false, D},   {D, kMb, true, true, D},
+  };
+  static_assert(std::size(kCases) == 3 * 2 * 2 * 2);
+  for (const Case& c : kCases) {
+    EXPECT_EQ(realize(c.requested, c.mechanism, c.membarrier_available,
+                      c.signal_slot_valid),
+              c.realized)
+        << to_string(c.requested) << " on " << to_string(c.mechanism)
+        << ", membarrier " << c.membarrier_available << ", signal slot "
+        << c.signal_slot_valid;
+  }
+}
+
 // --------------------------------------------------------- AdaptiveFence
 //
 // NOTE ordering: ModeSwitchLifecycle must observe a measured round trip of
@@ -395,7 +448,7 @@ TEST(PolicySelector, BackendPlaneConstrainsProposals) {
 TEST(AdaptiveFence, ModeSwitchLifecycle) {
   AdaptiveFence::Handle h = AdaptiveFence::register_primary();
   ASSERT_TRUE(h.valid());
-  EXPECT_EQ(AdaptiveFence::current_mode(h), PolicyMode::kSymmetric);
+  EXPECT_EQ(AdaptiveFence::realized_mode(h), PolicyMode::kSymmetric);
   EXPECT_EQ(AdaptiveFence::switch_count(h), 0u);
 
   // Symmetric mode: serialize() from a peer is a no-op success — the
@@ -407,10 +460,10 @@ TEST(AdaptiveFence, ModeSwitchLifecycle) {
 
   // A request is adopted only at a quiescent point.
   EXPECT_TRUE(AdaptiveFence::request_mode(h, PolicyMode::kAsymmetric));
-  EXPECT_EQ(AdaptiveFence::current_mode(h), PolicyMode::kSymmetric);
+  EXPECT_EQ(AdaptiveFence::realized_mode(h), PolicyMode::kSymmetric);
   EXPECT_EQ(AdaptiveFence::requested_mode(h), PolicyMode::kAsymmetric);
   EXPECT_TRUE(AdaptiveFence::quiescent_point(h));
-  EXPECT_EQ(AdaptiveFence::current_mode(h), PolicyMode::kAsymmetric);
+  EXPECT_EQ(AdaptiveFence::realized_mode(h), PolicyMode::kAsymmetric);
   EXPECT_EQ(AdaptiveFence::switch_count(h), 1u);
   // Idempotent once adopted.
   EXPECT_FALSE(AdaptiveFence::quiescent_point(h));
@@ -481,7 +534,7 @@ TEST(AdaptiveFence, SatisfiesBothConcepts) {
 TEST(AdaptiveFence, DoubleBookingDegradesLoudlyOnSignal) {
   AdaptiveFence::Handle h = AdaptiveFence::register_primary();
   ASSERT_TRUE(h.valid());
-  EXPECT_EQ(AdaptiveFence::current_backend(h), backend::BackendId::kSignal);
+  EXPECT_EQ(AdaptiveFence::current_backend(h), BackendId::kSignal);
   // The signal backend cannot invert roles: booking double-l-mfence must
   // clamp to the asymmetric mix at the quiescent point — and say so via
   // the degraded counter, not silently.
@@ -489,7 +542,6 @@ TEST(AdaptiveFence, DoubleBookingDegradesLoudlyOnSignal) {
   EXPECT_TRUE(AdaptiveFence::quiescent_point(h));
   EXPECT_EQ(AdaptiveFence::booked_mode(h), PolicyMode::kDoubleLmfence);
   EXPECT_EQ(AdaptiveFence::realized_mode(h), PolicyMode::kAsymmetric);
-  EXPECT_EQ(AdaptiveFence::current_mode(h), AdaptiveFence::realized_mode(h));
   EXPECT_EQ(AdaptiveFence::switch_count(h), 1u);         // realized: S -> A
   EXPECT_EQ(AdaptiveFence::booked_switch_count(h), 1u);  // booked:   S -> D
   EXPECT_GE(AdaptiveFence::degraded_count(h), 1u);
@@ -497,23 +549,21 @@ TEST(AdaptiveFence, DoubleBookingDegradesLoudlyOnSignal) {
 }
 
 TEST(AdaptiveFence, RoleInvertingBackendRealizesDouble) {
-  const backend::SerializationBackend& sim =
-      backend::serialization_backend(backend::BackendId::kSimLest);
-  if (!sim.caps().inverts_roles) {
-    GTEST_SKIP() << "sim-lest backend unavailable on this host";
+  if (!membarrier::available()) {
+    GTEST_SKIP() << "membarrier PRIVATE_EXPEDITED not supported here";
   }
   AdaptiveFence::Handle h = AdaptiveFence::register_primary();
   ASSERT_TRUE(h.valid());
-  EXPECT_TRUE(AdaptiveFence::request_backend(h, backend::BackendId::kSimLest));
+  EXPECT_TRUE(AdaptiveFence::request_backend(h, BackendId::kMembarrierPair));
   EXPECT_TRUE(AdaptiveFence::request_mode(h, PolicyMode::kDoubleLmfence));
   EXPECT_TRUE(AdaptiveFence::quiescent_point(h));
-  EXPECT_EQ(AdaptiveFence::current_backend(h), backend::BackendId::kSimLest);
+  EXPECT_EQ(AdaptiveFence::current_backend(h), BackendId::kMembarrierPair);
   EXPECT_EQ(AdaptiveFence::booked_mode(h), PolicyMode::kDoubleLmfence);
   EXPECT_EQ(AdaptiveFence::realized_mode(h), PolicyMode::kDoubleLmfence);
   EXPECT_EQ(AdaptiveFence::degraded_count(h), 0u);
   // Both sides run light: a peer's announce (compiler-only fence + drain)
-  // and the primary's own peer drain both go through the simulated LE/ST
-  // path and must succeed.
+  // and the primary's own peer drain both go through the membarrier
+  // broadcast and must succeed.
   std::thread peer([h] {
     AdaptiveFence::secondary_fence(h);
     EXPECT_TRUE(AdaptiveFence::serialize(h));

@@ -1,12 +1,12 @@
 // Serialization-backend conformance matrix: the same two protocol
 // correctness checks — Dekker mutual exclusion and the biased rwlock's
-// writer round — run against every serialization backend {signal,
-// membarrier-pair, sim-lest} through AdaptiveFence's per-handle re-binding.
-// The Dekker leg runs each backend at the strongest regime its caps admit
-// (double-l-mfence on the role-inverting backends, the asymmetric mix on
+// writer round — run against both drain mechanisms {signal,
+// membarrier-pair} through AdaptiveFence's per-handle re-binding. The
+// Dekker leg runs each mechanism at the strongest regime adapt::realize
+// grants it (double-l-mfence on membarrier-pair, the asymmetric mix on
 // signal), so the double regime's primary-side peer drain is exercised by
-// a real protocol, not just the unit tests. Backends whose capabilities
-// are absent on this host skip loudly rather than pass vacuously.
+// a real protocol, not just the unit tests. Mechanisms the host cannot
+// run skip loudly rather than pass vacuously.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "lbmf/adapt/adaptive_fence.hpp"
-#include "lbmf/backend/backend.hpp"
+#include "lbmf/core/membarrier.hpp"
 #include "lbmf/dekker/dekker.hpp"
 #include "lbmf/rwlock/rwlock.hpp"
 
@@ -23,16 +23,15 @@ namespace lbmf {
 namespace {
 
 using adapt::AdaptiveFence;
+using adapt::BackendId;
 using adapt::PolicyMode;
-using backend::BackendCaps;
-using backend::BackendId;
 
-// The strongest regime a backend's capabilities admit; what the adaptive
-// runtime's realize step would clamp any request to.
-PolicyMode strongest_mode(const BackendCaps& caps) {
-  if (caps.inverts_roles) return PolicyMode::kDoubleLmfence;
-  if (caps.asymmetric) return PolicyMode::kAsymmetric;
-  return PolicyMode::kSymmetric;
+// The strongest regime mechanism `id` can realize on this host for a
+// primary with a valid signal slot: what the adaptive runtime's realize
+// step clamps a double-l-mfence request to.
+PolicyMode strongest_mode(BackendId id) {
+  return adapt::realize(PolicyMode::kDoubleLmfence, id,
+                        membarrier::available(), /*signal_slot_valid=*/true);
 }
 
 // ------------------------------------------------------------- Dekker leg
@@ -40,14 +39,13 @@ PolicyMode strongest_mode(const BackendCaps& caps) {
 // Two threads race a blocking Dekker lock around a plain (non-atomic)
 // counter; any lost increment or CS overlap is a mutual-exclusion
 // violation. The primary re-binds to `id` at its first quiescent point and
-// the test asserts the realized regime is the strongest the backend
-// advertises — a silent downgrade would make the leg vacuous.
+// the test asserts the realized regime is the strongest the mechanism
+// admits — a silent downgrade would make the leg vacuous.
 void dekker_conformance(BackendId id) {
-  const BackendCaps caps = backend::serialization_backend(id).caps();
-  if (!caps.asymmetric) {
-    GTEST_SKIP() << backend::to_string(id) << " cannot serialize on this host";
+  const PolicyMode want = strongest_mode(id);
+  if (want == PolicyMode::kSymmetric) {
+    GTEST_SKIP() << adapt::to_string(id) << " cannot serialize on this host";
   }
-  const PolicyMode want = strongest_mode(caps);
 
   constexpr std::uint64_t kRounds = 2'000;
   AsymmetricDekker<AdaptiveFence> dk;
@@ -120,19 +118,17 @@ TEST(BackendMatrixDekker, Signal) { dekker_conformance(BackendId::kSignal); }
 TEST(BackendMatrixDekker, MembarrierPair) {
   dekker_conformance(BackendId::kMembarrierPair);
 }
-TEST(BackendMatrixDekker, SimLest) { dekker_conformance(BackendId::kSimLest); }
 
 // ------------------------------------------------------------- rwlock leg
 
 // Readers re-bound to `id` run the l-mfence fast path in the asymmetric
 // regime while a writer repeatedly updates two plain variables that must
 // never be observed torn. The writer's round trips go through the bound
-// backend's serialize_many wave — the writer-side conformance the matrix
+// mechanism's serialize_many wave — the writer-side conformance the matrix
 // is after.
 void rwlock_conformance(BackendId id) {
-  const BackendCaps caps = backend::serialization_backend(id).caps();
-  if (!caps.asymmetric) {
-    GTEST_SKIP() << backend::to_string(id) << " cannot serialize on this host";
+  if (strongest_mode(id) == PolicyMode::kSymmetric) {
+    GTEST_SKIP() << adapt::to_string(id) << " cannot serialize on this host";
   }
 
   constexpr int kReaders = 2;
@@ -187,36 +183,6 @@ void rwlock_conformance(BackendId id) {
 TEST(BackendMatrixRwLock, Signal) { rwlock_conformance(BackendId::kSignal); }
 TEST(BackendMatrixRwLock, MembarrierPair) {
   rwlock_conformance(BackendId::kMembarrierPair);
-}
-TEST(BackendMatrixRwLock, SimLest) { rwlock_conformance(BackendId::kSimLest); }
-
-// ------------------------------------------------- backend observability
-
-// The role-inverting backends keep trip ledgers; a drain routed through
-// each must land there. Self-contained (drives serialize_peers directly)
-// so it holds even when the test runner puts every TEST in its own process.
-TEST(BackendMatrixLedger, TripsWereRouted) {
-  backend::SerializationBackend& mb =
-      backend::serialization_backend(BackendId::kMembarrierPair);
-  if (mb.caps().inverts_roles) {
-    const std::uint64_t before = backend::membarrier_trips();
-    EXPECT_TRUE(mb.serialize_peers());
-    EXPECT_GT(backend::membarrier_trips(), before);
-  } else {
-    EXPECT_FALSE(mb.serialize_peers());
-  }
-
-  backend::SerializationBackend& sl =
-      backend::serialization_backend(BackendId::kSimLest);
-  if (sl.caps().inverts_roles) {
-    const std::uint64_t trips = backend::simlest_trips();
-    const std::uint64_t cycles = backend::simlest_modeled_cycles();
-    EXPECT_TRUE(sl.serialize_peers());
-    EXPECT_GT(backend::simlest_trips(), trips);
-    EXPECT_GT(backend::simlest_modeled_cycles(), cycles);
-  } else {
-    EXPECT_FALSE(sl.serialize_peers());
-  }
 }
 
 }  // namespace

@@ -1,24 +1,27 @@
 // ThreadSanitizer harness for the serialization-backend matrix: Dekker
-// announce traffic and deque pop/steal traffic run against each backend
-// {signal, membarrier-pair, sim-lest} while a controller thread re-binds
-// the primary's mode and backend concurrently (request_mode /
+// announce traffic and deque pop/steal traffic run against each drain
+// mechanism {signal, membarrier-pair} while a controller thread re-binds
+// the primary's mode and mechanism concurrently (request_mode /
 // request_backend from outside, quiescent_point adoption inside the
 // protocol loop). The cross-thread edges under test are AdaptiveFence's
-// mode/backend/booking cells, the backend trip ledgers, and the degraded /
-// switch counters — all of which are read by controllers and benches while
-// the primary runs. TSan makes any report fatal via halt_on_error.
+// mode/backend/booking cells, the membarrier broadcast counter, and the
+// degraded / switch counters — all of which are read by controllers and
+// benches while the primary runs. TSan makes any report fatal via
+// halt_on_error.
 //
 // Plain main, no gtest: gtest + TSan needs a separately instrumented gtest
 // build, which the repo does not carry.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "lbmf/adapt/adaptive_fence.hpp"
-#include "lbmf/backend/backend.hpp"
+#include "lbmf/core/membarrier.hpp"
 #include "lbmf/dekker/dekker.hpp"
 #include "lbmf/ws/deque.hpp"
 #include "lbmf/ws/task.hpp"
@@ -27,11 +30,12 @@ namespace {
 
 using lbmf::AsymmetricDekker;
 using lbmf::adapt::AdaptiveFence;
+using lbmf::adapt::BackendId;
 using lbmf::adapt::PolicyMode;
-using lbmf::backend::BackendId;
 
-constexpr BackendId kMatrix[] = {BackendId::kSignal, BackendId::kMembarrierPair,
-                                 BackendId::kSimLest};
+constexpr BackendId kMatrix[] = {BackendId::kSignal,
+                                 BackendId::kMembarrierPair};
+constexpr std::size_t kMatrixSize = std::size(kMatrix);
 constexpr PolicyMode kModes[] = {PolicyMode::kSymmetric,
                                  PolicyMode::kAsymmetric,
                                  PolicyMode::kDoubleLmfence};
@@ -86,16 +90,15 @@ int drive_dekker() {
     std::uint64_t i = 0;
     std::uint64_t sink = 0;
     while (!stop_ctl.load(std::memory_order_acquire)) {
-      AdaptiveFence::request_backend(h, kMatrix[i % 3]);
-      AdaptiveFence::request_mode(h, kModes[(i / 3) % 3]);
+      AdaptiveFence::request_backend(h, kMatrix[i % kMatrixSize]);
+      AdaptiveFence::request_mode(h, kModes[(i / kMatrixSize) % 3]);
       // Concurrent reads of everything the benches and CI gates consume.
       sink += static_cast<std::uint64_t>(AdaptiveFence::realized_mode(h)) +
               static_cast<std::uint64_t>(AdaptiveFence::booked_mode(h)) +
               AdaptiveFence::switch_count(h) +
               AdaptiveFence::booked_switch_count(h) +
               AdaptiveFence::degraded_count(h) +
-              lbmf::backend::membarrier_trips() +
-              lbmf::backend::simlest_trips();
+              lbmf::membarrier::broadcasts();
       ++i;
       std::this_thread::yield();
     }
@@ -129,7 +132,10 @@ int drive_dekker() {
 
 // Deque pop/steal traffic under the same concurrent re-binding: the victim
 // (this thread) owns the adaptive registration, a thief steals through
-// serialize(h), and the controller walks the backend matrix.
+// serialize(h), and the controller walks the backend matrix. The victim
+// drains the leftovers only after the thief has exited: a steal() from
+// this thread while the thief holds the gate could otherwise block in the
+// mutex while the thief waits for this thread's signal handler.
 int drive_deque() {
   constexpr int kTasks = 12'000;
   AdaptiveFence::Handle h = AdaptiveFence::register_primary();
@@ -151,8 +157,8 @@ int drive_deque() {
   std::thread controller([&] {
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      AdaptiveFence::request_backend(h, kMatrix[i % 3]);
-      AdaptiveFence::request_mode(h, kModes[(i / 3) % 3]);
+      AdaptiveFence::request_backend(h, kMatrix[i % kMatrixSize]);
+      AdaptiveFence::request_mode(h, kModes[(i / kMatrixSize) % 3]);
       ++i;
       std::this_thread::yield();
     }
@@ -163,10 +169,10 @@ int drive_deque() {
     if (d.pop() != nullptr) removed.fetch_add(1);
     if (i % 64 == 0) AdaptiveFence::quiescent_point(h);
   }
-  while (d.steal() != nullptr) removed.fetch_add(1);
   stop.store(true, std::memory_order_release);
   thief.join();
   controller.join();
+  while (d.steal() != nullptr) removed.fetch_add(1);
   AdaptiveFence::unregister_primary(h);
 
   if (removed.load() != kTasks) {

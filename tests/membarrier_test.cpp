@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "lbmf/core/membarrier.hpp"
@@ -47,6 +48,20 @@ TEST(Membarrier, BarrierOrdersAgainstRunningPeer) {
 
   stop.store(true, std::memory_order_release);
   peer.join();
+}
+
+// The broadcast count and round-trip EWMA that price the membarrier-pair
+// drain for the adaptation layer: every EXPEDITED barrier() is counted
+// and timed.
+TEST(Membarrier, BroadcastsAreCountedAndTimed) {
+  if (!membarrier::available()) {
+    GTEST_SKIP() << "membarrier PRIVATE_EXPEDITED not supported here";
+  }
+  constexpr std::uint64_t kBarriers = 16;
+  const std::uint64_t before = membarrier::broadcasts();
+  for (std::uint64_t i = 0; i < kBarriers; ++i) membarrier::barrier();
+  EXPECT_EQ(membarrier::broadcasts(), before + kBarriers);
+  EXPECT_GT(membarrier::measured_roundtrip_cycles(), 0.0);
 }
 
 }  // namespace

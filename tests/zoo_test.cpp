@@ -1,10 +1,10 @@
 // Mutex-zoo conformance: every lock in include/lbmf/zoo/ (plus Peterson,
 // the zoo's fourth member, from lbmf/dekker/) runs a mutual-exclusion
-// pound and a completion/fairness smoke against every serialization
-// backend {signal, membarrier-pair, sim-lest} in the asymmetric regime —
-// the regime the zoo locks implement (hot side announces with an
-// l-mfence, cold side serializes the hot side remotely). Backends whose
-// capabilities are absent on this host skip loudly, never pass vacuously.
+// pound and a completion/fairness smoke against both drain mechanisms
+// {signal, membarrier-pair} in the asymmetric regime — the regime the zoo
+// locks implement (hot side announces with an l-mfence, cold side
+// serializes the hot side remotely). Mechanisms the host cannot run skip
+// loudly, never pass vacuously.
 //
 // Mutual exclusion: a plain (non-atomic) counter incremented only inside
 // the critical section, plus an overlap detector — any lost increment or
@@ -20,16 +20,15 @@
 #include <vector>
 
 #include "lbmf/adapt/adaptive_fence.hpp"
-#include "lbmf/backend/backend.hpp"
+#include "lbmf/core/membarrier.hpp"
 #include "lbmf/zoo/zoo.hpp"
 
 namespace lbmf {
 namespace {
 
 using adapt::AdaptiveFence;
+using adapt::BackendId;
 using adapt::PolicyMode;
-using backend::BackendCaps;
-using backend::BackendId;
 
 constexpr std::uint64_t kRounds = 1'000;
 
@@ -61,14 +60,16 @@ void bind_asymmetric(const AdaptiveFence::Handle& h, BackendId id) {
 }
 
 bool backend_usable(BackendId id) {
-  return backend::serialization_backend(id).caps().asymmetric;
+  return adapt::realize(PolicyMode::kAsymmetric, id, membarrier::available(),
+                        /*signal_slot_valid=*/true) ==
+         PolicyMode::kAsymmetric;
 }
 
 // ---------------------------------------------------------------- Peterson
 
 void peterson_conformance(BackendId id) {
   if (!backend_usable(id)) {
-    GTEST_SKIP() << backend::to_string(id) << " cannot serialize on this host";
+    GTEST_SKIP() << adapt::to_string(id) << " cannot serialize on this host";
   }
   AsymmetricPeterson<AdaptiveFence> mtx;
   CsProbe probe;
@@ -110,13 +111,12 @@ TEST(ZooPeterson, Signal) { peterson_conformance(BackendId::kSignal); }
 TEST(ZooPeterson, MembarrierPair) {
   peterson_conformance(BackendId::kMembarrierPair);
 }
-TEST(ZooPeterson, SimLest) { peterson_conformance(BackendId::kSimLest); }
 
 // ---------------------------------------------------------------- spinlock
 
 void spinlock_conformance(BackendId id) {
   if (!backend_usable(id)) {
-    GTEST_SKIP() << backend::to_string(id) << " cannot serialize on this host";
+    GTEST_SKIP() << adapt::to_string(id) << " cannot serialize on this host";
   }
   constexpr int kContenders = 2;
   zoo::BiasedSpinlock<AdaptiveFence> mtx;
@@ -161,13 +161,12 @@ TEST(ZooSpinlock, Signal) { spinlock_conformance(BackendId::kSignal); }
 TEST(ZooSpinlock, MembarrierPair) {
   spinlock_conformance(BackendId::kMembarrierPair);
 }
-TEST(ZooSpinlock, SimLest) { spinlock_conformance(BackendId::kSimLest); }
 
 // ------------------------------------------------------------------ bakery
 
 void bakery_conformance(BackendId id) {
   if (!backend_usable(id)) {
-    GTEST_SKIP() << backend::to_string(id) << " cannot serialize on this host";
+    GTEST_SKIP() << adapt::to_string(id) << " cannot serialize on this host";
   }
   constexpr std::size_t kThreads = 3;
   zoo::BakeryLock<AdaptiveFence, kThreads> mtx;
@@ -212,13 +211,12 @@ TEST(ZooBakery, Signal) { bakery_conformance(BackendId::kSignal); }
 TEST(ZooBakery, MembarrierPair) {
   bakery_conformance(BackendId::kMembarrierPair);
 }
-TEST(ZooBakery, SimLest) { bakery_conformance(BackendId::kSimLest); }
 
 // ------------------------------------------------------------- futex mutex
 
 void futex_conformance(BackendId id) {
   if (!backend_usable(id)) {
-    GTEST_SKIP() << backend::to_string(id) << " cannot serialize on this host";
+    GTEST_SKIP() << adapt::to_string(id) << " cannot serialize on this host";
   }
   constexpr int kWaiters = 2;
   zoo::FutexMutex<AdaptiveFence> mtx;
@@ -263,7 +261,6 @@ TEST(ZooFutexMutex, Signal) { futex_conformance(BackendId::kSignal); }
 TEST(ZooFutexMutex, MembarrierPair) {
   futex_conformance(BackendId::kMembarrierPair);
 }
-TEST(ZooFutexMutex, SimLest) { futex_conformance(BackendId::kSimLest); }
 
 // ------------------------------------------------- single-thread sanity
 
