@@ -2,12 +2,15 @@
 // designs (Cilk-5 THE vs Chase-Lev) and fence policies: the Dekker fence
 // the paper removes sits in both, so l-mfence accelerates both. Measures
 // an uncontended push+pop pair, which is the spawn/return hot path of a
-// work-stealing runtime.
+// work-stealing runtime. The scheduler/spawn_sync rows put the runtime
+// layer's whole spawn beside it: TaskGroup spawn + sync of an empty child
+// on a 1-worker pool, so the deque pair plus the join bookkeeping.
 
 #include <benchmark/benchmark.h>
 
 #include "lbmf/ws/chase_lev.hpp"
 #include "lbmf/ws/deque.hpp"
+#include "lbmf/ws/scheduler.hpp"
 #include "lbmf/ws/task.hpp"
 
 namespace lbmf::ws {
@@ -47,6 +50,24 @@ void BM_ChaseLevPushPop(benchmark::State& state) {
   push_pop_loop<ChaseLevDeque<P>, P>(state);
 }
 
+// The timed loop runs on the pool's worker while this thread waits in
+// run(), hence real time. With one worker every child is popped back.
+template <FencePolicy P>
+void BM_SpawnSync(benchmark::State& state) {
+  Scheduler<P> sched(1);
+  sched.run([&state] {
+    for (auto _ : state) {
+      bool ran = false;
+      typename Scheduler<P>::TaskGroup tg;
+      auto child = tg.capture([&ran] { ran = true; });
+      tg.spawn(child);
+      tg.sync();
+      benchmark::DoNotOptimize(ran);
+    }
+  });
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_ThePushPop<SymmetricFence>)->Name("the_deque/push_pop/mfence");
 BENCHMARK(BM_ThePushPop<AsymmetricSignalFence>)
     ->Name("the_deque/push_pop/lmfence");
@@ -54,6 +75,12 @@ BENCHMARK(BM_ChaseLevPushPop<SymmetricFence>)
     ->Name("chase_lev/push_take/mfence");
 BENCHMARK(BM_ChaseLevPushPop<AsymmetricSignalFence>)
     ->Name("chase_lev/push_take/lmfence");
+BENCHMARK(BM_SpawnSync<SymmetricFence>)
+    ->Name("scheduler/spawn_sync/mfence")
+    ->UseRealTime();
+BENCHMARK(BM_SpawnSync<AsymmetricSignalFence>)
+    ->Name("scheduler/spawn_sync/lmfence")
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace lbmf::ws

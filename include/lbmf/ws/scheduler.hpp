@@ -138,7 +138,8 @@ class Scheduler {
 
   /// spawn/sync scope. Must live on the stack of a task body; every
   /// spawned task must be captured via capture() (also stack-allocated)
-  /// and must not outlive the group.
+  /// and must not outlive the group. Only the thread that runs that body
+  /// may spawn into or sync the group: the join counts are its own.
   class TaskGroup : public TaskGroupBase {
    public:
     /// Wrap a callable in a stack-allocatable task bound to this group.
@@ -188,7 +189,8 @@ class Scheduler {
   void worker_main(Worker& w);
   void sync_help(Worker& w, TaskGroupBase& group);
   TaskBase* try_steal(Worker& w);
-  TaskBase* next_task(Worker& w);
+  bool run_own_task(Worker& w);
+  TaskBase* next_foreign_task(Worker& w);
   void maybe_adapt(Worker& w);
 
   static thread_local Worker* tls_worker_;
@@ -253,7 +255,9 @@ void Scheduler<P, DequeT>::worker_main(Worker& w) {
   SpinWait idle;
   while (!stop_.load(std::memory_order_acquire)) {
     maybe_adapt(w);
-    if (TaskBase* t = next_task(w)) {
+    if (run_own_task(w)) {
+      idle.reset();
+    } else if (TaskBase* t = next_foreign_task(w)) {
       t->run();
       idle.reset();
     } else {
@@ -302,11 +306,22 @@ void Scheduler<P, DequeT>::maybe_adapt(Worker& w) {
   }
 }
 
+/// Pop the youngest task of this worker's own deque and run it. Only this
+/// thread spawned into that deque, so it owns the task's group and counts
+/// the join without a locked instruction. False when there was none.
 template <FencePolicy P, template <class> class DequeT>
-TaskBase* Scheduler<P, DequeT>::next_task(Worker& w) {
-  if (!w.deque.looks_empty()) {
-    if (TaskBase* t = w.deque.pop()) return t;
-  }
+bool Scheduler<P, DequeT>::run_own_task(Worker& w) {
+  if (w.deque.looks_empty()) return false;
+  TaskBase* t = w.deque.pop();
+  if (t == nullptr) return false;
+  t->run_owned();
+  return true;
+}
+
+/// The root task from the inbox, else a stolen one: tasks whose groups
+/// other threads own, so they complete through TaskBase::run().
+template <FencePolicy P, template <class> class DequeT>
+TaskBase* Scheduler<P, DequeT>::next_foreign_task(Worker& w) {
   if (inbox_full_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> g(inbox_mutex_);
     if (inbox_ != nullptr) {
@@ -339,19 +354,14 @@ void Scheduler<P, DequeT>::sync_help(Worker& w, TaskGroupBase& group) {
     // Ticks here too: under a recursive workload a worker lives in nested
     // sync_help frames and would otherwise never reach a sampling point.
     maybe_adapt(w);
-    if (!w.deque.looks_empty()) {
-      if (TaskBase* t = w.deque.pop()) {
-        t->run();
-        idle.reset();
-        continue;
-      }
-    }
-    if (TaskBase* t = try_steal(w)) {
+    if (run_own_task(w)) {
+      idle.reset();
+    } else if (TaskBase* t = try_steal(w)) {
       t->run();
       idle.reset();
-      continue;
+    } else {
+      idle.wait();
     }
-    idle.wait();
   }
 }
 

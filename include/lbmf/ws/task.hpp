@@ -17,9 +17,16 @@ class TaskBase {
  public:
   virtual ~TaskBase() = default;
 
-  /// Run the task and notify its group. Called exactly once, by the worker
-  /// that popped or stole the task.
+  /// Run the task and notify its group. Called exactly once (this or
+  /// run_owned()), by the worker that popped or stole the task. Safe from
+  /// any thread: the completion is one release fetch_add that the group's
+  /// owner acquires in done().
   void run();
+
+  /// run() for the thread that owns the task's group — a task popped back
+  /// from the owner's own deque. The completion is a plain increment, so
+  /// the owner's spawn → pop → run → sync path has no locked instruction.
+  void run_owned();
 
  protected:
   explicit TaskBase(TaskGroupBase& group) : group_(&group) {}
@@ -30,41 +37,49 @@ class TaskBase {
   TaskGroupBase* group_;
 };
 
-/// Join counter shared by the tasks a frame spawns. The scheduler layer
-/// (Scheduler<P>::TaskGroup) wraps this with spawn/sync; this base holds
-/// just the policy-independent bookkeeping.
+/// Join counts for the tasks a frame spawns, kept as Cilk-5 keeps them: the
+/// thread that owns the group (the one that spawns into it and syncs it)
+/// counts spawns and the completions it ran itself in plain fields; only a
+/// task that ran on another thread touches the shared atomic. The scheduler
+/// layer (Scheduler<P>::TaskGroup) wraps this with spawn/sync; this base
+/// holds just the policy-independent bookkeeping.
 class TaskGroupBase {
  public:
   TaskGroupBase() = default;
   TaskGroupBase(const TaskGroupBase&) = delete;
   TaskGroupBase& operator=(const TaskGroupBase&) = delete;
 
+  /// True once every registered task has completed; the completing tasks'
+  /// writes are then visible. Owning thread only.
   bool done() const noexcept {
-    return pending_.load(std::memory_order_acquire) == 0;
+    if (spawned_ == owned_done_) return true;
+    return spawned_ - owned_done_ ==
+           remote_done_.load(std::memory_order_acquire);
   }
 
-  std::uint64_t pending() const noexcept {
-    return pending_.load(std::memory_order_acquire);
-  }
-
- // Manual task accounting — used by the scheduler for root injection and
-  // by TaskGroup::spawn. A task registered with add_pending() must be
-  // balanced by exactly one complete_one() (TaskBase::run does this).
-  void add_pending() noexcept {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void complete_one() noexcept {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  /// Register one task, to be balanced by exactly one run() or run_owned()
+  /// of it — used by TaskGroup::spawn and for root injection. Owning thread
+  /// only.
+  void add_pending() noexcept { ++spawned_; }
 
  private:
-  std::atomic<std::uint64_t> pending_{0};
+  friend class TaskBase;
+
+  std::uint64_t spawned_ = 0;
+  std::uint64_t owned_done_ = 0;
+  std::atomic<std::uint64_t> remote_done_{0};
 };
 
 inline void TaskBase::run() {
   execute();
-  group_->complete_one();
+  // The last access to the group or this task: once the counts balance,
+  // the owner may return from sync() and destroy both.
+  group_->remote_done_.fetch_add(1, std::memory_order_release);
+}
+
+inline void TaskBase::run_owned() {
+  execute();
+  ++group_->owned_done_;
 }
 
 /// Stack-allocatable task wrapping a callable.

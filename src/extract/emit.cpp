@@ -185,7 +185,11 @@ class Emitter {
 
   std::string render_op(const RecordedOp& op, const std::array<int, 8>& regs) {
     auto reg = [&](Reg r) {
-      return "r" + std::to_string(regs[static_cast<std::size_t>(r)]);
+      // Built piecewise: GCC 12's -Wrestrict false-positives on a literal
+      // + temporary-string concatenation.
+      std::string s = "r";
+      s += std::to_string(regs[static_cast<std::size_t>(r)]);
+      return s;
     };
     auto loc = [&] { return "[" + op.loc + "]"; };
     auto val = [&] { return std::to_string(op.value); };

@@ -90,7 +90,7 @@ struct Assembler {
   std::vector<std::pair<std::vector<std::size_t>, std::size_t>> sym_decls;
 
   bool fail(std::string message) {
-    result.error = AssembleError{line_no, std::move(message)};
+    result.error = AssembleError{line_no, std::move(message), 0, {}};
     return false;
   }
 

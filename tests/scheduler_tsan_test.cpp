@@ -1,6 +1,7 @@
 // ThreadSanitizer harness for the scheduler and rwlock paths the deque
 // harness does not reach: the run() inbox handoff and quiesce barrier, the
-// stats()/reset_stats() aggregation racing live workers, the BiasedRwLock
+// join that carries stolen children's plain writes back to their owner,
+// the stats()/reset_stats() aggregation racing live workers, the BiasedRwLock
 // writer fan-out racing stats() readers, and the adaptation hook
 // (monitor → selector → quiescent-point switch) ticking inside worker
 // loops. All policies are symmetric so the binary has no signal/membarrier
@@ -12,6 +13,7 @@
 // build, which the repo does not carry.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -95,6 +97,57 @@ int drive_scheduler(const char* label, bool adaptive) {
   return rc;
 }
 
+// Fan-out whose children write plain (non-atomic) slots that the parent
+// reads after sync(): for a stolen child only the join orders that write
+// before the read. Every child first waits (bounded) until some child has
+// run on the other worker, so each round has at least one steal.
+int drive_fanout() {
+  using Sched = ws::Scheduler<SymmetricFence>;
+  constexpr int kChildren = 32;
+  constexpr int kRounds = 20;
+  Sched sched(2);
+  int bad = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    sched.run([&] {
+      const std::thread::id parent = std::this_thread::get_id();
+      std::atomic<bool> stolen{false};
+      long slots[kChildren] = {};
+      auto body = [&](int i) {
+        return [&, i] {
+          if (std::this_thread::get_id() != parent) {
+            stolen.store(true, std::memory_order_relaxed);
+          }
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!stolen.load(std::memory_order_relaxed) &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+          slots[i] = 1000L * round + i;
+        };
+      };
+      Sched::TaskGroup tg;
+      std::vector<ws::ClosureTask<decltype(body(0))>> tasks;
+      tasks.reserve(kChildren);
+      for (int i = 0; i < kChildren; ++i) {
+        tasks.emplace_back(tg, body(i));
+        tg.spawn(tasks.back());
+      }
+      tg.sync();
+      for (int i = 0; i < kChildren; ++i) bad += slots[i] != 1000L * round + i;
+    });
+  }
+  const std::uint64_t steals = sched.stats().steals_success;
+  if (bad != 0 || steals == 0) {
+    std::printf("FAIL fan-out join: %d wrong slots, %llu steals\n", bad,
+                static_cast<unsigned long long>(steals));
+    return 1;
+  }
+  std::printf("ok fan-out join: %d fan-outs, %llu steals\n", kRounds,
+              static_cast<unsigned long long>(steals));
+  return 0;
+}
+
 // BiasedRwLock writer fan-out (batched serialize_many wave over every
 // registered reader) racing reader fast paths and stats() aggregation.
 int drive_rwlock() {
@@ -154,6 +207,7 @@ int main() {
   rc |= drive_scheduler<SymmetricFence>("Scheduler<SymmetricFence>", false);
   rc |= drive_scheduler<adapt::AdaptiveFence>("Scheduler<AdaptiveFence>",
                                               true);
+  rc |= drive_fanout();
   rc |= drive_rwlock();
   std::printf("%s\n", rc == 0 ? "PASS" : "FAIL");
   return rc;

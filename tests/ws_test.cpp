@@ -143,6 +143,80 @@ TEST(TheDeque, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(d.steal(), nullptr);
 }
 
+// ---------------------------------------------------------- join counts
+
+// Each child writes a plain slot; its owner reads every slot once done()
+// holds, so a completion that did not publish its writes shows as a wrong
+// value here (and as a race under TSan).
+struct JoinFixture {
+  static constexpr int kTasks = 16;
+  struct WriteSlot {
+    std::vector<int>* slots;
+    int i;
+    void operator()() const { (*slots)[static_cast<std::size_t>(i)] = i + 1; }
+  };
+
+  TaskGroupBase g;
+  std::vector<int> slots = std::vector<int>(kTasks, 0);
+  std::vector<ClosureTask<WriteSlot>> tasks;
+
+  // Registers every task from the calling (owning) thread.
+  JoinFixture() {
+    tasks.reserve(kTasks);
+    for (int i = 0; i < kTasks; ++i) {
+      tasks.emplace_back(g, WriteSlot{&slots, i});
+      g.add_pending();
+    }
+  }
+  void expect_all_written() const {
+    for (int i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(slots[static_cast<std::size_t>(i)], i + 1) << "slot " << i;
+    }
+  }
+};
+
+TEST(TaskGroupBase, OwnerCompletionsBalanceTheJoin) {
+  JoinFixture f;
+  for (auto& t : f.tasks) {
+    EXPECT_FALSE(f.g.done());
+    t.run_owned();
+  }
+  EXPECT_TRUE(f.g.done());
+  f.expect_all_written();
+}
+
+TEST(TaskGroupBase, RemoteCompletionsPublishTheChildrensWrites) {
+  JoinFixture f;
+  EXPECT_FALSE(f.g.done());
+  std::thread other([&f] {
+    for (auto& t : f.tasks) t.run();
+  });
+  while (!f.g.done()) std::this_thread::yield();
+  f.expect_all_written();  // before the join: done() alone orders them
+  other.join();
+}
+
+TEST(TaskGroupBase, MixedCompletionsBalanceOnlyWhenBothSidesFinish) {
+  JoinFixture f;
+  for (std::size_t i = 0; i < f.tasks.size(); i += 2) f.tasks[i].run_owned();
+  EXPECT_FALSE(f.g.done());  // the odd tasks have not run anywhere yet
+  std::thread other([&f] {
+    for (std::size_t i = 1; i < f.tasks.size(); i += 2) f.tasks[i].run();
+  });
+  while (!f.g.done()) std::this_thread::yield();
+  f.expect_all_written();
+  other.join();
+
+  // A synced group takes new spawns: the counts keep running.
+  int late = 0;
+  auto t = ClosureTask(f.g, [&late] { late = 1; });
+  f.g.add_pending();
+  EXPECT_FALSE(f.g.done());
+  t.run_owned();
+  EXPECT_TRUE(f.g.done());
+  EXPECT_EQ(late, 1);
+}
+
 // ------------------------------------------------------------ scheduler
 
 template <typename P>
