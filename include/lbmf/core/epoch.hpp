@@ -1,14 +1,12 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
 #include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
@@ -31,7 +29,10 @@ namespace lbmf {
 template <FencePolicy P>
 class EpochDomain {
  private:
-  struct Slot;  // MutatorToken-style early declaration
+  struct Reader {
+    /// 0 = quiescent; otherwise (epoch | 1) of the in-progress section.
+    std::atomic<std::uint64_t> state{0};
+  };
 
  public:
   static constexpr std::size_t kMaxReaders = 64;
@@ -61,36 +62,27 @@ class EpochDomain {
 
    private:
     friend class EpochDomain;
-    explicit ReadGuard(Slot* s) noexcept : slot_(s) {}
-    Slot* slot_;
+    explicit ReadGuard(Reader* s) noexcept : slot_(s) {}
+    Reader* slot_;
   };
 
   /// Per-thread reader registration (RAII; same contract as the other
   /// primaries in this library: create/destroy on the reader's own thread,
   /// never outliving the domain).
-  class ReaderToken {
+  class ReaderToken : public PoolToken<EpochDomain> {
    public:
-    ReaderToken(ReaderToken&& o) noexcept : d_(o.d_), slot_(o.slot_) {
-      o.d_ = nullptr;
-    }
-    ReaderToken(const ReaderToken&) = delete;
-    ReaderToken& operator=(const ReaderToken&) = delete;
-    ReaderToken& operator=(ReaderToken&&) = delete;
-    ~ReaderToken() {
-      if (d_ != nullptr) d_->unregister_reader(*this);
-    }
-
     /// Enter a read-side critical section. Fence-free under the
     /// asymmetric policies; non-reentrant (one guard at a time per token).
     ReadGuard read_lock() {
-      Slot& s = *d_->slots_[slot_];
+      EpochDomain& d = *this->owner_;
+      Reader& s = d.readers_[this->slot_];
       LBMF_CHECK_MSG(s.state.load(std::memory_order_relaxed) == 0,
                      "EpochDomain read_lock is not reentrant");
       // Announce: active in the current epoch. The epoch value may be
       // stale by the time the store lands — that is fine: a stale epoch
       // only makes synchronize() wait for us, never miss us.
       compiler_fence();
-      s.state.store(d_->epoch_->load(std::memory_order_relaxed) | 1u,
+      s.state.store(d.epoch_->load(std::memory_order_relaxed) | 1u,
                     std::memory_order_relaxed);
       P::primary_fence();
       return ReadGuard(&s);
@@ -98,31 +90,15 @@ class EpochDomain {
 
    private:
     friend class EpochDomain;
-    ReaderToken(EpochDomain* d, std::size_t slot) : d_(d), slot_(slot) {}
-
-    EpochDomain* d_;
-    std::size_t slot_;
+    ReaderToken(EpochDomain* d, std::size_t slot)
+        : PoolToken<EpochDomain>(d, slot) {}
   };
 
   ReaderToken register_reader() {
-    for (std::size_t i = 0; i < kMaxReaders; ++i) {
-      Slot& s = *slots_[i];
-      bool expected = false;
-      if (!s.used.load(std::memory_order_relaxed) &&
-          s.used.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-        s.handle = P::register_primary();
-        s.state.store(0, std::memory_order_relaxed);
-        s.live.store(true, std::memory_order_release);
-        std::size_t hw = high_water_.load(std::memory_order_relaxed);
-        while (hw < i + 1 && !high_water_.compare_exchange_weak(
-                                 hw, i + 1, std::memory_order_acq_rel)) {
-        }
-        return ReaderToken(this, i);
-      }
-    }
-    LBMF_CHECK_MSG(false, "EpochDomain reader slots exhausted");
-    return ReaderToken(this, 0);  // unreachable
+    const std::size_t i = readers_.claim(
+        "EpochDomain reader slots exhausted",
+        [](Reader& s) { s.state.store(0, std::memory_order_relaxed); });
+    return ReaderToken(this, i);
   }
 
   /// Wait for a full grace period: every read-side critical section that
@@ -142,28 +118,17 @@ class EpochDomain {
     // a reader's store buffer; afterwards, plain loads suffice. Batching
     // makes the grace period pay the slowest reader's round trip once
     // instead of summing round trips over all readers.
-    const std::size_t hw = high_water_.load(std::memory_order_acquire);
-    std::array<typename P::Handle, kMaxReaders> wave;
-    std::array<Slot*, kMaxReaders> pending;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < hw; ++i) {
-      Slot& s = *slots_[i];
-      if (!s.live.load(std::memory_order_acquire)) continue;
-      wave[n] = s.handle;
-      pending[n] = &s;
-      ++n;
-    }
-    P::serialize_many(std::span<const typename P::Handle>(wave.data(), n));
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot& s = *pending[i];
-      SpinWait w;
-      for (;;) {
-        const std::uint64_t st = s.state.load(std::memory_order_acquire);
-        if ((st & 1u) == 0) break;            // not in a critical section
-        if ((st | 1u) >= (new_epoch | 1u)) break;  // entered after advance
-        w.wait();
-      }
-    }
+    readers_.serialize_wave(
+        [](Reader&) { return true; },
+        [new_epoch](Reader& s) {
+          SpinWait w;
+          for (;;) {
+            const std::uint64_t st = s.state.load(std::memory_order_acquire);
+            if ((st & 1u) == 0) break;                 // not in a section
+            if ((st | 1u) >= (new_epoch | 1u)) break;  // entered after advance
+            w.wait();
+          }
+        });
     ++grace_periods_;
 
     for (auto& [ptr, deleter] : to_free) deleter(ptr);
@@ -190,28 +155,14 @@ class EpochDomain {
   }
 
  private:
-  struct Slot {
-    /// 0 = quiescent; otherwise (epoch | 1) of the in-progress section.
-    std::atomic<std::uint64_t> state{0};
-    std::atomic<bool> used{false};
-    std::atomic<bool> live{false};
-    typename P::Handle handle{};
-  };
+  friend class PoolToken<EpochDomain>;
+  void release_slot(std::size_t i) { readers_.release(i, writer_gate_); }
 
-  void unregister_reader(ReaderToken& t) {
-    Slot& s = *slots_[t.slot_];
-    std::lock_guard<std::mutex> g(writer_gate_);
-    s.live.store(false, std::memory_order_release);
-    P::unregister_primary(s.handle);
-    s.used.store(false, std::memory_order_release);
-  }
-
-  CacheAligned<Slot> slots_[kMaxReaders];
+  PrimaryPool<P, Reader, kMaxReaders> readers_;
   CacheAligned<std::atomic<std::uint64_t>> epoch_{2};
   std::mutex writer_gate_;
   std::vector<std::pair<void*, void (*)(void*)>> retired_;
   std::uint64_t grace_periods_ = 0;  // gate-protected
-  std::atomic<std::size_t> high_water_{0};
 };
 
 }  // namespace lbmf

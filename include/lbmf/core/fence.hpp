@@ -12,10 +12,13 @@ inline void compiler_fence() noexcept {
   std::atomic_signal_fence(std::memory_order_seq_cst);
 }
 
-/// Full hardware memory fence (mfence on x86-64): stalls until the store
-/// buffer drains, making all prior stores globally visible before any later
-/// load executes. This is the program-based fence the paper sets out to
-/// avoid on the primary thread's path.
+/// Full hardware memory fence: stalls until the store buffer drains, making
+/// all prior stores globally visible before any later load executes. This
+/// is the program-based fence the paper sets out to avoid on the primary
+/// thread's path. On x86-64, GCC 12 emits it as a locked no-op RMW on the
+/// stack (`lock orq $0x0,(%rsp)`), not as an MFENCE instruction. For
+/// ordinary memory both drain the store buffer before any later load;
+/// MFENCE also orders non-temporal stores, which this library never issues.
 inline void full_fence() noexcept {
   std::atomic_thread_fence(std::memory_order_seq_cst);
 }

@@ -2,9 +2,8 @@
 
 #include <atomic>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 
 namespace lbmf {
 
@@ -22,32 +21,18 @@ namespace lbmf {
 /// With P = SymmetricFence the same object degrades to the classic
 /// program-based discipline (primary pays mfence, remote_read is a plain
 /// load), which is how the benchmarks hold everything but the fence constant.
+///
+/// The primary binds through PrimaryBinding: bind_primary() must precede
+/// any lmfence_store, and unbind_primary() follows the last concurrent
+/// remote_read.
 template <typename T, FencePolicy P = AsymmetricSignalFence>
-class GuardedLocation {
+class GuardedLocation : public PrimaryBinding<P> {
  public:
   using Policy = P;
 
-  explicit GuardedLocation(T initial = T{}) : value_(initial) {}
-
-  GuardedLocation(const GuardedLocation&) = delete;
-  GuardedLocation& operator=(const GuardedLocation&) = delete;
-
-  /// Register the calling thread as this location's primary. Must precede
-  /// any lmfence_store and outlive all concurrent remote_read calls.
-  void bind_primary() {
-    LBMF_CHECK_MSG(!bound_.load(std::memory_order_relaxed),
-                   "GuardedLocation already has a primary");
-    handle_ = P::register_primary();
-    bound_.store(true, std::memory_order_release);
-  }
-
-  /// Drop the primary registration (call on the primary thread, after all
-  /// secondaries have stopped issuing remote_read).
-  void unbind_primary() {
-    if (bound_.exchange(false, std::memory_order_acq_rel)) {
-      P::unregister_primary(handle_);
-    }
-  }
+  explicit GuardedLocation(T initial = T{})
+      : PrimaryBinding<P>("GuardedLocation already has a primary"),
+        value_(initial) {}
 
   /// The l-mfence itself: store v to the guarded location with on-demand
   /// StoreLoad ordering against the primary's later loads.
@@ -70,9 +55,7 @@ class GuardedLocation {
   /// this returns, every store the primary committed before its latest
   /// lmfence_store is visible to the caller.
   T remote_read() const {
-    if (bound_.load(std::memory_order_acquire)) {
-      P::serialize(handle_);
-    }
+    if (this->bound()) P::serialize(this->primary_handle());
     return value_->load(std::memory_order_acquire);
   }
 
@@ -84,8 +67,6 @@ class GuardedLocation {
 
  private:
   CacheAligned<std::atomic<T>> value_;
-  typename P::Handle handle_{};
-  std::atomic<bool> bound_{false};
 };
 
 }  // namespace lbmf

@@ -1,14 +1,11 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <span>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
 
 namespace lbmf {
@@ -30,7 +27,12 @@ namespace lbmf {
 template <FencePolicy P>
 class Safepoint {
  private:
-  struct Slot;  // declared early: MutatorToken signatures reference it
+  enum class State : int { kRunning, kParked, kSafe };
+
+  struct Mutator {
+    std::atomic<State> state{State::kRunning};
+    std::atomic<std::uint64_t> parks{0};
+  };
 
  public:
   static constexpr std::size_t kMaxMutators = 64;
@@ -41,31 +43,19 @@ class Safepoint {
 
   /// Per-thread mutator registration (RAII). Create and destroy on the
   /// mutator's own thread; do not outlive the Safepoint.
-  class MutatorToken {
+  class MutatorToken : public PoolToken<Safepoint> {
    public:
-    MutatorToken(MutatorToken&& o) noexcept : sp_(o.sp_), slot_(o.slot_) {
-      o.sp_ = nullptr;
-    }
-    MutatorToken(const MutatorToken&) = delete;
-    MutatorToken& operator=(const MutatorToken&) = delete;
-    MutatorToken& operator=(MutatorToken&&) = delete;
-    ~MutatorToken() {
-      if (sp_ != nullptr) sp_->unregister_mutator(*this);
-    }
-
     /// The hot-path poll: nearly free when no safepoint is pending. Parks
     /// (spins) while a stop-the-world is in progress.
     void poll() {
-      Slot& s = *sp_->slots_[slot_];
-      if (sp_->request_->load(std::memory_order_acquire) == 0) return;
-      park(s);
+      if (request() == 0) return;
+      park(mutator());
     }
 
     /// Enter a safe region (e.g. a blocking syscall): the coordinator will
     /// not wait for this thread while it is inside.
     void enter_safe_region() {
-      Slot& s = *sp_->slots_[slot_];
-      s.state.store(State::kSafe, std::memory_order_release);
+      mutator().state.store(State::kSafe, std::memory_order_release);
       // No fence needed: transitioning INTO safety can only help the
       // coordinator; at worst it serializes us once redundantly.
     }
@@ -74,63 +64,54 @@ class Safepoint {
     /// resume mutating while a stop-the-world is in progress, and the
     /// coordinator must not miss our transition back to running.
     void leave_safe_region() {
-      Slot& s = *sp_->slots_[slot_];
+      Mutator& s = mutator();
       for (;;) {
         compiler_fence();
         s.state.store(State::kRunning, std::memory_order_relaxed);
         P::primary_fence();  // compiler-only under asymmetric policies
-        if (sp_->request_->load(std::memory_order_acquire) == 0) return;
+        if (request() == 0) return;
         // A stop-the-world is pending: step back into safety and wait.
         s.state.store(State::kSafe, std::memory_order_release);
         SpinWait w;
-        while (sp_->request_->load(std::memory_order_acquire) != 0) w.wait();
+        while (request() != 0) w.wait();
       }
     }
 
     std::uint64_t times_parked() const noexcept {
-      return sp_->slots_[slot_]->parks.load(std::memory_order_relaxed);
+      return this->owner_->mutators_[this->slot_].parks.load(
+          std::memory_order_relaxed);
     }
 
    private:
     friend class Safepoint;
-    MutatorToken(Safepoint* sp, std::size_t slot) : sp_(sp), slot_(slot) {}
+    MutatorToken(Safepoint* sp, std::size_t slot)
+        : PoolToken<Safepoint>(sp, slot) {}
 
-    void park(Slot& s) {
+    Mutator& mutator() { return this->owner_->mutators_[this->slot_]; }
+    int request() const {
+      return this->owner_->request_->load(std::memory_order_acquire);
+    }
+
+    void park(Mutator& s) {
       s.state.store(State::kParked, std::memory_order_release);
       s.parks.fetch_add(1, std::memory_order_relaxed);
       SpinWait w;
-      while (sp_->request_->load(std::memory_order_acquire) != 0) w.wait();
+      while (request() != 0) w.wait();
       // Same announce discipline as leave_safe_region: resume visibly.
       compiler_fence();
       s.state.store(State::kRunning, std::memory_order_relaxed);
       P::primary_fence();
-      if (sp_->request_->load(std::memory_order_acquire) != 0) park(s);
+      if (request() != 0) park(s);
     }
-
-    Safepoint* sp_;
-    std::size_t slot_;
   };
 
   /// Register the calling thread as a mutator (initially running).
   MutatorToken register_mutator() {
-    for (std::size_t i = 0; i < kMaxMutators; ++i) {
-      Slot& s = *slots_[i];
-      bool expected = false;
-      if (!s.used.load(std::memory_order_relaxed) &&
-          s.used.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-        s.handle = P::register_primary();
-        s.state.store(State::kRunning, std::memory_order_relaxed);
-        s.live.store(true, std::memory_order_release);
-        std::size_t hw = high_water_.load(std::memory_order_relaxed);
-        while (hw < i + 1 && !high_water_.compare_exchange_weak(
-                                 hw, i + 1, std::memory_order_acq_rel)) {
-        }
-        return MutatorToken(this, i);
-      }
-    }
-    LBMF_CHECK_MSG(false, "Safepoint mutator slots exhausted");
-    return MutatorToken(this, 0);  // unreachable
+    const std::size_t i = mutators_.claim(
+        "Safepoint mutator slots exhausted", [](Mutator& s) {
+          s.state.store(State::kRunning, std::memory_order_relaxed);
+        });
+    return MutatorToken(this, i);
   }
 
   /// Stop the world, run `action` while every mutator is parked or safe,
@@ -145,25 +126,14 @@ class Safepoint {
     // kRunning announce parked in a store buffer becomes visible before we
     // sample its state. The overlapped wave means stopping the world costs
     // the slowest mutator's round trip, not the sum over all mutators.
-    const std::size_t hw = high_water_.load(std::memory_order_acquire);
-    std::array<typename P::Handle, kMaxMutators> wave;
-    std::array<Slot*, kMaxMutators> pending;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < hw; ++i) {
-      Slot& s = *slots_[i];
-      if (!s.live.load(std::memory_order_acquire)) continue;
-      wave[n] = s.handle;
-      pending[n] = &s;
-      ++n;
-    }
-    P::serialize_many(std::span<const typename P::Handle>(wave.data(), n));
-    for (std::size_t i = 0; i < n; ++i) {
-      SpinWait w;
-      while (pending[i]->state.load(std::memory_order_acquire) ==
-             State::kRunning) {
-        w.wait();
-      }
-    }
+    mutators_.serialize_wave(
+        [](Mutator&) { return true; },
+        [](Mutator& s) {
+          SpinWait w;
+          while (s.state.load(std::memory_order_acquire) == State::kRunning) {
+            w.wait();
+          }
+        });
     ++stops_;
     action();
     request_->store(0, std::memory_order_release);
@@ -172,29 +142,13 @@ class Safepoint {
   std::uint64_t stops() const noexcept { return stops_; }
 
  private:
-  enum class State : int { kRunning, kParked, kSafe };
+  friend class PoolToken<Safepoint>;
+  // Under the coordinator gate: a coordinator may be about to serialize us.
+  void release_slot(std::size_t i) { mutators_.release(i, coordinator_gate_); }
 
-  struct Slot {
-    std::atomic<State> state{State::kRunning};
-    std::atomic<bool> used{false};
-    std::atomic<bool> live{false};
-    std::atomic<std::uint64_t> parks{0};
-    typename P::Handle handle{};
-  };
-
-  void unregister_mutator(MutatorToken& t) {
-    Slot& s = *slots_[t.slot_];
-    // Exclude a coordinator that may be about to serialize us.
-    std::lock_guard<std::mutex> g(coordinator_gate_);
-    s.live.store(false, std::memory_order_release);
-    P::unregister_primary(s.handle);
-    s.used.store(false, std::memory_order_release);
-  }
-
-  CacheAligned<Slot> slots_[kMaxMutators];
+  PrimaryPool<P, Mutator, kMaxMutators> mutators_;
   CacheAligned<std::atomic<int>> request_{0};
   std::mutex coordinator_gate_;
-  std::atomic<std::size_t> high_water_{0};
   std::uint64_t stops_ = 0;  // coordinator-gate-protected
 };
 

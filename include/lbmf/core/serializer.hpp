@@ -180,21 +180,4 @@ class SerializerRegistry {
   static std::atomic<std::uint64_t> rtt_samples_;
 };
 
-/// RAII registration of the calling thread as an l-mfence primary.
-class PrimaryRegistration {
- public:
-  PrimaryRegistration()
-      : handle_(SerializerRegistry::instance().register_self()) {}
-  ~PrimaryRegistration() {
-    SerializerRegistry::instance().unregister_self(handle_);
-  }
-  PrimaryRegistration(const PrimaryRegistration&) = delete;
-  PrimaryRegistration& operator=(const PrimaryRegistration&) = delete;
-
-  const SerializerRegistry::Handle& handle() const noexcept { return handle_; }
-
- private:
-  SerializerRegistry::Handle handle_;
-};
-
 }  // namespace lbmf

@@ -5,7 +5,7 @@
 
 #include <pthread.h>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
 #include "lbmf/util/spin.hpp"
 
@@ -24,18 +24,14 @@ namespace lbmf {
 /// trick" ([7, 21], see Sec. 6) or can deadlock when nested ([23]); the
 /// l-mfence construction needs neither, because the revoker forces the
 /// holder's store buffer out from the outside.
+///
+/// The holder's registration is a PrimaryBinding, so the lock must not die
+/// while the holder is still registered: the holder calls release_bias(),
+/// or locks once more after a revocation to observe it.
 template <FencePolicy P>
 class BiasedLock {
  public:
   BiasedLock() = default;
-  BiasedLock(const BiasedLock&) = delete;
-  BiasedLock& operator=(const BiasedLock&) = delete;
-
-  ~BiasedLock() {
-    // A still-registered bias without revocation is released lazily; the
-    // registration belongs to the holder thread, which must have called
-    // release_bias() (or been revoked) before the lock dies.
-  }
 
   void lock() {
     if (state_->load(std::memory_order_acquire) == State::kRevoked) {
@@ -49,8 +45,7 @@ class BiasedLock {
                                         std::memory_order_acq_rel)) {
       // First locker: claim the bias for this thread.
       holder_thread_ = self;
-      handle_ = P::register_primary();
-      holder_registered_ = true;
+      holder_.bind_primary();
       state_->store(State::kBiased, std::memory_order_release);
       lock_biased_fast();
       return;
@@ -130,14 +125,14 @@ class BiasedLock {
     }
   }
 
-  /// Holder-thread-only: drop the serializer registration once the bias is
-  /// gone. Safe because after kRevoked is visible no revoker issues another
-  /// serialize() (revoke() early-returns under its gate).
+  /// Drop the holder's registration once the bias is revoked; a no-op on
+  /// any other thread, which never touches the binding. Safe because after
+  /// kRevoked is visible no revoker issues another serialize() (revoke()
+  /// early-returns under its gate).
   void holder_maybe_unregister() {
-    if (holder_registered_ && pthread_equal(holder_thread_, pthread_self()) &&
+    if (pthread_equal(holder_thread_, pthread_self()) &&
         state_->load(std::memory_order_acquire) == State::kRevoked) {
-      P::unregister_primary(handle_);
-      holder_registered_ = false;
+      holder_.unbind_primary();
     }
   }
 
@@ -150,7 +145,7 @@ class BiasedLock {
     // the holder to leave.
     revoke_pending_->store(1, std::memory_order_relaxed);
     P::secondary_fence();
-    P::serialize(handle_);
+    P::serialize(holder_.primary_handle());
     SpinWait w;
     while (holder_flag_->load(std::memory_order_acquire) != 0) w.wait();
     // The holder is out and will observe revoke_pending before re-entering.
@@ -163,8 +158,7 @@ class BiasedLock {
   CacheAligned<std::atomic<int>> holder_flag_{0};
   CacheAligned<std::atomic<int>> revoke_pending_{0};
   pthread_t holder_thread_{};
-  typename P::Handle handle_{};
-  bool holder_registered_ = false;  // holder-thread-only
+  PrimaryBinding<P> holder_{"BiasedLock bias already claimed"};
   std::uint64_t fast_acquires_ = 0;  // holder-only
   std::uint64_t fast_releases_ = 0;  // holder-only
   std::atomic<std::uint64_t> revocations_{0};

@@ -3,9 +3,8 @@
 #include <atomic>
 #include <cstdint>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 #include "lbmf/util/counters.hpp"
 #include "lbmf/util/spin.hpp"
 
@@ -46,32 +45,17 @@ struct DekkerStats {
 /// primary flag-store still sitting in the primary's store buffer from
 /// *before* the secondary's fence — and serialize() flushes exactly that
 /// buffer. Spin re-reads between retreats therefore use plain loads.
+///
+/// bind_primary()/unbind_primary()/primary_handle() come from
+/// PrimaryBinding: bind before any lock_secondary() on other threads, and
+/// stay bound while secondaries run.
 template <FencePolicy P>
-class AsymmetricDekker {
+class AsymmetricDekker : public PrimaryBinding<P> {
  public:
   using Policy = P;
 
-  AsymmetricDekker() = default;
-  AsymmetricDekker(const AsymmetricDekker&) = delete;
-  AsymmetricDekker& operator=(const AsymmetricDekker&) = delete;
-
-  /// Register the calling thread as the primary. Must happen-before any
-  /// lock_secondary() on other threads (e.g. sequenced before launching
-  /// them) and the primary must stay registered while secondaries run.
-  void bind_primary() {
-    LBMF_CHECK_MSG(!bound_, "AsymmetricDekker primary already bound");
-    handle_ = P::register_primary();
-    bound_ = true;
-  }
-
-  void unbind_primary() {
-    if (bound_) {
-      P::unregister_primary(handle_);
-      bound_ = false;
-    }
-  }
-
-  ~AsymmetricDekker() { LBMF_CHECK_MSG(!bound_, "unbind_primary not called"); }
+  AsymmetricDekker()
+      : PrimaryBinding<P>("AsymmetricDekker primary already bound") {}
 
   // ------------------------------------------------------------------
   // Primary side (single thread, the one that called bind_primary()).
@@ -188,11 +172,6 @@ class AsymmetricDekker {
   /// Merged snapshot of both sides' counters. Exact once both threads have
   /// quiesced; approximate (but tear-free per field — relaxed atomic loads)
   /// while they run.
-  /// The registered primary's policy handle, for callers that batch
-  /// serializations across pairs (P::serialize_many). Valid only between
-  /// bind_primary() and unbind_primary().
-  typename P::Handle primary_handle() const noexcept { return handle_; }
-
   DekkerStats stats() const noexcept {
     DekkerStats s;
     s.primary_acquires = pstats_->acquires.load(std::memory_order_relaxed);
@@ -223,7 +202,9 @@ class AsymmetricDekker {
     flag_[0]->store(1, std::memory_order_relaxed);
     P::primary_fence();
     bump_relaxed(pstats_->fences);
-    if (P::serialize_peers(handle_)) bump_relaxed(pstats_->serializations);
+    if (P::serialize_peers(this->primary_handle())) {
+      bump_relaxed(pstats_->serializations);
+    }
   }
 
   /// Lines J1-J2 of Fig. 3(a) plus the remote trigger: L2 = 1; mfence (or,
@@ -232,9 +213,11 @@ class AsymmetricDekker {
   /// read L1.
   void announce_secondary() {
     flag_[1]->store(1, std::memory_order_relaxed);
-    P::secondary_fence(handle_);
+    P::secondary_fence(this->primary_handle());
     bump_relaxed(sstats_->fences);
-    if (P::serialize(handle_)) bump_relaxed(sstats_->serializations);
+    if (P::serialize(this->primary_handle())) {
+      bump_relaxed(sstats_->serializations);
+    }
   }
 
   // One side's counters: single writer (that side's thread), read by
@@ -261,8 +244,6 @@ class AsymmetricDekker {
   CacheAligned<std::atomic<int>> turn_;
   CacheAligned<SideStats> pstats_;  // written by the primary only
   CacheAligned<SideStats> sstats_;  // written by the secondary only
-  typename P::Handle handle_{};
-  bool bound_ = false;
 };
 
 }  // namespace lbmf

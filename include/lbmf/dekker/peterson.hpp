@@ -3,9 +3,8 @@
 #include <atomic>
 #include <cstdint>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
 
 namespace lbmf {
@@ -25,37 +24,16 @@ namespace lbmf {
 /// Unlike Dekker, Peterson needs no extra tie-breaking: the turn word makes
 /// the last announcer defer, giving deadlock- and livelock-freedom for two
 /// threads out of the box.
+///
+/// The primary binds through PrimaryBinding, with the same lifetime
+/// contract as AsymmetricDekker.
 template <FencePolicy P>
-class AsymmetricPeterson {
+class AsymmetricPeterson : public PrimaryBinding<P> {
  public:
   using Policy = P;
 
-  AsymmetricPeterson() = default;
-  AsymmetricPeterson(const AsymmetricPeterson&) = delete;
-  AsymmetricPeterson& operator=(const AsymmetricPeterson&) = delete;
-
-  /// Register the calling thread as the primary; same lifetime contract as
-  /// AsymmetricDekker (bind before secondaries run, unbind after they
-  /// quiesce, both on the primary thread).
-  void bind_primary() {
-    LBMF_CHECK_MSG(!bound_, "AsymmetricPeterson primary already bound");
-    handle_ = P::register_primary();
-    bound_ = true;
-  }
-
-  void unbind_primary() {
-    if (bound_) {
-      P::unregister_primary(handle_);
-      bound_ = false;
-    }
-  }
-
-  ~AsymmetricPeterson() {
-    LBMF_CHECK_MSG(!bound_, "unbind_primary not called");
-  }
-
-  /// The registered primary's policy handle (valid between bind/unbind).
-  typename P::Handle primary_handle() const noexcept { return handle_; }
+  AsymmetricPeterson()
+      : PrimaryBinding<P>("AsymmetricPeterson primary already bound") {}
 
   void lock_primary() noexcept {
     // Announce: flag, then turn — the l-mfence conceptually guards `turn`,
@@ -79,7 +57,8 @@ class AsymmetricPeterson {
     flag_[1]->store(1, std::memory_order_relaxed);
     turn_->store(kSecondaryToken, std::memory_order_relaxed);
     P::secondary_fence();
-    P::serialize(handle_);  // expose the primary's buffered announce
+    // Expose the primary's buffered announce.
+    P::serialize(this->primary_handle());
     SpinWait w;
     while (flag_[0]->load(std::memory_order_acquire) != 0 &&
            turn_->load(std::memory_order_acquire) == kSecondaryToken) {
@@ -97,8 +76,6 @@ class AsymmetricPeterson {
 
   CacheAligned<std::atomic<int>> flag_[2];
   CacheAligned<std::atomic<int>> turn_;
-  typename P::Handle handle_{};
-  bool bound_ = false;
 };
 
 }  // namespace lbmf

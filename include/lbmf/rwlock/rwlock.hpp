@@ -1,16 +1,13 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <span>
 
 #include <pthread.h>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
 
 namespace lbmf {
@@ -50,6 +47,15 @@ struct RwLockStats {
 template <FencePolicy P, bool kWaitingHeuristic = false,
           bool kBatchedSignals = true>
 class BiasedRwLock {
+ private:
+  struct Reader {
+    std::atomic<int> flag{0};          // reader's Dekker flag (L1)
+    std::atomic<std::uint64_t> ack{0}; // last intent epoch acknowledged
+    pthread_t owner{};                 // registered reader's thread
+    std::atomic<std::uint64_t> reads{0};  // owning reader only; relaxed
+    std::atomic<std::uint64_t> retreats{0};
+  };
+
  public:
   static constexpr std::size_t kMaxReaders = 64;
   /// ARW+ grace window (spin iterations) before the writer falls back to
@@ -62,30 +68,19 @@ class BiasedRwLock {
 
   /// RAII registration of the calling thread as a reader. Must be created
   /// and destroyed on the reader's own thread; must not outlive the lock.
-  class ReaderToken {
+  class ReaderToken : public PoolToken<BiasedRwLock> {
    public:
-    ReaderToken(ReaderToken&& o) noexcept
-        : lock_(o.lock_), slot_(o.slot_) {
-      o.lock_ = nullptr;
-    }
-    ReaderToken(const ReaderToken&) = delete;
-    ReaderToken& operator=(const ReaderToken&) = delete;
-    ReaderToken& operator=(ReaderToken&&) = delete;
-
-    ~ReaderToken() {
-      if (lock_ != nullptr) lock_->unregister_reader(*this);
-    }
-
     /// Reader fast path — the l-mfence announce of Fig. 3(a).
     void read_lock() {
-      Slot& s = *lock_->slots_[slot_];
+      BiasedRwLock& lock = *this->owner_;
+      Reader& s = lock.readers_[this->slot_];
       SpinWait waiter;
       for (;;) {
         compiler_fence();
         s.flag.store(1, std::memory_order_relaxed);
         P::primary_fence();  // compiler-only under ARW/ARW+
         const std::uint64_t intent =
-            lock_->intent_->load(std::memory_order_acquire);
+            lock.intent_->load(std::memory_order_acquire);
         if (intent == 0) break;  // no writer pending: we are in
         // A writer is pending: retreat, acknowledge its epoch (ARW+ fast
         // clear; harmless otherwise), and wait it out.
@@ -93,7 +88,7 @@ class BiasedRwLock {
         s.ack.store(intent, std::memory_order_release);
         s.retreats.fetch_add(1, std::memory_order_relaxed);
         waiter.reset();
-        while (lock_->intent_->load(std::memory_order_acquire) != 0) {
+        while (lock.intent_->load(std::memory_order_acquire) != 0) {
           waiter.wait();
         }
       }
@@ -101,13 +96,14 @@ class BiasedRwLock {
     }
 
     void read_unlock() {
-      Slot& s = *lock_->slots_[slot_];
+      BiasedRwLock& lock = *this->owner_;
+      Reader& s = lock.readers_[this->slot_];
       s.flag.store(0, std::memory_order_release);
       // Waiting heuristic: tell a pending writer it no longer needs to
       // signal us. The TSO store buffer completes flag=0 before ack, so an
       // observed ack implies our flag is down.
       const std::uint64_t intent =
-          lock_->intent_->load(std::memory_order_acquire);
+          lock.intent_->load(std::memory_order_acquire);
       if (intent != 0) s.ack.store(intent, std::memory_order_release);
     }
 
@@ -116,41 +112,25 @@ class BiasedRwLock {
     /// request_mode/request_backend; the reader thread itself must run the
     /// quiescent_point, between read-lock sections).
     typename P::Handle handle() const noexcept {
-      return lock_->slots_[slot_]->handle;
+      return this->owner_->readers_.handle(this->slot_);
     }
 
    private:
     friend class BiasedRwLock;
     ReaderToken(BiasedRwLock* lock, std::size_t slot)
-        : lock_(lock), slot_(slot) {}
-
-    BiasedRwLock* lock_;
-    std::size_t slot_;
+        : PoolToken<BiasedRwLock>(lock, slot) {}
   };
 
   /// Register the calling thread as a reader (binds its l-mfence primary
   /// registration). Aborts if more than kMaxReaders register concurrently.
   ReaderToken register_reader() {
-    for (std::size_t i = 0; i < kMaxReaders; ++i) {
-      Slot& s = *slots_[i];
-      bool expected = false;
-      if (!s.used.load(std::memory_order_relaxed) &&
-          s.used.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-        s.handle = P::register_primary();
-        s.owner = pthread_self();
-        s.flag.store(0, std::memory_order_relaxed);
-        s.ack.store(0, std::memory_order_relaxed);
-        s.live.store(true, std::memory_order_release);
-        std::size_t hw = high_water_.load(std::memory_order_relaxed);
-        while (hw < i + 1 && !high_water_.compare_exchange_weak(
-                                 hw, i + 1, std::memory_order_acq_rel)) {
-        }
-        return ReaderToken(this, i);
-      }
-    }
-    LBMF_CHECK_MSG(false, "BiasedRwLock reader slots exhausted");
-    return ReaderToken(this, 0);  // unreachable
+    const std::size_t i =
+        readers_.claim("BiasedRwLock reader slots exhausted", [](Reader& s) {
+          s.owner = pthread_self();
+          s.flag.store(0, std::memory_order_relaxed);
+          s.ack.store(0, std::memory_order_relaxed);
+        });
+    return ReaderToken(this, i);
   }
 
   /// Writer slow path: the augmented Dekker round against every reader.
@@ -160,104 +140,64 @@ class BiasedRwLock {
     intent_->store(epoch, std::memory_order_relaxed);
     P::secondary_fence();  // always a real fence
 
-    const std::size_t hw = high_water_.load(std::memory_order_acquire);
-
     if constexpr (kWaitingHeuristic) {
       // Grace window: wait for readers to acknowledge the epoch on their
       // own (they do so at lock/unlock) before resorting to signals. The
       // waiter yields, so the heuristic works even on an oversubscribed
-      // host where the readers need this core to run. The writer's own
-      // reader slot is excluded: it cannot acknowledge itself, and its
-      // flag=0 store is already ordered by the intent fence above.
+      // host where the readers need this core to run.
       SpinWait grace(/*spin_limit=*/8);
       bool all_acked = false;
       for (int spin = 0; spin < kAckSpinBudget && !all_acked; ++spin) {
         all_acked = true;
-        for (std::size_t i = 0; i < hw; ++i) {
-          Slot& s = *slots_[i];
-          if (!s.live.load(std::memory_order_acquire)) continue;
-          if (pthread_equal(s.owner, pthread_self())) continue;
-          if (s.ack.load(std::memory_order_acquire) != epoch) {
-            all_acked = false;
-          }
-        }
+        readers_.for_each_live([&](Reader& s, const typename P::Handle&) {
+          if (!cleared_by_ack(s, epoch)) all_acked = false;
+        });
         if (!all_acked) grace.wait();
       }
     }
 
     if constexpr (kBatchedSignals) {
-      // Batched round: classify every live reader first (ack-cleared vs.
+      // Batched round: classify every live reader (ack-cleared vs.
       // must-signal), fan the signals out as ONE serialize_many wave, and
       // only then spin-wait on the flags. The wave overlaps the round
       // trips, so the writer's serialization cost is max, not sum.
-      std::array<typename P::Handle, kMaxReaders> wave;
-      std::array<Slot*, kMaxReaders> pending;
-      std::size_t nwave = 0, npending = 0;
-      for (std::size_t i = 0; i < hw; ++i) {
-        Slot& s = *slots_[i];
-        if (!s.live.load(std::memory_order_acquire)) continue;
-        // Only ARW+ trusts reader acknowledgments; the plain ARW writer
-        // signals every reader unconditionally (Sec. 5: "the writer ends
-        // up signaling a list of readers ... one by one"). A writer's own
-        // reader slot needs neither ack nor signal: its flag stores are
-        // ordered by the intent fence it just executed.
-        bool cleared_by_ack = false;
-        if constexpr (kWaitingHeuristic) {
-          cleared_by_ack = s.ack.load(std::memory_order_acquire) == epoch ||
-                           pthread_equal(s.owner, pthread_self());
-        }
-        if (cleared_by_ack) {
-          // Reader acknowledged: its flag=0 completed before the ack (TSO
-          // FIFO), and it cannot re-enter while intent is set.
-          wstats_->ack_clears.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // Force the reader to serialize so a flag=1 parked in its store
-          // buffer (committed before our intent became visible) is exposed.
-          wave[nwave++] = s.handle;
-          wstats_->signal_clears.fetch_add(1, std::memory_order_relaxed);
-        }
-        pending[npending++] = &s;
-      }
-      const std::size_t serialized = P::serialize_many(
-          std::span<const typename P::Handle>(wave.data(), nwave));
+      const std::size_t serialized = readers_.serialize_wave(
+          [&](Reader& s) {
+            if (kWaitingHeuristic && cleared_by_ack(s, epoch)) {
+              wstats_->ack_clears.fetch_add(1, std::memory_order_relaxed);
+              return false;
+            }
+            // Force the reader to serialize so a flag=1 parked in its
+            // store buffer (committed before our intent became visible)
+            // is exposed.
+            wstats_->signal_clears.fetch_add(1, std::memory_order_relaxed);
+            return true;
+          },
+          await_flag_down);
       wstats_->serializations.fetch_add(serialized,
                                         std::memory_order_relaxed);
-      for (std::size_t i = 0; i < npending; ++i) {
-        SpinWait waiter;
-        while (pending[i]->flag.load(std::memory_order_acquire) != 0) {
-          waiter.wait();
-        }
-      }
     } else {
       // Sequential round (pre-batching baseline): one full round trip per
       // reader, each awaited before the next is posted.
-      for (std::size_t i = 0; i < hw; ++i) {
-        Slot& s = *slots_[i];
-        if (!s.live.load(std::memory_order_acquire)) continue;
-        bool cleared_by_ack = false;
-        if constexpr (kWaitingHeuristic) {
-          cleared_by_ack = s.ack.load(std::memory_order_acquire) == epoch ||
-                           pthread_equal(s.owner, pthread_self());
-        }
-        if (cleared_by_ack) {
+      readers_.for_each_live([&](Reader& s, const typename P::Handle& h) {
+        if (kWaitingHeuristic && cleared_by_ack(s, epoch)) {
           wstats_->ack_clears.fetch_add(1, std::memory_order_relaxed);
         } else {
           // Use the policy's pre-batching serialize when it has one so this
           // leg measures the original writer's cost, not just its shape.
           bool ok;
-          if constexpr (requires { P::serialize_baseline(s.handle); }) {
-            ok = P::serialize_baseline(s.handle);
+          if constexpr (requires { P::serialize_baseline(h); }) {
+            ok = P::serialize_baseline(h);
           } else {
-            ok = P::serialize(s.handle);
+            ok = P::serialize(h);
           }
           if (ok) {
             wstats_->serializations.fetch_add(1, std::memory_order_relaxed);
           }
           wstats_->signal_clears.fetch_add(1, std::memory_order_relaxed);
         }
-        SpinWait waiter;
-        while (s.flag.load(std::memory_order_acquire) != 0) waiter.wait();
-      }
+        await_flag_down(s);
+      });
     }
     wstats_->write_acquires.fetch_add(1, std::memory_order_relaxed);
   }
@@ -279,33 +219,32 @@ class BiasedRwLock {
     out.signal_clears =
         wstats_->signal_clears.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < kMaxReaders; ++i) {
-      out.read_acquires +=
-          slots_[i]->reads.load(std::memory_order_relaxed);
+      out.read_acquires += readers_[i].reads.load(std::memory_order_relaxed);
       out.reader_retreats +=
-          slots_[i]->retreats.load(std::memory_order_relaxed);
+          readers_[i].retreats.load(std::memory_order_relaxed);
     }
     return out;
   }
 
  private:
-  struct Slot {
-    std::atomic<int> flag{0};          // reader's Dekker flag (L1)
-    std::atomic<std::uint64_t> ack{0}; // last intent epoch acknowledged
-    std::atomic<bool> used{false};     // slot claimed (never recycled race)
-    std::atomic<bool> live{false};     // reader currently registered
-    pthread_t owner{};                 // registered reader's thread
-    typename P::Handle handle{};
-    std::atomic<std::uint64_t> reads{0};  // owning reader only; relaxed
-    std::atomic<std::uint64_t> retreats{0};
-  };
+  friend class PoolToken<BiasedRwLock>;
+  // Under the writer gate: a concurrent writer may be about to serialize us.
+  void release_slot(std::size_t i) { readers_.release(i, writer_gate_); }
 
-  void unregister_reader(ReaderToken& t) {
-    Slot& s = *slots_[t.slot_];
-    // Exclude a concurrent writer: it may be about to serialize us.
-    std::lock_guard<std::mutex> g(writer_gate_);
-    s.live.store(false, std::memory_order_release);
-    P::unregister_primary(s.handle);
-    s.used.store(false, std::memory_order_release);
+  /// Only ARW+ trusts reader acknowledgments; the plain ARW writer signals
+  /// every reader unconditionally (Sec. 5: "the writer ends up signaling a
+  /// list of readers ... one by one"). An acknowledged reader's flag=0
+  /// completed before its ack (TSO FIFO), and it cannot re-enter while
+  /// intent is set. A writer's own reader slot needs neither ack nor
+  /// signal: its flag stores are ordered by the intent fence it executed.
+  static bool cleared_by_ack(const Reader& s, std::uint64_t epoch) {
+    return s.ack.load(std::memory_order_acquire) == epoch ||
+           pthread_equal(s.owner, pthread_self());
+  }
+
+  static void await_flag_down(Reader& s) {
+    SpinWait waiter;
+    while (s.flag.load(std::memory_order_acquire) != 0) waiter.wait();
   }
 
   /// Writer-side counters. Incremented only under the writer gate, but read
@@ -318,12 +257,11 @@ class BiasedRwLock {
     std::atomic<std::uint64_t> signal_clears{0};
   };
 
-  CacheAligned<Slot> slots_[kMaxReaders];
+  PrimaryPool<P, Reader, kMaxReaders> readers_;
   CacheAligned<std::atomic<std::uint64_t>> intent_{0};  // 0 = no writer (L2)
   CacheAligned<WriterCounters> wstats_;
   std::mutex writer_gate_;
   std::atomic<std::uint64_t> epoch_counter_{0};
-  std::atomic<std::size_t> high_water_{0};
 };
 
 /// The paper's three locks.

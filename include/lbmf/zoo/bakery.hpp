@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
 #include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
@@ -36,37 +36,18 @@ namespace lbmf::zoo {
 /// ticket would wrap after 2^32 acquisitions under sustained contention
 /// and silently break mutual exclusion, whereas exhausting 2^64 takes
 /// centuries at one acquisition per nanosecond — out of scope by design.
+///
+/// Thread 0 binds through PrimaryBinding, with the same lifetime contract
+/// as AsymmetricDekker.
 template <FencePolicy P, std::size_t N>
-class BakeryLock {
+class BakeryLock : public PrimaryBinding<P> {
   static_assert(N >= 2, "a one-thread bakery needs no lock");
 
  public:
   using Policy = P;
   static constexpr std::size_t kThreads = N;
 
-  BakeryLock() = default;
-  BakeryLock(const BakeryLock&) = delete;
-  BakeryLock& operator=(const BakeryLock&) = delete;
-
-  /// Register thread 0 as the primary; bind before secondaries run, unbind
-  /// after they quiesce, both on the primary thread.
-  void bind_primary() {
-    LBMF_CHECK_MSG(!bound_, "BakeryLock primary already bound");
-    handle_ = P::register_primary();
-    bound_ = true;
-  }
-
-  void unbind_primary() {
-    if (bound_) {
-      P::unregister_primary(handle_);
-      bound_ = false;
-    }
-  }
-
-  ~BakeryLock() { LBMF_CHECK_MSG(!bound_, "unbind_primary not called"); }
-
-  /// The registered primary's policy handle (valid between bind/unbind).
-  typename P::Handle primary_handle() const noexcept { return handle_; }
+  BakeryLock() : PrimaryBinding<P>("BakeryLock primary already bound") {}
 
   /// Acquire as thread `id` (0 = primary). Each id must be used by at most
   /// one thread at a time.
@@ -119,7 +100,7 @@ class BakeryLock {
   // of the single mfence the litmus's cold side pays — so a buffered
   // primary announce or ticket is in memory before the comparisons run.
   void scan(std::size_t id, std::uint64_t ticket, bool serialize_primary) {
-    if (serialize_primary) P::serialize(handle_);
+    if (serialize_primary) P::serialize(this->primary_handle());
     for (std::size_t j = 0; j < N; ++j) {
       if (j == id) continue;
       SpinWait c;
@@ -135,8 +116,6 @@ class BakeryLock {
 
   CacheAligned<std::atomic<unsigned>> choosing_[N];
   CacheAligned<std::atomic<std::uint64_t>> number_[N];
-  typename P::Handle handle_{};
-  bool bound_ = false;
 };
 
 }  // namespace lbmf::zoo

@@ -3,9 +3,8 @@
 #include <atomic>
 
 #include "lbmf/core/fence.hpp"
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
 
 namespace lbmf::zoo {
@@ -31,35 +30,16 @@ namespace lbmf::zoo {
 /// stale locked value after the only wake has already fired. That full
 /// fence rides the slow path only — the hot path's entire win is keeping
 /// the uncontended release fence-free.
+///
+/// The owner (the thread whose unlocks go through the location-fenced fast
+/// path) binds through PrimaryBinding, with the same lifetime contract as
+/// AsymmetricDekker.
 template <FencePolicy P>
-class FutexMutex {
+class FutexMutex : public PrimaryBinding<P> {
  public:
   using Policy = P;
 
-  FutexMutex() = default;
-  FutexMutex(const FutexMutex&) = delete;
-  FutexMutex& operator=(const FutexMutex&) = delete;
-
-  /// Register the calling thread as the owner (the thread whose unlocks go
-  /// through the location-fenced fast path); bind before secondaries run,
-  /// unbind after they quiesce, both on the owner thread.
-  void bind_primary() {
-    LBMF_CHECK_MSG(!bound_, "FutexMutex primary already bound");
-    handle_ = P::register_primary();
-    bound_ = true;
-  }
-
-  void unbind_primary() {
-    if (bound_) {
-      P::unregister_primary(handle_);
-      bound_ = false;
-    }
-  }
-
-  ~FutexMutex() { LBMF_CHECK_MSG(!bound_, "unbind_primary not called"); }
-
-  /// The registered owner's policy handle (valid between bind/unbind).
-  typename P::Handle primary_handle() const noexcept { return handle_; }
+  FutexMutex() : PrimaryBinding<P>("FutexMutex primary already bound") {}
 
   void lock_primary() noexcept { acquire(); }
   void lock_secondary() { acquire(); }
@@ -86,7 +66,7 @@ class FutexMutex {
       // Serialize the owner before committing to sleep: its buffered
       // release must be in memory, or we would sleep on a stale 1 after
       // the owner's (only) wake has come and gone.
-      P::serialize(handle_);
+      P::serialize(this->primary_handle());
       if (word_->load(std::memory_order_acquire) != 0) {
         word_->wait(1, std::memory_order_acquire);
       }
@@ -103,8 +83,6 @@ class FutexMutex {
 
   CacheAligned<std::atomic<int>> word_;     // 0 = free, 1 = held
   CacheAligned<std::atomic<int>> waiters_;  // registered sleepers
-  typename P::Handle handle_{};
-  bool bound_ = false;
 };
 
 }  // namespace lbmf::zoo

@@ -2,9 +2,8 @@
 
 #include <atomic>
 
-#include "lbmf/core/policies.hpp"
+#include "lbmf/core/primary.hpp"
 #include "lbmf/util/cacheline.hpp"
-#include "lbmf/util/check.hpp"
 #include "lbmf/util/spin.hpp"
 
 namespace lbmf::zoo {
@@ -22,35 +21,16 @@ namespace lbmf::zoo {
 /// l-mfence on the owner's announce (the location link rides [owner_]; a
 /// contender's read of it is what drains the owner's store buffer) and a
 /// full fence on each contender's announce.
+///
+/// The owner binds through PrimaryBinding, with the same lifetime contract
+/// as AsymmetricDekker.
 template <FencePolicy P>
-class BiasedSpinlock {
+class BiasedSpinlock : public PrimaryBinding<P> {
  public:
   using Policy = P;
 
-  BiasedSpinlock() = default;
-  BiasedSpinlock(const BiasedSpinlock&) = delete;
-  BiasedSpinlock& operator=(const BiasedSpinlock&) = delete;
-
-  /// Register the calling thread as the owner; same lifetime contract as
-  /// AsymmetricDekker (bind before contenders run, unbind after they
-  /// quiesce, both on the owner thread).
-  void bind_primary() {
-    LBMF_CHECK_MSG(!bound_, "BiasedSpinlock primary already bound");
-    handle_ = P::register_primary();
-    bound_ = true;
-  }
-
-  void unbind_primary() {
-    if (bound_) {
-      P::unregister_primary(handle_);
-      bound_ = false;
-    }
-  }
-
-  ~BiasedSpinlock() { LBMF_CHECK_MSG(!bound_, "unbind_primary not called"); }
-
-  /// The registered owner's policy handle (valid between bind/unbind).
-  typename P::Handle primary_handle() const noexcept { return handle_; }
+  BiasedSpinlock()
+      : PrimaryBinding<P>("BiasedSpinlock primary already bound") {}
 
   void lock_primary() noexcept {
     compiler_fence();
@@ -72,7 +52,8 @@ class BiasedSpinlock {
     for (;;) {
       contender_->store(1, std::memory_order_relaxed);
       P::secondary_fence();
-      P::serialize(handle_);  // expose the owner's buffered announce
+      // Expose the owner's buffered announce.
+      P::serialize(this->primary_handle());
       if (owner_->load(std::memory_order_acquire) == 0) return;
       // Collision: retreat so the (never-retreating) owner can proceed,
       // then wait out the owner's critical section before re-announcing.
@@ -91,8 +72,6 @@ class BiasedSpinlock {
   CacheAligned<std::atomic<int>> owner_;
   CacheAligned<std::atomic<int>> contender_;
   CacheAligned<std::atomic<int>> gate_;
-  typename P::Handle handle_{};
-  bool bound_ = false;
 };
 
 }  // namespace lbmf::zoo

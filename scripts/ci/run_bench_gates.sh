@@ -33,9 +33,6 @@ fi
 # cheaper than cold with bit-identical optima); leaves BENCH_explorer.json
 # with the symmetry/spill/incremental section and peak RSS.
 "$BUILD_DIR"/bench/bench_explorer --quick
-# Gates on the E16 acceptance (guided == naive optimum, fresh recheck
-# SAFE, >= 4x fewer explorer runs); leaves BENCH_infer.json.
-"$BUILD_DIR"/bench/bench_infer --quick
 # Gates on the E17 acceptance (every grid point SAT+SAFE, >= 2 distinct
 # optima along the freq axis at the paper's 150-cycle round trip, three
 # hand-checked grid points reproduced) plus the backend-axis planes (the
@@ -86,7 +83,7 @@ grep -q '"backend_planes"' BENCH_sweep.json || {
 
 missing=0
 for f in BENCH_arw.json BENCH_roundtrip.json BENCH_explorer.json \
-         BENCH_infer.json BENCH_sweep.json BENCH_adapt.json \
+         BENCH_sweep.json BENCH_adapt.json \
          BENCH_flowtable.json BENCH_serve.json; do
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"

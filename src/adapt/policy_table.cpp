@@ -265,6 +265,16 @@ std::string parse_string_after(std::string_view j, std::size_t from,
   return std::string(j.substr(open + 1, close - open - 1));
 }
 
+/// The constructor's axis contract — non-empty and strictly ascending —
+/// checked up front, so outside input yields nullopt instead of an abort.
+bool valid_axis(const std::vector<double>& axis) {
+  if (axis.empty()) return false;
+  for (std::size_t i = 1; i < axis.size(); ++i) {
+    if (!(axis[i - 1] < axis[i])) return false;
+  }
+  return true;
+}
+
 /// Walk the point objects in j[from, to) and collapse each "optimum" into
 /// the grid cell named by its "freq"/"roundtrip" values; each point carries
 /// its own axis values, so out-of-order points still land in the right
@@ -306,7 +316,7 @@ bool fill_modes_from_points(std::string_view j, std::size_t from,
 std::optional<PolicyTable> from_sweep_json(std::string_view j) {
   const std::vector<double> ratios = parse_number_array(j, "victim_freqs");
   const std::vector<double> roundtrips = parse_number_array(j, "roundtrips");
-  if (ratios.empty() || roundtrips.empty()) return std::nullopt;
+  if (!valid_axis(ratios) || !valid_axis(roundtrips)) return std::nullopt;
   std::vector<PolicyMode> modes(ratios.size() * roundtrips.size(),
                                 PolicyMode::kSymmetric);
   std::size_t p = find_key(j, "points");
@@ -356,7 +366,7 @@ std::optional<PolicyTable> from_compact_json(std::string_view j) {
   const std::vector<double> ratios = parse_number_array(j, "ratios");
   const std::vector<double> roundtrips = parse_number_array(j, "roundtrips");
   const std::vector<std::string> mode_names = parse_string_array(j, "modes");
-  if (ratios.empty() || roundtrips.empty() ||
+  if (!valid_axis(ratios) || !valid_axis(roundtrips) ||
       mode_names.size() != ratios.size() * roundtrips.size()) {
     return std::nullopt;
   }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -213,6 +214,29 @@ TEST(PolicyTable, FromJsonRejectsMalformedInput) {
   EXPECT_FALSE(PolicyTable::from_json(
                    "{\"ratios\":[1],\"roundtrips\":[150],"
                    "\"modes\":[\"sorta-fenced\"]}")
+                   .has_value());
+  // Axes that do not strictly ascend: descending, repeated, NaN.
+  const char* modes2 = "\"modes\":[\"symmetric\",\"symmetric\"]}";
+  EXPECT_FALSE(PolicyTable::from_json(
+                   std::string("{\"ratios\":[10,1],\"roundtrips\":[150],") +
+                   modes2)
+                   .has_value());
+  EXPECT_FALSE(PolicyTable::from_json(
+                   std::string("{\"ratios\":[1],\"roundtrips\":[150,150],") +
+                   modes2)
+                   .has_value());
+  EXPECT_FALSE(PolicyTable::from_json(
+                   std::string("{\"ratios\":[1,nan],\"roundtrips\":[150],") +
+                   modes2)
+                   .has_value());
+  // The same axis contract on the sweep-report form.
+  EXPECT_FALSE(PolicyTable::from_json(
+                   "{\"bench\":\"sweep\",\"victim_freqs\":[10,1],"
+                   "\"roundtrips\":[150],\"points\":["
+                   "{\"freq\":10,\"roundtrip\":150,"
+                   "\"optimum\":\"{mfence, none, mfence, none}\"},"
+                   "{\"freq\":1,\"roundtrip\":150,"
+                   "\"optimum\":\"{mfence, none, mfence, none}\"}]}")
                    .has_value());
 }
 

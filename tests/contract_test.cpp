@@ -2,12 +2,22 @@
 // loudly (never corrupt silently) when violated.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "lbmf/core/epoch.hpp"
 #include "lbmf/core/lmfence.hpp"
+#include "lbmf/core/safepoint.hpp"
+#include "lbmf/dekker/biased_lock.hpp"
 #include "lbmf/dekker/dekker.hpp"
+#include "lbmf/dekker/peterson.hpp"
+#include "lbmf/rwlock/rwlock.hpp"
 #include "lbmf/sim/machine.hpp"
 #include "lbmf/sim/program.hpp"
 #include "lbmf/util/check.hpp"
 #include "lbmf/ws/scheduler.hpp"
+#include "lbmf/zoo/bakery.hpp"
+#include "lbmf/zoo/futex_mutex.hpp"
+#include "lbmf/zoo/spinlock.hpp"
 
 namespace lbmf {
 namespace {
@@ -29,24 +39,97 @@ TEST(ContractDeath, GuardedLocationDoubleBind) {
       "already has a primary");
 }
 
-TEST(ContractDeath, DekkerDoubleBind) {
+TEST(ContractDeath, GuardedLocationDestructionWhileBound) {
   EXPECT_DEATH(
       {
-        AsymmetricDekker<SymmetricFence> d;
-        d.bind_primary();
-        d.bind_primary();
+        IntGuardedLocation loc;
+        loc.bind_primary();
       },
-      "already bound");
+      "unbind_primary not called");
 }
 
-TEST(ContractDeath, DekkerDestructionWhileBound) {
+// Every single-primary lock registers through PrimaryBinding and must
+// enforce its contract the same way.
+template <typename Lock>
+class SinglePrimaryDeath : public ::testing::Test {};
+
+using SinglePrimaryLocks =
+    ::testing::Types<AsymmetricDekker<SymmetricFence>,
+                     AsymmetricPeterson<SymmetricFence>,
+                     zoo::BiasedSpinlock<SymmetricFence>,
+                     zoo::FutexMutex<SymmetricFence>,
+                     zoo::BakeryLock<SymmetricFence, 3>>;
+TYPED_TEST_SUITE(SinglePrimaryDeath, SinglePrimaryLocks);
+
+TYPED_TEST(SinglePrimaryDeath, DoubleBind) {
   EXPECT_DEATH(
       {
-        AsymmetricDekker<SymmetricFence> d;
-        d.bind_primary();
+        TypeParam lock;
+        lock.bind_primary();
+        lock.bind_primary();
+      },
+      "primary already bound");
+}
+
+TYPED_TEST(SinglePrimaryDeath, DestructionWhileBound) {
+  EXPECT_DEATH(
+      {
+        TypeParam lock;
+        lock.bind_primary();
         // destructor runs with the binding still live
       },
       "unbind_primary not called");
+}
+
+TEST(ContractDeath, BiasedLockDestructionWhileBiased) {
+  EXPECT_DEATH(
+      {
+        BiasedLock<SymmetricFence> lock;
+        lock.lock();  // claims the bias and registers the holder
+        lock.unlock();
+        // destroyed without release_bias()
+      },
+      "unbind_primary not called");
+}
+
+// Every slot pool aborts loudly on the registration past its capacity.
+TEST(ContractDeath, EpochReaderSlotsExhausted) {
+  using Domain = EpochDomain<SymmetricFence>;
+  EXPECT_DEATH(
+      {
+        Domain d;
+        std::vector<Domain::ReaderToken> tokens;
+        for (std::size_t i = 0; i <= Domain::kMaxReaders; ++i) {
+          tokens.push_back(d.register_reader());
+        }
+      },
+      "slots exhausted");
+}
+
+TEST(ContractDeath, SafepointMutatorSlotsExhausted) {
+  using Sp = Safepoint<SymmetricFence>;
+  EXPECT_DEATH(
+      {
+        Sp sp;
+        std::vector<Sp::MutatorToken> tokens;
+        for (std::size_t i = 0; i <= Sp::kMaxMutators; ++i) {
+          tokens.push_back(sp.register_mutator());
+        }
+      },
+      "slots exhausted");
+}
+
+TEST(ContractDeath, RwLockReaderSlotsExhausted) {
+  using Lock = BiasedRwLock<SymmetricFence>;
+  EXPECT_DEATH(
+      {
+        Lock lock;
+        std::vector<Lock::ReaderToken> tokens;
+        for (std::size_t i = 0; i <= Lock::kMaxReaders; ++i) {
+          tokens.push_back(lock.register_reader());
+        }
+      },
+      "slots exhausted");
 }
 
 TEST(ContractDeath, SpawnOutsideScheduler) {

@@ -298,9 +298,11 @@ TEST(InferEngine, CounterexamplePruningBeatsNaiveEnumeration) {
   const InferResult full = run_engine(kHoleyDekker, naive);
   ASSERT_EQ(guided.status, InferStatus::kSat);
   ASSERT_EQ(full.status, InferStatus::kSat);
-  // Same optimum, found with >= 4x fewer explorer runs (the E16 gate).
+  // Same optimum, found with >= 4x fewer explorer runs and confirmed by a
+  // fresh full-explorer recheck (the E16 gate).
   EXPECT_EQ(guided.best, full.best);
   EXPECT_DOUBLE_EQ(guided.best_cost, full.best_cost);
+  EXPECT_TRUE(guided.recheck_safe);
   EXPECT_EQ(full.candidates_verified, full.lattice_size);
   EXPECT_GE(full.candidates_verified, guided.candidates_verified * 4);
 }

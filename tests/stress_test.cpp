@@ -318,6 +318,11 @@ TEST(Integration, AllSubsystemsShareTheRegistrySimultaneously) {
   stop.store(true, std::memory_order_release);
   bias_holder.join();
   reader.join();
+  // If this thread won the bias instead, the holder thread revoked it:
+  // observe the revocation so the registration is dropped before the lock
+  // is destroyed.
+  biased.lock();
+  biased.unlock();
 
   EXPECT_EQ(fibres, 610);
   EXPECT_FALSE(mismatch.load());
