@@ -1,13 +1,15 @@
 // E18 — online policy selection across a workload phase change: replay a
 // deterministic two-phase steal/pop trace through the real adaptation
-// stack (WorkloadMonitor EWMA → PolicyTable frontier lookup → hysteresis →
-// AdaptiveFence quiescent-point switch on a live registered primary) and
-// price every window with the Sec. 5 cost model under the mode the fence
-// was actually in. Phase 1 is pop-heavy (the asymmetric corner: victim
-// announces dominate), phase 2 is steal-heavy (the symmetric corner: each
-// steal costs a signal round trip). A static policy is optimal in one
-// phase and pays heavily in the other; the adaptive policy must track both
-// regimes and switch exactly twice.
+// loop (PolicySelector::tick, the one the scheduler's workers and the
+// serving tier's shard owners run: WorkloadMonitor EWMA → PolicyTable
+// frontier lookup → hysteresis → AdaptiveFence quiescent-point switch on a
+// live registered primary) and price every window with the Sec. 5 cost
+// model under the mode the fence was actually in. Phase 1 is pop-heavy
+// (the asymmetric corner: victim announces dominate), phase 2 is
+// steal-heavy (the symmetric corner: each steal costs a signal round
+// trip). A static policy is optimal in one phase and pays heavily in the
+// other; the adaptive policy must track both regimes and switch exactly
+// twice.
 //
 //   bench_adapt            # 120 + 120 windows
 //   bench_adapt --quick    # CI smoke mode: 40 + 40 windows
@@ -120,8 +122,9 @@ BackendLeg run_backend_leg(adapt::BackendId id, int windows,
   // deterministic and prices every mechanism in the regime the double
   // cell belongs to.
   cfg.fixed_roundtrip_cycles = costs.lest_roundtrip_cycles;
-  cfg.backend = name;
-  adapt::PolicySelector sel(adapt::PolicyTable::builtin_default(), cfg);
+  cfg.sample_every = 1;  // every replay window is one sample
+  cfg.backend = id;
+  adapt::PolicySelector sel(cfg);
 
   adapt::AdaptiveFence::Handle h = adapt::AdaptiveFence::register_primary();
   if (!h.valid()) {
@@ -129,8 +132,6 @@ BackendLeg run_backend_leg(adapt::BackendId id, int windows,
     leg.gate_ok = false;
     return leg;
   }
-  adapt::AdaptiveFence::request_backend(h, id);
-  adapt::AdaptiveFence::quiescent_point(h);
 
   const std::uint64_t kPops = 200, kSteals = 200;
   std::uint64_t pops_total = 0, steals_total = 0;
@@ -140,9 +141,7 @@ BackendLeg run_backend_leg(adapt::BackendId id, int windows,
   for (int w = 0; w < windows; ++w) {
     pops_total += kPops;
     steals_total += kSteals;
-    const adapt::PolicyMode want = sel.update(pops_total, steals_total);
-    adapt::AdaptiveFence::request_mode(h, want);
-    adapt::AdaptiveFence::quiescent_point(h);
+    sel.tick<adapt::AdaptiveFence>(h, pops_total, steals_total);
     booked_double |= adapt::AdaptiveFence::booked_mode(h) ==
                      adapt::PolicyMode::kDoubleLmfence;
     const adapt::PolicyMode realized = adapt::AdaptiveFence::realized_mode(h);
@@ -252,7 +251,8 @@ int main(int argc, char** argv) {
   // pinned to the model constant so the replay is deterministic.
   adapt::SelectorConfig cfg;
   cfg.fixed_roundtrip_cycles = costs.signal_roundtrip_cycles;
-  adapt::PolicySelector selector(adapt::PolicyTable::builtin_default(), cfg);
+  cfg.sample_every = 1;  // every replay window is one sample
+  adapt::PolicySelector selector(cfg);
   adapt::AdaptiveFence::Handle h = adapt::AdaptiveFence::register_primary();
   if (!h.valid()) {
     std::printf("FAIL: could not register an adaptive primary\n");
@@ -277,12 +277,9 @@ int main(int argc, char** argv) {
     for (int w = 0; w < ph.windows; ++w) {
       pops_total += ph.pops;
       steals_total += ph.steals;
-      const adapt::PolicyMode want =
-          selector.update(pops_total, steals_total);
-      adapt::AdaptiveFence::request_mode(h, want);
       // Between replay windows no announce is outstanding on this thread —
       // the quiescent point where a decided switch may be adopted.
-      adapt::AdaptiveFence::quiescent_point(h);
+      selector.tick<adapt::AdaptiveFence>(h, pops_total, steals_total);
       const adapt::PolicyMode mode = adapt::AdaptiveFence::realized_mode(h);
       const double c = window_cost(mode, ph.pops, ph.steals, costs);
       cost_adaptive += c;
@@ -326,8 +323,8 @@ int main(int argc, char** argv) {
   }
   {
     ws::Scheduler<adapt::AdaptiveFence> sched(2);
-    ws::AdaptationOptions opts;
-    opts.selector.confirm_windows = 1;
+    adapt::SelectorConfig opts;
+    opts.confirm_windows = 1;
     opts.sample_every = 64;
     sched.enable_adaptation(opts);
     sched.run([&] { fib<adapt::AdaptiveFence>(18, &got); });

@@ -270,12 +270,12 @@ AdaptResult run_adaptive(double phase_s) {
   cfg.max_clients = 1;
   cfg.ring_capacity = 256;
   cfg.batch_limit = 64;
-  cfg.adapt = true;
-  cfg.sample_every = 256;
-  cfg.selector.confirm_windows = 2;
+  cfg.adapt.emplace();
+  cfg.adapt->sample_every = 256;
+  cfg.adapt->confirm_windows = 2;
   // Price remote serialization at its signal-path cost so the table's
   // regime boundary sits between the two phases (see E18).
-  cfg.selector.fixed_roundtrip_cycles = 10000;
+  cfg.adapt->fixed_roundtrip_cycles = 10000;
   Server<adapt::AdaptiveFence> srv(cfg);
   srv.start();
   auto client = srv.make_client();

@@ -27,15 +27,20 @@
 //                                            # × LE/ST round-trip) grid and
 //                                            # chart the optimum crossovers
 //   fence_inferencer test.lit --sweep --policy-json=table.json
-//                                            # also write the sweep as the
-//                                            # compact runtime policy table
-//                                            # adapt::PolicyTable loads
+//                                            # also write the sweep as a
+//                                            # runtime policy table
+//                                            # (adapt::PolicyTable's JSON,
+//                                            # which work_stealing --policy
+//                                            # loads)
 //   fence_inferencer test.lit --sweep --backends=signal,membarrier-pair
 //                                            # add the serialization-backend
 //                                            # dimension: one extra plane per
 //                                            # backend (non-inverting backends
 //                                            # re-solve with l-mfence banned
 //                                            # on non-victim sites)
+//
+// --policy-json and --backends act only on a sweep: without --sweep they
+// are rejected with exit 2.
 //
 // Exit codes: 0 = SAT (repair printed; in --sweep mode: every grid point
 // SAT with a SAFE recheck), 1 = UNSAT (no placement is safe), 2 =
@@ -144,6 +149,13 @@ CliOptions parse_flags(int argc, char** argv) {
     } else {
       bad_flag(a);
     }
+  }
+  if (!cli.sweep && (!cli.policy_json_path.empty() || !cli.backends.empty())) {
+    std::fprintf(stderr,
+                 "--policy-json and --backends need --sweep\n"
+                 "usage: fence_inferencer <test.lit | -> --sweep "
+                 "[--backends=LIST] [--policy-json=FILE]\n");
+    std::exit(2);
   }
   return cli;
 }
@@ -359,7 +371,7 @@ int run_sweep_mode(const infer::InferProblem& p, const CliOptions& cli) {
       std::fprintf(stderr, "cannot write %s\n", cli.policy_json_path.c_str());
       return 2;
     }
-    jf << infer::sweep_to_policy_json(sr) << "\n";
+    jf << infer::policy_table(sr).to_json() << "\n";
     std::printf("policy table written to %s\n", cli.policy_json_path.c_str());
   }
   if (!sr.all_sat()) {

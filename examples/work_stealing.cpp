@@ -9,10 +9,11 @@
 //         (default: 2 workers, fib + cilksort + nqueens)
 //
 // --adaptive adds a third runtime whose workers pick their fence at
-// runtime (lbmf::adapt: monitor -> crossover table -> hysteresis) and
-// reports the mode switches each run adopted. --policy loads the crossover
-// table from a fence_inferencer --policy-json file instead of the builtin
-// E17 frontier.
+// runtime (lbmf::adapt: monitor -> crossover table -> hysteresis, on the
+// signal drain and its table plane) and reports the mode switches each run
+// adopted. --policy loads the crossover table from a
+// `fence_inferencer --sweep --policy-json` file instead of the builtin E17
+// frontier.
 
 #include <cstdio>
 #include <cstdlib>
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
                           : 2;
   const char* only = positional.size() > 1 ? positional[1] : nullptr;
 
-  ws::AdaptationOptions aopts;
+  adapt::SelectorConfig aopts;
   if (policy_path != nullptr) {
     std::ifstream in(policy_path);
     std::stringstream ss;

@@ -56,18 +56,19 @@ constexpr PolicyMode realize(PolicyMode requested, BackendId b,
 /// Advisory price of one remote trip through `b` in TSC cycles: the
 /// measured EWMA once one exists (SerializerRegistry's for signal,
 /// membarrier's for membarrier-pair), else the documented default
-/// (~10k cycles for a signal round trip, ~2.5k for a broadcast). The
-/// scheduler's adaptation hook prices the policy frontier with it.
+/// (~10k cycles for a signal round trip, ~2.5k for a broadcast).
+/// PolicySelector::tick prices the policy frontier with it.
 double roundtrip_cycles(BackendId b) noexcept;
 
 /// A FencePolicy whose strength is chosen *per primary, at runtime*: each
 /// registered primary carries a mode cell (PolicyMode) that secondaries
 /// consult, and the primary re-binds at its own quiescent points from a
-/// monitor-driven request (see selector.hpp and ws::Scheduler's adaptation
-/// hook). This is the runtime realization of the E17 sweep's frontier: the
-/// same deployment runs {mfence, mfence} through a steal-storm and the
-/// paper's asymmetric protocol through a pop-heavy phase, without
-/// recompiling or even re-registering.
+/// monitor-driven request (see PolicySelector::tick in selector.hpp, which
+/// the scheduler's workers and the serving tier's shard owners call). This
+/// is the runtime realization of the E17 sweep's frontier: the same
+/// deployment runs {mfence, mfence} through a steal-storm and the paper's
+/// asymmetric protocol through a pop-heavy phase, without recompiling or
+/// even re-registering.
 ///
 /// Each primary is additionally bound to a drain mechanism (BackendId,
 /// re-bindable at quiescent points like the mode): the static policy whose
@@ -272,15 +273,18 @@ class AdaptiveFence {
 
 static_assert(FencePolicy<AdaptiveFence>);
 
-/// FencePolicy extension the scheduler's adaptation hook dispatches on:
-/// policies whose per-primary strength can be re-bound live.
+/// FencePolicy extension PolicySelector::tick drives: policies whose
+/// per-primary strength and drain mechanism can be re-bound live.
 template <typename P>
 concept AdaptiveFencePolicy =
-    FencePolicy<P> && requires(const typename P::Handle h, PolicyMode m) {
+    FencePolicy<P> &&
+    requires(const typename P::Handle h, PolicyMode m, BackendId b) {
       { P::request_mode(h, m) } -> std::convertible_to<bool>;
+      { P::request_backend(h, b) } -> std::convertible_to<bool>;
       { P::quiescent_point(h) } -> std::convertible_to<bool>;
       { P::realized_mode(h) } -> std::same_as<PolicyMode>;
       { P::switch_count(h) } -> std::convertible_to<std::uint64_t>;
+      { P::booked_switch_count(h) } -> std::convertible_to<std::uint64_t>;
     };
 
 static_assert(AdaptiveFencePolicy<AdaptiveFence>);

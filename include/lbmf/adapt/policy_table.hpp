@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -36,20 +35,12 @@ enum class PolicyMode : std::uint8_t {
 const char* to_string(PolicyMode m) noexcept;
 std::optional<PolicyMode> mode_from_string(std::string_view s) noexcept;
 
-/// Collapse one sweep optimum (infer::to_string(Assignment), e.g.
-/// "{l-mfence, none, mfence, none}") to a runtime mode by looking at the
-/// victim's and the thief's *announce* holes. For the THE-deque litmus the
-/// holes are ordered {victim announce, victim retreat, thief announce,
-/// thief retreat}, hence the 0/2 defaults.
-PolicyMode mode_from_optimum(std::string_view optimum,
-                             std::size_t victim_site = 0,
-                             std::size_t thief_site = 2);
-
 /// One serialization backend's view of the frontier: the same grid geometry
 /// as the base table, re-solved under that backend's capabilities (a
 /// non-inverting backend forbids l-mfence on the secondary's sites, so its
 /// plane never contains kDoubleLmfence). Produced by the E17 sweep's
-/// backend dimension (infer::SweepOptions::backends).
+/// backend dimension (infer::SweepOptions::backends, collapsed by
+/// infer::policy_table).
 struct BackendPlane {
   std::string backend;            // adapt::to_string(BackendId) spelling
   std::vector<PolicyMode> modes;  // row-major, same shape as the base grid
@@ -100,16 +91,13 @@ class PolicyTable {
   /// two full fences.
   static PolicyTable builtin_default();
 
-  /// Parse either the compact table form written by
-  /// infer::sweep_to_policy_json —
+  /// Parse the compact form to_json() writes (and `fence_inferencer
+  /// --sweep --policy-json` exports) —
   ///   {"policy_table":..., "ratios":[...], "roundtrips":[...],
   ///    "modes":["symmetric",...],
   ///    "backends":["signal",...], "plane:signal":["symmetric",...]}
-  /// — or a full BENCH_sweep.json (detected by "bench":"sweep"), whose
-  /// per-point "optimum" strings are collapsed via mode_from_optimum and
-  /// whose optional "backend_planes" section populates the planes.
-  /// Returns nullopt on malformed input (a malformed plane drops only the
-  /// plane — the base grid still loads).
+  /// Returns nullopt on malformed input, a sweep report included (a
+  /// malformed plane drops only the plane — the base grid still loads).
   static std::optional<PolicyTable> from_json(std::string_view json);
 
   /// Single-line compact-form JSON (round-trips with from_json).

@@ -25,6 +25,12 @@ namespace lbmf {
 /// the last announcer defer, giving deadlock- and livelock-freedom for two
 /// threads out of the box.
 ///
+/// Either side may leave its wait on reading the peer's `turn` store, so
+/// both `turn` stores are release: that read is then the happens-before
+/// edge from the peer's previous critical section (its unlock is sequenced
+/// before its next announce). On x86 a release store is a plain MOV, so
+/// the primary's path gains no fence.
+///
 /// The primary binds through PrimaryBinding, with the same lifetime
 /// contract as AsymmetricDekker.
 template <FencePolicy P>
@@ -40,7 +46,7 @@ class AsymmetricPeterson : public PrimaryBinding<P> {
     // and FIFO store-buffer order covers `flag` (see class comment).
     compiler_fence();
     flag_[0]->store(1, std::memory_order_relaxed);
-    turn_->store(kPrimaryToken, std::memory_order_relaxed);
+    turn_->store(kPrimaryToken, std::memory_order_release);
     P::primary_fence();
     SpinWait w;
     while (flag_[1]->load(std::memory_order_acquire) != 0 &&
@@ -55,7 +61,7 @@ class AsymmetricPeterson : public PrimaryBinding<P> {
 
   void lock_secondary() {
     flag_[1]->store(1, std::memory_order_relaxed);
-    turn_->store(kSecondaryToken, std::memory_order_relaxed);
+    turn_->store(kSecondaryToken, std::memory_order_release);
     P::secondary_fence();
     // Expose the primary's buffered announce.
     P::serialize(this->primary_handle());

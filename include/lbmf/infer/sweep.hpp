@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "lbmf/adapt/policy_table.hpp"
 #include "lbmf/infer/engine.hpp"
 #include "lbmf/infer/sites.hpp"
 
@@ -116,17 +117,13 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts);
 /// --sweep --json.
 std::string sweep_to_json(const SweepResult& r, const std::string& workload);
 
-/// Collapse a sweep to the compact runtime policy table consumed by
-/// adapt::PolicyTable::from_json: per grid point, classify the optimum by
-/// its victim/thief *announce* sites (both l-mfence → "double-lmfence",
-/// victim only → "asymmetric", otherwise — including non-SAT points —
-/// "symmetric", the always-safe regime). Site indices default to the
-/// THE-deque litmus hole order {victim announce, victim retreat, thief
-/// announce, thief retreat}. Backend planes are emitted as a "backends"
-/// name list plus one "plane:<name>" mode array each, matching
-/// PolicyTable::from_json's compact form.
-std::string sweep_to_policy_json(const SweepResult& r,
-                                 std::size_t victim_site = 0,
-                                 std::size_t thief_site = 2);
+/// Collapse a sweep to the runtime policy table: the base grid plus one
+/// plane per backend. Each grid point's optimum is classified by its
+/// victim and thief *announce* sites, which in the THE-deque litmus hole
+/// order {victim announce, victim retreat, thief announce, thief retreat}
+/// are sites 0 and 2: both l-mfence → kDoubleLmfence, the victim only →
+/// kAsymmetric, otherwise — non-SAT points included — kSymmetric, the
+/// always-safe regime. The axes must ascend (run_sweep's defaults do).
+adapt::PolicyTable policy_table(const SweepResult& r);
 
 }  // namespace lbmf::infer

@@ -3,10 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "lbmf/adapt/adaptive_fence.hpp"
-#include "lbmf/adapt/policy_table.hpp"
 #include "lbmf/adapt/selector.hpp"
 #include "lbmf/flowtable/flow_table.hpp"
 #include "lbmf/serve/spsc_ring.hpp"
@@ -58,16 +57,12 @@ struct ServeConfig {
   std::size_t initial_shard_capacity = 1u << 12;
   flowtable::Growth growth = flowtable::Growth::kGrowable;
 
-  /// Adaptive wiring (meaningful only when P is an AdaptiveFencePolicy):
-  /// each shard owner samples its own Dekker counters every `sample_every`
-  /// loop iterations, consults the table, and re-binds its fence regime at
-  /// the loop boundary — the same monitor → table → hysteresis chain the
-  /// work-stealing scheduler runs, but keyed on packet-vs-rule-update
+  /// Set to turn adaptation on (meaningful only when P is an
+  /// AdaptiveFencePolicy): each shard owner runs its own
+  /// adapt::PolicySelector at its loop boundary — the same loop the
+  /// work-stealing scheduler's workers run, keyed on packet-vs-rule-update
   /// frequency instead of pop-vs-steal.
-  bool adapt = false;
-  adapt::PolicyTable table = adapt::PolicyTable::builtin_default();
-  adapt::SelectorConfig selector;
-  std::uint64_t sample_every = 1024;
+  std::optional<adapt::SelectorConfig> adapt;
 };
 
 /// Point-in-time counters for one shard (momentary snapshots; exact once
@@ -114,7 +109,11 @@ class Shard {
 
     std::vector<Request> batch(cfg.batch_limit);
     std::unique_ptr<adapt::PolicySelector> selector;
-    std::uint64_t ticks = 0;
+    if constexpr (adapt::AdaptiveFencePolicy<P>) {
+      if (cfg.adapt) {
+        selector = std::make_unique<adapt::PolicySelector>(*cfg.adapt);
+      }
+    }
     SpinWait idle;
     while (!stop.load(std::memory_order_acquire)) {
       std::size_t drained = 0;
@@ -139,7 +138,9 @@ class Shard {
       }
       requests_.store(requests_.load(std::memory_order_relaxed) + drained,
                       std::memory_order_relaxed);
-      maybe_adapt(cfg, selector, ticks);
+      if constexpr (adapt::AdaptiveFencePolicy<P>) {
+        if (selector) adapt_tick(*selector);
+      }
       if (drained == 0) {
         idle.wait();
       } else {
@@ -161,33 +162,17 @@ class Shard {
   }
 
  private:
-  void maybe_adapt(const ServeConfig& cfg,
-                   std::unique_ptr<adapt::PolicySelector>& selector,
-                   std::uint64_t& ticks) {
-    if constexpr (adapt::AdaptiveFencePolicy<P>) {
-      if (!cfg.adapt) return;
-      if (++ticks % cfg.sample_every != 0) return;
-      if (!selector) {
-        selector =
-            std::make_unique<adapt::PolicySelector>(cfg.table, cfg.selector);
-      }
-      // One selector window per sample: the shard's own packet announces
-      // (primary acquires) against control-plane intrusions (secondary
-      // acquires), plus the process-wide measured round trip.
-      const DekkerStats d = table_.sync_stats();
-      const adapt::PolicyMode m =
-          selector->update(d.primary_acquires, d.secondary_acquires,
-                           SerializerRegistry::measured_roundtrip_cycles());
-      const typename P::Handle h = table_.sync_mutex().primary_handle();
-      P::request_mode(h, m);
-      // The drain-loop boundary is a quiescent point: no announce is in
-      // flight between batches.
-      P::quiescent_point(h);
+  /// The drain-loop boundary is a quiescent point: no announce is in
+  /// flight between batches. A window is the shard's own packet announces
+  /// (primary acquires) against control-plane intrusions (secondary
+  /// acquires).
+  void adapt_tick(adapt::PolicySelector& selector)
+    requires adapt::AdaptiveFencePolicy<P>
+  {
+    const DekkerStats d = table_.sync_stats();
+    const typename P::Handle& h = table_.sync_mutex().primary_handle();
+    if (selector.tick<P>(h, d.primary_acquires, d.secondary_acquires)) {
       switches_.store(P::switch_count(h), std::memory_order_relaxed);
-    } else {
-      (void)cfg;
-      (void)selector;
-      (void)ticks;
     }
   }
 

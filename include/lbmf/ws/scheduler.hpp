@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -49,24 +50,6 @@ struct SchedulerStats {
                : static_cast<double>(steals_success) /
                      static_cast<double>(steal_attempts);
   }
-};
-
-/// Configuration for Scheduler::enable_adaptation (adaptive policies only).
-struct AdaptationOptions {
-  /// Crossover frontier consulted per worker; defaults to the frontier
-  /// distilled from the shipped E17 sweep.
-  adapt::PolicyTable table = adapt::PolicyTable::builtin_default();
-  adapt::SelectorConfig selector;
-  /// Scheduling-loop iterations between monitor samples. Each sample is one
-  /// selector window; the loop boundary doubles as the quiescent point where
-  /// a decided switch is adopted.
-  std::uint64_t sample_every = 1024;
-  /// Drain mechanism every worker re-binds to at its first quiescent point
-  /// (policies with a request_backend hook only). The selector's table
-  /// lookups use this mechanism's plane, and adapt::roundtrip_cycles()
-  /// prices the frontier — membarrier-pair, which inverts roles, is what
-  /// lets workers genuinely enter the double-l-mfence cell.
-  adapt::BackendId backend = adapt::BackendId::kSignal;
 };
 
 /// A child-stealing work-stealing scheduler in the style of Cilk-5's
@@ -115,20 +98,16 @@ class Scheduler {
   void reset_stats();
 
   /// Turn on online policy selection (adaptive policies only): every worker
-  /// starts sampling its own deque counters and the measured serialization
-  /// round trip, consults the table, and re-binds its fence regime at its
-  /// next scheduling-loop boundary once the selector's hysteresis confirms.
+  /// runs its own adapt::PolicySelector over its deque counters and, at its
+  /// scheduling-loop boundaries, binds the configured drain mechanism and
+  /// re-binds its fence regime once the selector's hysteresis confirms.
   /// Call once, before or during a run; workers notice at their next tick.
-  void enable_adaptation(AdaptationOptions opts = {})
+  void enable_adaptation(adapt::SelectorConfig cfg = {})
     requires adapt::AdaptiveFencePolicy<P>
   {
     LBMF_CHECK_MSG(!adapt_enabled_.load(std::memory_order_acquire),
                    "enable_adaptation may be called once");
-    adapt_options_ = std::move(opts);
-    if (adapt_options_.selector.backend.empty()) {
-      adapt_options_.selector.backend =
-          adapt::to_string(adapt_options_.backend);
-    }
+    adapt_config_.emplace(std::move(cfg));
     adapt_enabled_.store(true, std::memory_order_release);
   }
 
@@ -182,7 +161,6 @@ class Scheduler {
     typename P::Handle handle;
     /// Adaptation state; touched only by the owning worker.
     std::unique_ptr<adapt::PolicySelector> selector;
-    std::uint64_t adapt_ticks = 0;
   };
 
  private:
@@ -200,7 +178,7 @@ class Scheduler {
   std::atomic<std::size_t> ready_{0};
   std::atomic<std::size_t> quiesced_{0};
 
-  AdaptationOptions adapt_options_;
+  std::optional<adapt::SelectorConfig> adapt_config_;
   std::atomic<bool> adapt_enabled_{false};
 
   // Root-task injection (callers are not workers).
@@ -281,26 +259,15 @@ template <FencePolicy P, template <class> class DequeT>
 void Scheduler<P, DequeT>::maybe_adapt(Worker& w) {
   if constexpr (adapt::AdaptiveFencePolicy<P>) {
     if (!adapt_enabled_.load(std::memory_order_acquire)) return;
-    if (++w.adapt_ticks % adapt_options_.sample_every != 0) return;
     if (!w.selector) {
-      w.selector = std::make_unique<adapt::PolicySelector>(
-          adapt_options_.table, adapt_options_.selector);
+      w.selector = std::make_unique<adapt::PolicySelector>(*adapt_config_);
     }
-    // One selector window per sample: this worker's own pop-announce and
-    // steal-attempt counters, plus the bound mechanism's round-trip price.
-    const DequeStats d = w.deque.stats();
-    const double rtt = adapt::roundtrip_cycles(adapt_options_.backend);
-    const adapt::PolicyMode m =
-        w.selector->update(d.victim_fences, d.thief_fences, rtt);
-    if constexpr (requires { P::request_backend(w.handle,
-                                                adapt_options_.backend); }) {
-      P::request_backend(w.handle, adapt_options_.backend);
-    }
-    P::request_mode(w.handle, m);
     // The scheduling-loop boundary is a quiescent point: the previous pop
-    // or steal has completed and the next announce has not been issued, so
-    // adopting the switch here satisfies quiescent_point()'s contract.
-    P::quiescent_point(w.handle);
+    // or steal has completed and the next announce has not been issued.
+    // A window is this worker's own pop announces against the steal
+    // attempts on its deque.
+    const DequeStats d = w.deque.stats();
+    w.selector->template tick<P>(w.handle, d.victim_fences, d.thief_fences);
   } else {
     (void)w;
   }
@@ -397,11 +364,7 @@ SchedulerStats Scheduler<P, DequeT>::stats() const {
     s.serializations += d.serializations;
     if constexpr (adapt::AdaptiveFencePolicy<P>) {
       s.policy_switches += P::switch_count(w->handle);
-      if constexpr (requires { P::booked_switch_count(w->handle); }) {
-        s.policy_switches_booked += P::booked_switch_count(w->handle);
-      } else {
-        s.policy_switches_booked += P::switch_count(w->handle);
-      }
+      s.policy_switches_booked += P::booked_switch_count(w->handle);
     }
   }
   return s;

@@ -8,17 +8,19 @@
 #
 # Usage: scripts/ci/run_litmus_gates.sh [build-dir]
 # Run from the repository root (litmus paths are repo-relative); artifacts
-# (INFER_*.json reports and GRAPH_*.bin prefix-region caches) land in the
-# current working directory.
+# (INFER_*.json reports, GRAPH_*.bin prefix-region caches and the
+# POLICY_*.json policy table) land in the current working directory.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 LITMUS=examples/litmus
 
-if [ ! -x "$BUILD_DIR/examples/litmus_runner" ]; then
-  echo "error: $BUILD_DIR/examples/litmus_runner not built" >&2
-  exit 2
-fi
+for tool in litmus_runner fence_inferencer work_stealing; do
+  if [ ! -x "$BUILD_DIR/examples/$tool" ]; then
+    echo "error: $BUILD_DIR/examples/$tool not built" >&2
+    exit 2
+  fi
+done
 
 # Require an exact substring in a gated report; print the report on miss so
 # the failure is diagnosable straight from the CI log.
@@ -161,12 +163,24 @@ expect_in INFER_bakery.json '{"site": "cpu2@1[C1]=1", "line": 98, "fence": "mfen
 expect_in INFER_bakery.json '{"site": "cpu2@5[N1]=2", "line": 102, "fence": "none"}'
 expect_in INFER_bakery.json '{"site": "cpu2@8[N1]=1", "line": 106, "fence": "mfence"}'
 
+# Policy-table round trip: the THE-deque sweep, with both backend planes,
+# exported as the runtime policy table must load where the runtime reads
+# it (work_stealing --policy exits 1 on a table it cannot parse).
+"$BUILD_DIR"/examples/fence_inferencer --sweep \
+    --backends=signal,membarrier-pair --policy-json=POLICY_the_deque.json \
+    "$LITMUS"/the_deque_holes.lit
+expect_in POLICY_the_deque.json '"backends":["signal","membarrier-pair"]'
+expect_in POLICY_the_deque.json '"modes":["double-lmfence","asymmetric","asymmetric",'
+expect_in POLICY_the_deque.json '"plane:signal":["asymmetric","asymmetric","asymmetric",'
+expect_in POLICY_the_deque.json '"plane:membarrier-pair":["double-lmfence","asymmetric",'
+"$BUILD_DIR"/examples/work_stealing 2 fib --policy=POLICY_the_deque.json
+
 missing=0
 for f in INFER_dekker.json INFER_deque.json INFER_deque2.json \
          INFER_chase_lev.json INFER_rwlock.json \
          INFER_futex.json INFER_spinlock.json INFER_bakery.json \
          GRAPH_deque2.bin GRAPH_chase_lev.bin GRAPH_rwlock.bin \
-         GRAPH_bakery.bin; do
+         GRAPH_bakery.bin POLICY_the_deque.json; do
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"
     missing=1

@@ -27,36 +27,6 @@ std::optional<PolicyMode> mode_from_string(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-PolicyMode mode_from_optimum(std::string_view optimum, std::size_t victim_site,
-                             std::size_t thief_site) {
-  // Split "{a, b, c, d}" into per-site kind spellings.
-  std::vector<std::string_view> kinds;
-  std::size_t begin = optimum.find('{');
-  const std::size_t close = optimum.rfind('}');
-  if (begin == std::string_view::npos || close == std::string_view::npos ||
-      close <= begin) {
-    return PolicyMode::kSymmetric;  // unparseable: the always-safe regime
-  }
-  begin += 1;
-  while (begin < close) {
-    std::size_t end = optimum.find(',', begin);
-    if (end == std::string_view::npos || end > close) end = close;
-    std::string_view k = optimum.substr(begin, end - begin);
-    while (!k.empty() && k.front() == ' ') k.remove_prefix(1);
-    while (!k.empty() && k.back() == ' ') k.remove_suffix(1);
-    kinds.push_back(k);
-    begin = end + 1;
-  }
-  const auto lmfence_at = [&](std::size_t i) {
-    return i < kinds.size() && kinds[i] == "l-mfence";
-  };
-  if (lmfence_at(victim_site) && lmfence_at(thief_site)) {
-    return PolicyMode::kDoubleLmfence;
-  }
-  if (lmfence_at(victim_site)) return PolicyMode::kAsymmetric;
-  return PolicyMode::kSymmetric;
-}
-
 PolicyTable::PolicyTable(std::vector<double> ratios,
                          std::vector<double> roundtrips,
                          std::vector<PolicyMode> modes)
@@ -135,7 +105,7 @@ PolicyTable PolicyTable::builtin_default() {
   constexpr PolicyMode A = PolicyMode::kAsymmetric;
   constexpr PolicyMode D = PolicyMode::kDoubleLmfence;
   // Rows 10..1500 are the shipped E17 sweep of the THE-deque litmus
-  // (BENCH_sweep.json) collapsed via mode_from_optimum; rows 5000/15000
+  // (BENCH_sweep.json) collapsed by infer::policy_table; rows 5000/15000
   // extrapolate to signal-prototype territory with the same arithmetic the
   // sweep priced sites with: the asymmetric mix wins once
   // ratio · mfence_cycles(100) exceeds the serialization round trip.
@@ -177,24 +147,18 @@ PolicyTable PolicyTable::builtin_default() {
 
 namespace {
 
-/// Minimal scanners for the two fixed JSON shapes this table round-trips
-/// through. They tolerate whitespace but not reordered nesting: keys are
-/// located by their quoted spelling at any depth.
-
-std::string quoted(std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 2);
-  needle += '"';
-  needle += key;
-  needle += '"';
-  return needle;
-}
+/// Minimal scanners for the compact table form. They tolerate whitespace
+/// but not reordered nesting: keys are located by their quoted spelling at
+/// any depth.
 
 std::size_t find_key(std::string_view j, std::string_view key) {
-  return j.find(quoted(key));
+  std::string needle = "\"";
+  needle += key;
+  needle += '"';
+  return j.find(needle);
 }
 
-/// Parse `"key": [n, n, ...]` following `from`; empty on failure.
+/// Parse `"key": [n, n, ...]`; empty on failure.
 std::vector<double> parse_number_array(std::string_view j,
                                        std::string_view key) {
   std::vector<double> out;
@@ -239,32 +203,6 @@ std::vector<std::string> parse_string_array(std::string_view j,
   return out;
 }
 
-/// Value of `"key": <number>` scanning forward from `from`; NaN on failure.
-double parse_number_after(std::string_view j, std::size_t from,
-                          std::string_view key) {
-  std::size_t p = j.find(quoted(key), from);
-  if (p == std::string_view::npos) return std::nan("");
-  p = j.find(':', p);
-  if (p == std::string_view::npos) return std::nan("");
-  char* stop = nullptr;
-  const double v = std::strtod(j.data() + p + 1, &stop);
-  return stop == j.data() + p + 1 ? std::nan("") : v;
-}
-
-/// Value of `"key": "<string>"` scanning forward from `from`.
-std::string parse_string_after(std::string_view j, std::size_t from,
-                               std::string_view key) {
-  std::size_t p = j.find(quoted(key), from);
-  if (p == std::string_view::npos) return {};
-  p = j.find(':', p);
-  if (p == std::string_view::npos) return {};
-  const std::size_t open = j.find('"', p);
-  if (open == std::string_view::npos) return {};
-  const std::size_t close = j.find('"', open + 1);
-  if (close == std::string_view::npos) return {};
-  return std::string(j.substr(open + 1, close - open - 1));
-}
-
 /// The constructor's axis contract — non-empty and strictly ascending —
 /// checked up front, so outside input yields nullopt instead of an abort.
 bool valid_axis(const std::vector<double>& axis) {
@@ -275,94 +213,19 @@ bool valid_axis(const std::vector<double>& axis) {
   return true;
 }
 
-/// Walk the point objects in j[from, to) and collapse each "optimum" into
-/// the grid cell named by its "freq"/"roundtrip" values; each point carries
-/// its own axis values, so out-of-order points still land in the right
-/// cell. Returns false if any grid cell was never reported.
-bool fill_modes_from_points(std::string_view j, std::size_t from,
-                            std::size_t to, const std::vector<double>& ratios,
-                            const std::vector<double>& roundtrips,
-                            std::vector<PolicyMode>& modes) {
-  std::vector<bool> seen(modes.size(), false);
-  std::size_t p = from;
-  while (true) {
-    const std::size_t obj = j.find('{', p);
-    if (obj == std::string_view::npos || obj > to) break;
-    const std::size_t obj_end = j.find('}', obj);
-    if (obj_end == std::string_view::npos) break;
-    const double freq = parse_number_after(j, obj, "freq");
-    const double rt = parse_number_after(j, obj, "roundtrip");
-    const std::string opt = parse_string_after(j, obj, "optimum");
-    std::size_t ri = ratios.size(), ti = roundtrips.size();
-    for (std::size_t i = 0; i < ratios.size(); ++i) {
-      if (ratios[i] == freq) ri = i;
-    }
-    for (std::size_t i = 0; i < roundtrips.size(); ++i) {
-      if (roundtrips[i] == rt) ti = i;
-    }
-    if (ri < ratios.size() && ti < roundtrips.size() && !opt.empty()) {
-      const std::size_t cell = ti * ratios.size() + ri;
-      modes[cell] = mode_from_optimum(opt);
-      seen[cell] = true;
-    }
-    p = obj_end + 1;
+void append_num(std::string& s, double v) {
+  char buf[32];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%g", v);
   }
-  for (bool s : seen) {
-    if (!s) return false;  // a grid cell was never reported
-  }
-  return true;
+  s += buf;
 }
 
-std::optional<PolicyTable> from_sweep_json(std::string_view j) {
-  const std::vector<double> ratios = parse_number_array(j, "victim_freqs");
-  const std::vector<double> roundtrips = parse_number_array(j, "roundtrips");
-  if (!valid_axis(ratios) || !valid_axis(roundtrips)) return std::nullopt;
-  std::vector<PolicyMode> modes(ratios.size() * roundtrips.size(),
-                                PolicyMode::kSymmetric);
-  std::size_t p = find_key(j, "points");
-  if (p == std::string_view::npos) return std::nullopt;
-  p = j.find('[', p);
-  const std::size_t points_end = j.find(']', p);
-  if (p == std::string_view::npos || points_end == std::string_view::npos) {
-    return std::nullopt;
-  }
-  if (!fill_modes_from_points(j, p, points_end, ratios, roundtrips, modes)) {
-    return std::nullopt;
-  }
-  PolicyTable table(ratios, roundtrips, std::move(modes));
-  // Optional backend dimension: a "backend_planes" section appended after
-  // the base points, one {"backend": "...", "points": [...]} entry per
-  // backend. A malformed plane is skipped rather than failing the load —
-  // the base grid is already sound on its own.
-  const std::size_t planes_at = j.find(quoted("backend_planes"), points_end);
-  if (planes_at != std::string_view::npos) {
-    std::size_t bkey = j.find(quoted("backend"), planes_at + 1);
-    while (bkey != std::string_view::npos) {
-      const std::size_t next =
-          j.find(quoted("backend"), bkey + quoted("backend").size());
-      const std::string name = parse_string_after(j, bkey, "backend");
-      const std::size_t pts = j.find(quoted("points"), bkey);
-      if (!name.empty() && pts != std::string_view::npos && pts < next) {
-        const std::size_t popen = j.find('[', pts);
-        const std::size_t pend = popen == std::string_view::npos
-                                     ? std::string_view::npos
-                                     : j.find(']', popen);
-        if (pend != std::string_view::npos) {
-          std::vector<PolicyMode> pmodes(table.modes().size(),
-                                         PolicyMode::kSymmetric);
-          if (fill_modes_from_points(j, popen, pend, ratios, roundtrips,
-                                     pmodes)) {
-            table.add_plane({name, std::move(pmodes)});
-          }
-        }
-      }
-      bkey = next;
-    }
-  }
-  return table;
-}
+}  // namespace
 
-std::optional<PolicyTable> from_compact_json(std::string_view j) {
+std::optional<PolicyTable> PolicyTable::from_json(std::string_view j) {
   const std::vector<double> ratios = parse_number_array(j, "ratios");
   const std::vector<double> roundtrips = parse_number_array(j, "roundtrips");
   const std::vector<std::string> mode_names = parse_string_array(j, "modes");
@@ -398,26 +261,6 @@ std::optional<PolicyTable> from_compact_json(std::string_view j) {
     if (ok) table.add_plane({name, std::move(pmodes)});
   }
   return table;
-}
-
-void append_num(std::string& s, double v) {
-  char buf[32];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
-  }
-  s += buf;
-}
-
-}  // namespace
-
-std::optional<PolicyTable> PolicyTable::from_json(std::string_view json) {
-  if (json.find("\"bench\":\"sweep\"") != std::string_view::npos ||
-      json.find("\"bench\": \"sweep\"") != std::string_view::npos) {
-    return from_sweep_json(json);
-  }
-  return from_compact_json(json);
 }
 
 std::string PolicyTable::to_json() const {

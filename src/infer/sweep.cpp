@@ -228,8 +228,7 @@ std::string sweep_to_json(const SweepResult& r, const std::string& workload) {
   s += ",\"prefix_states\":" + std::to_string(r.prefix_states);
   s += ",\"incremental_reuses\":" + std::to_string(r.incremental_reuses);
   // The backend dimension rides after every base section so consumers that
-  // stop at the first "points" array (PolicyTable::from_json's base parse)
-  // are unaffected.
+  // stop at the first "points" array are unaffected.
   if (!r.backend_planes.empty()) {
     s += ",\"backend_planes\":[";
     for (std::size_t i = 0; i < r.backend_planes.size(); ++i) {
@@ -247,58 +246,33 @@ std::string sweep_to_json(const SweepResult& r, const std::string& workload) {
   return s;
 }
 
-std::string sweep_to_policy_json(const SweepResult& r,
-                                 std::size_t victim_site,
-                                 std::size_t thief_site) {
-  const auto lmfence_at = [](const SweepPoint& p, std::size_t site) {
-    return p.status == InferStatus::kSat && site < p.best.kinds.size() &&
-           p.best.kinds[site] == FenceKind::kLmfence;
-  };
-  std::string s = "{\"policy_table\":1,\"ratios\":[";
-  for (std::size_t i = 0; i < r.victim_freqs.size(); ++i) {
-    if (i > 0) s += ',';
-    append_num(s, r.victim_freqs[i]);
-  }
-  s += "],\"roundtrips\":[";
-  for (std::size_t i = 0; i < r.roundtrips.size(); ++i) {
-    if (i > 0) s += ',';
-    append_num(s, r.roundtrips[i]);
-  }
-  const auto append_modes = [&](const std::vector<SweepPoint>& points) {
-    // points is row-major roundtrips × victim_freqs — exactly the cell
-    // order PolicyTable expects.
-    s += '[';
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const SweepPoint& p = points[i];
-      if (i > 0) s += ',';
-      s += '"';
-      if (lmfence_at(p, victim_site) && lmfence_at(p, thief_site)) {
-        s += "double-lmfence";
-      } else if (lmfence_at(p, victim_site)) {
-        s += "asymmetric";
-      } else {
-        s += "symmetric";
+adapt::PolicyTable policy_table(const SweepResult& r) {
+  constexpr std::size_t kVictimAnnounce = 0;
+  constexpr std::size_t kThiefAnnounce = 2;
+  // points is row-major roundtrips × victim_freqs — exactly the cell order
+  // PolicyTable expects.
+  const auto modes = [](const std::vector<SweepPoint>& points) {
+    std::vector<adapt::PolicyMode> out;
+    out.reserve(points.size());
+    for (const SweepPoint& p : points) {
+      const auto lmfence_at = [&p](std::size_t site) {
+        return p.status == InferStatus::kSat && site < p.best.kinds.size() &&
+               p.best.kinds[site] == FenceKind::kLmfence;
+      };
+      adapt::PolicyMode m = adapt::PolicyMode::kSymmetric;
+      if (lmfence_at(kVictimAnnounce)) {
+        m = lmfence_at(kThiefAnnounce) ? adapt::PolicyMode::kDoubleLmfence
+                                       : adapt::PolicyMode::kAsymmetric;
       }
-      s += '"';
+      out.push_back(m);
     }
-    s += ']';
+    return out;
   };
-  s += "],\"modes\":";
-  append_modes(r.points);
-  if (!r.backend_planes.empty()) {
-    s += ",\"backends\":[";
-    for (std::size_t i = 0; i < r.backend_planes.size(); ++i) {
-      if (i > 0) s += ',';
-      s += '"' + r.backend_planes[i].name + '"';
-    }
-    s += ']';
-    for (const SweepBackendPlane& bp : r.backend_planes) {
-      s += ",\"plane:" + bp.name + "\":";
-      append_modes(bp.points);
-    }
+  adapt::PolicyTable t(r.victim_freqs, r.roundtrips, modes(r.points));
+  for (const SweepBackendPlane& bp : r.backend_planes) {
+    t.add_plane({bp.name, modes(bp.points)});
   }
-  s += '}';
-  return s;
+  return t;
 }
 
 }  // namespace lbmf::infer

@@ -1,8 +1,9 @@
 // Unit and integration tests for lbmf::adapt — the decayed-window
-// estimator, the PolicyTable frontier lookup, the selector's hysteresis,
-// the realize() capability clamp, and the AdaptiveFence policy's
-// quiescent-point switching (including a threaded Dekker mutual-exclusion
-// check while a controller flips the regime under load).
+// estimator, the PolicyTable frontier lookup, the selector's hysteresis
+// and its tick() loop, the realize() capability clamp, and the
+// AdaptiveFence policy's quiescent-point switching (including a threaded
+// Dekker mutual-exclusion check while a controller flips the regime under
+// load).
 
 #include <gtest/gtest.h>
 
@@ -181,9 +182,10 @@ TEST(PolicyTable, JsonRoundTripsTheCompactForm) {
   EXPECT_EQ(*back, t);
 }
 
-TEST(PolicyTable, FromJsonParsesAFullSweepReport) {
-  // A BENCH_sweep.json-shaped report (2 freqs x 1 roundtrip) whose optima
-  // collapse to {symmetric, asymmetric}.
+TEST(PolicyTable, FromJsonRejectsASweepReport) {
+  // A well-formed BENCH_sweep.json-shaped report, backend planes included:
+  // tables have one format, the compact one fence_inferencer --policy-json
+  // writes (infer::policy_table collapses a sweep to it).
   const std::string sweep =
       "{\"bench\":\"sweep\",\"workload\":\"cli\","
       "\"victim_freqs\":[1,1000],\"roundtrips\":[150],\"points\":["
@@ -193,13 +195,17 @@ TEST(PolicyTable, FromJsonParsesAFullSweepReport) {
       "{\"freq\":1000,\"roundtrip\":150,\"status\":\"sat\","
       "\"optimum\":\"{l-mfence, none, mfence, none}\",\"cost\":3260,"
       "\"recheck_safe\":true}],\"crossovers\":[],"
-      "\"explorer_runs\":2,\"cache_hits\":0,\"states_total\":100}";
-  const std::optional<PolicyTable> t = PolicyTable::from_json(sweep);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->ratios(), (std::vector<double>{1, 1000}));
-  EXPECT_EQ(t->roundtrips(), (std::vector<double>{150}));
-  EXPECT_EQ(t->lookup(1, 150), PolicyMode::kSymmetric);
-  EXPECT_EQ(t->lookup(1'000, 150), PolicyMode::kAsymmetric);
+      "\"explorer_runs\":2,\"cache_hits\":0,\"states_total\":100,"
+      "\"backend_planes\":["
+      "{\"backend\":\"membarrier-pair\",\"inverts_roles\":true,"
+      "\"points\":["
+      "{\"freq\":1,\"roundtrip\":150,\"status\":\"sat\","
+      "\"optimum\":\"{l-mfence, none, l-mfence, none}\",\"cost\":120,"
+      "\"recheck_safe\":true},"
+      "{\"freq\":1000,\"roundtrip\":150,\"status\":\"sat\","
+      "\"optimum\":\"{l-mfence, none, mfence, none}\",\"cost\":3260,"
+      "\"recheck_safe\":true}]}]}";
+  EXPECT_FALSE(PolicyTable::from_json(sweep).has_value());
 }
 
 TEST(PolicyTable, FromJsonRejectsMalformedInput) {
@@ -229,7 +235,8 @@ TEST(PolicyTable, FromJsonRejectsMalformedInput) {
                    std::string("{\"ratios\":[1,nan],\"roundtrips\":[150],") +
                    modes2)
                    .has_value());
-  // The same axis contract on the sweep-report form.
+  // Nor is a sweep report (see FromJsonRejectsASweepReport), whatever its
+  // axes.
   EXPECT_FALSE(PolicyTable::from_json(
                    "{\"bench\":\"sweep\",\"victim_freqs\":[10,1],"
                    "\"roundtrips\":[150],\"points\":["
@@ -238,17 +245,6 @@ TEST(PolicyTable, FromJsonRejectsMalformedInput) {
                    "{\"freq\":1,\"roundtrip\":150,"
                    "\"optimum\":\"{mfence, none, mfence, none}\"}]}")
                    .has_value());
-}
-
-TEST(PolicyTable, ModeFromOptimumReadsTheAnnounceSites) {
-  EXPECT_EQ(mode_from_optimum("{mfence, none, mfence, none}"),
-            PolicyMode::kSymmetric);
-  EXPECT_EQ(mode_from_optimum("{l-mfence, none, mfence, none}"),
-            PolicyMode::kAsymmetric);
-  EXPECT_EQ(mode_from_optimum("{l-mfence, none, l-mfence, none}"),
-            PolicyMode::kDoubleLmfence);
-  // Unparseable input degrades to the always-safe regime.
-  EXPECT_EQ(mode_from_optimum("not an assignment"), PolicyMode::kSymmetric);
 }
 
 TEST(PolicyTable, BuiltinPlanesEncodeBackendCapabilities) {
@@ -299,51 +295,6 @@ TEST(PolicyTable, AddPlaneReplacesByNameAndRoundTripsJson) {
   EXPECT_EQ(*back, t);
 }
 
-TEST(PolicyTable, FromJsonParsesTheSweepBackendPlanes) {
-  // The FromJsonParsesAFullSweepReport grid plus the backend_planes
-  // section bench_sweep now appends: a constrained signal plane and a
-  // role-inverting plane whose cheap corner is double-l-mfence.
-  const std::string sweep =
-      "{\"bench\":\"sweep\",\"workload\":\"cli\","
-      "\"victim_freqs\":[1,1000],\"roundtrips\":[150],\"points\":["
-      "{\"freq\":1,\"roundtrip\":150,\"status\":\"sat\","
-      "\"optimum\":\"{mfence, none, mfence, none}\",\"cost\":200,"
-      "\"recheck_safe\":true},"
-      "{\"freq\":1000,\"roundtrip\":150,\"status\":\"sat\","
-      "\"optimum\":\"{l-mfence, none, mfence, none}\",\"cost\":3260,"
-      "\"recheck_safe\":true}],\"crossovers\":[],"
-      "\"explorer_runs\":2,\"cache_hits\":0,\"states_total\":100,"
-      "\"backend_planes\":["
-      "{\"backend\":\"signal\",\"inverts_roles\":false,\"points\":["
-      "{\"freq\":1,\"roundtrip\":150,\"status\":\"sat\","
-      "\"optimum\":\"{mfence, none, mfence, none}\",\"cost\":200,"
-      "\"recheck_safe\":true},"
-      "{\"freq\":1000,\"roundtrip\":150,\"status\":\"sat\","
-      "\"optimum\":\"{l-mfence, none, mfence, none}\",\"cost\":3260,"
-      "\"recheck_safe\":true}]},"
-      "{\"backend\":\"membarrier-pair\",\"inverts_roles\":true,"
-      "\"points\":["
-      "{\"freq\":1,\"roundtrip\":150,\"status\":\"sat\","
-      "\"optimum\":\"{l-mfence, none, l-mfence, none}\",\"cost\":120,"
-      "\"recheck_safe\":true},"
-      "{\"freq\":1000,\"roundtrip\":150,\"status\":\"sat\","
-      "\"optimum\":\"{l-mfence, none, mfence, none}\",\"cost\":3260,"
-      "\"recheck_safe\":true}]}]}";
-  const std::optional<PolicyTable> t = PolicyTable::from_json(sweep);
-  ASSERT_TRUE(t.has_value());
-  ASSERT_EQ(t->planes().size(), 2u);
-  EXPECT_EQ(t->lookup(1, 150, "signal"), PolicyMode::kSymmetric);
-  EXPECT_EQ(t->lookup(1, 150, "membarrier-pair"), PolicyMode::kDoubleLmfence);
-  EXPECT_EQ(t->lookup(1'000, 150, "membarrier-pair"),
-            PolicyMode::kAsymmetric);
-  // The base grid is untouched by the planes.
-  EXPECT_EQ(t->lookup(1, 150), PolicyMode::kSymmetric);
-  // And the planes survive the compact round trip too.
-  const std::optional<PolicyTable> back = PolicyTable::from_json(t->to_json());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, *t);
-}
-
 // -------------------------------------------------------- PolicySelector
 
 SelectorConfig crisp_selector(int confirm) {
@@ -355,7 +306,7 @@ SelectorConfig crisp_selector(int confirm) {
 }
 
 TEST(PolicySelector, AdoptsAfterConfirmWindowsConsistentProposals) {
-  PolicySelector sel(PolicyTable::builtin_default(), crisp_selector(3));
+  PolicySelector sel(crisp_selector(3));
   EXPECT_EQ(sel.current(), PolicyMode::kSymmetric);
   // Pop-heavy windows (ratio ~2000 at a 10^4-cycle trip -> asymmetric):
   // the proposal must survive 3 consecutive windows before adoption.
@@ -368,7 +319,7 @@ TEST(PolicySelector, AdoptsAfterConfirmWindowsConsistentProposals) {
 }
 
 TEST(PolicySelector, BoundaryStraddlingInputNeverOscillates) {
-  PolicySelector sel(PolicyTable::builtin_default(), crisp_selector(3));
+  PolicySelector sel(crisp_selector(3));
   // Alternate pop-heavy and steal-heavy windows: the proposal flips every
   // window, so no streak ever reaches 3 and the mode never moves.
   std::uint64_t pops = 0, steals = 0;
@@ -387,7 +338,7 @@ TEST(PolicySelector, BoundaryStraddlingInputNeverOscillates) {
 }
 
 TEST(PolicySelector, SwitchesBackWhenTheWorkloadFlips) {
-  PolicySelector sel(PolicyTable::builtin_default(), crisp_selector(2));
+  PolicySelector sel(crisp_selector(2));
   std::uint64_t pops = 0, steals = 0;
   for (int i = 0; i < 5; ++i) sel.update(pops += 2'000, steals += 1);
   EXPECT_EQ(sel.current(), PolicyMode::kAsymmetric);
@@ -398,21 +349,104 @@ TEST(PolicySelector, SwitchesBackWhenTheWorkloadFlips) {
 
 TEST(PolicySelector, BackendPlaneConstrainsProposals) {
   // Same workload point (1:1 mix at a near-free round trip), two selectors:
-  // on the base grid the cell is double-l-mfence; a selector bound to the
-  // signal plane proposes the clamped asymmetric mix instead, so its
-  // bookings are always realizable.
+  // on the role-inverting membarrier-pair plane the cell is
+  // double-l-mfence; a selector bound to the signal plane proposes the
+  // clamped asymmetric mix instead, so its bookings are always realizable.
   SelectorConfig cfg = crisp_selector(1);
   cfg.fixed_roundtrip_cycles = 10.0;
-  PolicySelector base_sel(PolicyTable::builtin_default(), cfg);
+  cfg.backend = BackendId::kMembarrierPair;
+  PolicySelector inverting_sel(cfg);
   std::uint64_t pops = 0, steals = 0;
-  base_sel.update(pops += 100, steals += 100);
-  EXPECT_EQ(base_sel.current(), PolicyMode::kDoubleLmfence);
+  inverting_sel.update(pops += 100, steals += 100);
+  EXPECT_EQ(inverting_sel.current(), PolicyMode::kDoubleLmfence);
 
-  cfg.backend = "signal";
-  PolicySelector sig_sel(PolicyTable::builtin_default(), cfg);
+  cfg.backend = BackendId::kSignal;
+  PolicySelector sig_sel(cfg);
   pops = steals = 0;
   sig_sel.update(pops += 100, steals += 100);
   EXPECT_EQ(sig_sel.current(), PolicyMode::kAsymmetric);
+}
+
+// ------------------------------------------------- PolicySelector::tick
+//
+// tick() drives a live AdaptiveFence primary. None of these cases
+// serializes, so no signal round trip is measured before
+// AdaptiveFence.ModeSwitchLifecycle runs.
+
+TEST(PolicySelectorTick, SamplesOnlyOnEverySampleEveryThCall) {
+  SelectorConfig cfg = crisp_selector(1);
+  cfg.sample_every = 4;
+  PolicySelector sel(cfg);
+  AdaptiveFence::Handle h = AdaptiveFence::register_primary();
+  ASSERT_TRUE(h.valid());
+  std::uint64_t pops = 0;
+  for (int call = 1; call <= 12; ++call) {
+    EXPECT_EQ(sel.tick<AdaptiveFence>(h, pops += 2'000, 1), call % 4 == 0)
+        << "call " << call;
+    EXPECT_EQ(sel.windows(), static_cast<std::uint64_t>(call / 4));
+  }
+  AdaptiveFence::unregister_primary(h);
+}
+
+TEST(PolicySelectorTick, AdoptsOnTheCallThatCompletesTheConfirmStreak) {
+  // Pop-heavy windows at a 10^4-cycle trip propose the asymmetric mix.
+  // With a 3-window streak sampled every 2nd call, the 6th call confirms
+  // it, and the fence realizes it at that same call's quiescent point.
+  SelectorConfig cfg = crisp_selector(3);
+  cfg.sample_every = 2;
+  PolicySelector sel(cfg);
+  AdaptiveFence::Handle h = AdaptiveFence::register_primary();
+  ASSERT_TRUE(h.valid());
+  std::uint64_t pops = 0;
+  for (int call = 1; call <= 6; ++call) {
+    sel.tick<AdaptiveFence>(h, pops += 1'000, 1);
+    EXPECT_EQ(AdaptiveFence::realized_mode(h),
+              call < 6 ? PolicyMode::kSymmetric : PolicyMode::kAsymmetric)
+        << "call " << call;
+  }
+  EXPECT_EQ(sel.switches(), 1u);
+  EXPECT_EQ(AdaptiveFence::switch_count(h), 1u);
+  AdaptiveFence::unregister_primary(h);
+}
+
+TEST(PolicySelectorTick, BindsTheConfiguredBackend) {
+  SelectorConfig cfg = crisp_selector(1);
+  cfg.sample_every = 1;
+  cfg.backend = BackendId::kMembarrierPair;
+  PolicySelector sel(cfg);
+  AdaptiveFence::Handle h = AdaptiveFence::register_primary();
+  ASSERT_TRUE(h.valid());
+  EXPECT_EQ(AdaptiveFence::current_backend(h), BackendId::kSignal);
+  // An idle window keeps the symmetric regime, which needs no drain, so
+  // the binding is adopted on every host.
+  EXPECT_TRUE(sel.tick<AdaptiveFence>(h, 0, 0));
+  EXPECT_EQ(AdaptiveFence::current_backend(h), BackendId::kMembarrierPair);
+  EXPECT_EQ(AdaptiveFence::realized_mode(h), PolicyMode::kSymmetric);
+  AdaptiveFence::unregister_primary(h);
+}
+
+TEST(PolicySelectorTick, ReadsTheBoundBackendsPlane) {
+  // One cell, three verdicts: the base grid and each backend's plane
+  // disagree, so the booked mode shows which one the selector read.
+  PolicyTable table({1}, {150}, {PolicyMode::kSymmetric});
+  table.add_plane({"signal", {PolicyMode::kAsymmetric}});
+  table.add_plane({"membarrier-pair", {PolicyMode::kDoubleLmfence}});
+  for (const BackendId b : {BackendId::kSignal, BackendId::kMembarrierPair}) {
+    SelectorConfig cfg = crisp_selector(1);
+    cfg.table = table;
+    cfg.sample_every = 1;
+    cfg.backend = b;
+    PolicySelector sel(cfg);
+    AdaptiveFence::Handle h = AdaptiveFence::register_primary();
+    ASSERT_TRUE(h.valid());
+    sel.tick<AdaptiveFence>(h, 100, 100);
+    // Booked as proposed, before the host's capability clamp.
+    EXPECT_EQ(AdaptiveFence::booked_mode(h),
+              b == BackendId::kSignal ? PolicyMode::kAsymmetric
+                                      : PolicyMode::kDoubleLmfence)
+        << to_string(b);
+    AdaptiveFence::unregister_primary(h);
+  }
 }
 
 // --------------------------------------------------------------- realize
@@ -717,12 +751,12 @@ TEST(SchedulerAdaptation, WorkersSwitchUnderAnAllAsymmetricTable) {
   // must adopt kAsymmetric at its first sampling window and the run must
   // still compute the right answer.
   const std::size_t cells = 6 * 7;
-  ws::AdaptationOptions opts;
+  SelectorConfig opts;
   opts.table = adapt::PolicyTable(
       {1, 10, 100, 1'000, 10'000, 100'000},
       {10, 50, 150, 500, 1'500, 5'000, 15'000},
       std::vector<PolicyMode>(cells, PolicyMode::kAsymmetric));
-  opts.selector.confirm_windows = 1;
+  opts.confirm_windows = 1;
   opts.sample_every = 64;
 
   ws::Scheduler<AdaptiveFence> sched(3);

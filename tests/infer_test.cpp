@@ -495,13 +495,97 @@ TEST(InferSweep, PolicyJsonCollapsesOptimaToRuntimeModes) {
   // the slow victim on l-mfence (both announces l-mfence = the double
   // mode); at the paper's 150-cycle constant the slow victim is symmetric
   // and the hot one asymmetric.
-  const std::string j = sweep_to_policy_json(r);
+  const std::string j = policy_table(r).to_json();
   EXPECT_NE(j.find("\"ratios\":[1,1000]"), std::string::npos) << j;
   EXPECT_NE(j.find("\"roundtrips\":[10,150]"), std::string::npos) << j;
   EXPECT_NE(j.find("\"modes\":[\"double-lmfence\",\"asymmetric\","
                    "\"symmetric\",\"asymmetric\"]"),
             std::string::npos)
       << j;
+}
+
+// policy_table on hand-built sweeps: the collapse rule alone, no solving.
+
+constexpr FenceKind kN = FenceKind::kNone;
+constexpr FenceKind kM = FenceKind::kMfence;
+constexpr FenceKind kL = FenceKind::kLmfence;
+
+/// A one-row sweep (round trip 150) over the given THE-deque-ordered
+/// optima, one per victim freq 1, 10, 100, ...
+SweepResult one_row_sweep(const std::vector<Assignment>& optima) {
+  SweepResult r;
+  r.roundtrips = {150};
+  double freq = 1;
+  for (const Assignment& a : optima) {
+    SweepPoint p;
+    p.victim_freq = freq;
+    p.lest_roundtrip = 150;
+    p.status = InferStatus::kSat;
+    p.best = a;
+    p.recheck_safe = true;
+    r.victim_freqs.push_back(freq);
+    r.points.push_back(p);
+    freq *= 10;
+  }
+  return r;
+}
+
+TEST(InferPolicyTable, SatOptimaCollapseToTheThreeModes) {
+  // The announce sites are 0 (victim) and 2 (thief); the retreat sites
+  // 1 and 3 do not matter.
+  const SweepResult r = one_row_sweep({
+      Assignment{{kM, kN, kM, kN}},
+      Assignment{{kL, kN, kM, kN}},
+      Assignment{{kL, kM, kL, kM}},
+      Assignment{{kM, kL, kL, kL}},  // thief light, victim not: symmetric
+  });
+  const adapt::PolicyTable t = policy_table(r);
+  EXPECT_EQ(t.ratios(), (std::vector<double>{1, 10, 100, 1000}));
+  EXPECT_EQ(t.roundtrips(), (std::vector<double>{150}));
+  EXPECT_EQ(t.modes(), (std::vector<adapt::PolicyMode>{
+                           adapt::PolicyMode::kSymmetric,
+                           adapt::PolicyMode::kAsymmetric,
+                           adapt::PolicyMode::kDoubleLmfence,
+                           adapt::PolicyMode::kSymmetric}));
+  EXPECT_TRUE(t.planes().empty());
+}
+
+TEST(InferPolicyTable, NonSatPointCollapsesToSymmetric) {
+  // Whatever `best` holds at an UNSAT or LIMIT point is not a placement;
+  // the always-safe regime stands in for it.
+  SweepResult r = one_row_sweep({Assignment{{kL, kN, kL, kN}},
+                                 Assignment{{kL, kN, kM, kN}}});
+  r.points[0].status = InferStatus::kUnsat;
+  r.points[1].status = InferStatus::kLimit;
+  const adapt::PolicyTable t = policy_table(r);
+  EXPECT_EQ(t.modes(), (std::vector<adapt::PolicyMode>{
+                           adapt::PolicyMode::kSymmetric,
+                           adapt::PolicyMode::kSymmetric}));
+}
+
+TEST(InferPolicyTable, BackendPlanesComeThroughByName) {
+  SweepResult r = one_row_sweep({Assignment{{kM, kN, kM, kN}},
+                                 Assignment{{kL, kN, kM, kN}}});
+  SweepBackendPlane signal{"signal", false, r.points};
+  SweepBackendPlane inverting{"membarrier-pair", true, r.points};
+  inverting.points[0].best = Assignment{{kL, kN, kL, kN}};
+  r.backend_planes = {signal, inverting};
+  const adapt::PolicyTable t = policy_table(r);
+  ASSERT_EQ(t.planes().size(), 2u);
+  EXPECT_EQ(t.planes()[0].backend, "signal");
+  EXPECT_EQ(t.planes()[1].backend, "membarrier-pair");
+  EXPECT_EQ(t.lookup(1, 150, "signal"), adapt::PolicyMode::kSymmetric);
+  EXPECT_EQ(t.lookup(1, 150, "membarrier-pair"),
+            adapt::PolicyMode::kDoubleLmfence);
+  EXPECT_EQ(t.lookup(10, 150, "membarrier-pair"),
+            adapt::PolicyMode::kAsymmetric);
+  // The base grid is untouched by the planes, and the planes survive the
+  // JSON round trip.
+  EXPECT_EQ(t.lookup(1, 150), adapt::PolicyMode::kSymmetric);
+  const std::optional<adapt::PolicyTable> back =
+      adapt::PolicyTable::from_json(t.to_json());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, t);
 }
 
 TEST(InferSweep, GridSharesOneVerdictCacheAcrossPoints) {

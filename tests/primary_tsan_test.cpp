@@ -9,6 +9,9 @@
 //  * EpochDomain, Safepoint, BiasedRwLock: reader/mutator tokens are
 //    claimed and released in a loop while synchronize(), stop_the_world()
 //    and write_lock() run their serialization waves over the live slots.
+//  * AsymmetricPeterson under contention: each side may leave its wait on
+//    reading the peer's `turn` store, so that store must carry the
+//    happens-before edge from the peer's previous critical section.
 //
 // The pools run under SymmetricFence and AsymmetricMembarrierFence (whose
 // handle carries data the wave reads); nothing here posts a signal, so the
@@ -28,6 +31,7 @@
 #include "lbmf/core/policies.hpp"
 #include "lbmf/core/safepoint.hpp"
 #include "lbmf/dekker/biased_lock.hpp"
+#include "lbmf/dekker/peterson.hpp"
 #include "lbmf/rwlock/rwlock.hpp"
 
 namespace {
@@ -88,6 +92,35 @@ int drive_biased_lock() {
   }
   std::printf("ok biased lock: %ld holder + %ld revoker acquires\n",
               holder_iters, revoker_iters);
+  return 0;
+}
+
+int drive_peterson() {
+  AsymmetricPeterson<SymmetricFence> lock;
+  long counter = 0;  // plain: the lock is the only thing ordering it
+  constexpr long kPerSide = 20'000;
+  lock.bind_primary();  // before the secondary starts
+  std::thread secondary([&] {
+    for (long i = 0; i < kPerSide; ++i) {
+      lock.lock_secondary();
+      ++counter;
+      lock.unlock_secondary();
+    }
+  });
+  for (long i = 0; i < kPerSide; ++i) {
+    lock.lock_primary();
+    ++counter;
+    lock.unlock_primary();
+  }
+  secondary.join();
+  lock.unbind_primary();
+
+  if (counter != 2 * kPerSide) {
+    std::printf("FAIL peterson: counter %ld, want %ld\n", counter,
+                2 * kPerSide);
+    return 1;
+  }
+  std::printf("ok peterson: %ld acquires per side\n", kPerSide);
   return 0;
 }
 
@@ -215,6 +248,7 @@ int drive_pools(const char* policy) {
 int main() {
   int rc = 0;
   rc |= drive_biased_lock();
+  rc |= drive_peterson();
   rc |= drive_pools<SymmetricFence>("symmetric");
   rc |= drive_pools<AsymmetricMembarrierFence>("membarrier");
   std::printf("%s\n", rc == 0 ? "PASS" : "FAIL");

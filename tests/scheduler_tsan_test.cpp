@@ -51,13 +51,13 @@ int drive_scheduler(const char* label, bool adaptive) {
   ws::Scheduler<P> sched(2);
   if constexpr (adapt::AdaptiveFencePolicy<P>) {
     if (adaptive) {
-      ws::AdaptationOptions opts;
+      adapt::SelectorConfig opts;
       // Single-cell all-symmetric table: the monitor, selector, and
       // quiescent-point plumbing all run every window, but no switch ever
       // needs a serialization backend.
       opts.table = adapt::PolicyTable({1.0}, {100.0},
                                       {adapt::PolicyMode::kSymmetric});
-      opts.selector.confirm_windows = 1;
+      opts.confirm_windows = 1;
       opts.sample_every = 16;
       sched.enable_adaptation(opts);
     }

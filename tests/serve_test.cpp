@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lbmf/adapt/adaptive_fence.hpp"
+#include "lbmf/core/membarrier.hpp"
 #include "lbmf/serve/serve.hpp"
 #include "lbmf/util/histogram.hpp"
 #include "lbmf/util/timing.hpp"
@@ -240,10 +241,10 @@ TEST(ServerAdaptive, AdaptiveShardsServeCorrectlyAndRecordModes) {
   // phase-change switching assertion lives in bench_serve's E19 leg, where
   // the phases are long enough to be reliable.)
   ServeConfig cfg = small_config();
-  cfg.adapt = true;
-  cfg.sample_every = 64;
-  cfg.selector.confirm_windows = 2;
-  cfg.selector.fixed_roundtrip_cycles = 10000;
+  cfg.adapt.emplace();
+  cfg.adapt->sample_every = 64;
+  cfg.adapt->confirm_windows = 2;
+  cfg.adapt->fixed_roundtrip_cycles = 10000;
   Server<adapt::AdaptiveFence> srv(cfg);
   srv.start();
   auto client = srv.make_client();
@@ -272,6 +273,50 @@ TEST(ServerAdaptive, AdaptiveShardsServeCorrectlyAndRecordModes) {
   std::uint64_t secondary = 0;
   for (const ShardStats& sh : s.shards) secondary += sh.sync.secondary_acquires;
   EXPECT_EQ(secondary, 1600u);
+}
+
+TEST(ServerAdaptive, MembarrierPairShardsBindThatMechanism) {
+  // The configured drain mechanism reaches every shard owner: its selector
+  // binds the owner's primary to it at the loop boundary, as the
+  // work-stealing scheduler's workers do.
+  if (!membarrier::available()) {
+    GTEST_SKIP() << "EXPEDITED membarrier unavailable on this host: shards "
+                    "cannot drain through membarrier-pair, case not run";
+  }
+  ServeConfig cfg = small_config();
+  cfg.adapt.emplace();
+  cfg.adapt->sample_every = 64;
+  cfg.adapt->backend = adapt::BackendId::kMembarrierPair;
+  Server<adapt::AdaptiveFence> srv(cfg);
+  srv.start();
+  auto client = srv.make_client();
+
+  constexpr std::size_t kReqs = 5000;
+  std::vector<FlowKey> keys;
+  keys.reserve(kReqs);
+  for (std::size_t i = 0; i < kReqs; ++i) {
+    keys.push_back(static_cast<FlowKey>(i % 256 + 1));
+  }
+  pump(srv, client, keys, /*burst=*/1);
+  for (FlowKey k = 1; k <= 64; ++k) srv.update_rule(k, 7);
+
+  // Owners tick idle or busy, so each binds within a few windows; the
+  // deadline only bounds a hang.
+  for (std::size_t i = 0; i < srv.num_shards(); ++i) {
+    const adapt::AdaptiveFence::Handle& h =
+        srv.shard(i).table().sync_mutex().primary_handle();
+    Stopwatch sw;
+    while (adapt::AdaptiveFence::current_backend(h) !=
+               adapt::BackendId::kMembarrierPair &&
+           sw.seconds() < 10.0) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(adapt::AdaptiveFence::current_backend(h),
+              adapt::BackendId::kMembarrierPair)
+        << "shard " << i;
+  }
+  srv.stop();
+  EXPECT_EQ(srv.stats().packets, kReqs);
 }
 
 TEST(ServerRouting, ShardOfIsStableAndInRange) {
