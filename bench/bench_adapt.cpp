@@ -43,11 +43,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <string>
 
 #include "lbmf/adapt/adapt.hpp"
 #include "lbmf/core/membarrier.hpp"
 #include "lbmf/model/cost_model.hpp"
+#include "lbmf/util/json.hpp"
 #include "lbmf/ws/scheduler.hpp"
 
 using namespace lbmf;
@@ -92,12 +92,6 @@ void fib(long n, long* out) {
   *out = a + b;
 }
 
-void append_num(std::string& s, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.0f", v);
-  s += buf;
-}
-
 struct BackendLeg {
   bool gate_ok = true;
   bool skipped = false;  // host cannot realize this mechanism's inversion
@@ -107,9 +101,9 @@ struct BackendLeg {
 // steals at an LE/ST-scale modeled round trip — the double-l-mfence cell
 // of BENCH_sweep.json. The selector consults the mechanism's table plane,
 // the fence is re-bound to the mechanism, and every window is priced under
-// the *realized* mode. Appends one JSON object to `json`.
+// the *realized* mode. Writes one JSON object into `json`.
 BackendLeg run_backend_leg(adapt::BackendId id, int windows,
-                           const model::CostTable& costs, std::string& json) {
+                           const model::CostTable& costs, JsonWriter& json) {
   const char* name = adapt::to_string(id);
   const bool inverting =
       adapt::realize(adapt::PolicyMode::kDoubleLmfence, id,
@@ -206,25 +200,18 @@ BackendLeg run_backend_leg(adapt::BackendId id, int windows,
               leg.skipped ? "SKIPPED (membarrier unavailable)"
                           : (leg.gate_ok ? "ok" : "GATE FAILED"));
 
-  if (!json.empty()) json += ',';
-  json += "{\"backend\":\"";
-  json += name;
-  json += "\",\"booked_double\":";
-  json += booked_double ? "true" : "false";
-  json += ",\"realized_double\":";
-  json += realized_double ? "true" : "false";
-  json += ",\"realized_switches\":" + std::to_string(realized_switches);
-  json += ",\"booked_switches\":" + std::to_string(booked_switches);
-  json += ",\"degraded\":" + std::to_string(degraded);
-  json += ",\"tail_cost\":";
-  append_num(json, tail_cost);
-  json += ",\"best_static_tail\":";
-  append_num(json, best_static_tail);
-  json += ",\"skipped\":";
-  json += leg.skipped ? "true" : "false";
-  json += ",\"ok\":";
-  json += leg.gate_ok ? "true" : "false";
-  json += '}';
+  json.begin_object();
+  json.key("backend").string(name);
+  json.key("booked_double").boolean(booked_double);
+  json.key("realized_double").boolean(realized_double);
+  json.key("realized_switches").integer(realized_switches);
+  json.key("booked_switches").integer(booked_switches);
+  json.key("degraded").integer(degraded);
+  json.key("tail_cost").fixed(tail_cost, 0);
+  json.key("best_static_tail").fixed(best_static_tail, 0);
+  json.key("skipped").boolean(leg.skipped);
+  json.key("ok").boolean(leg.gate_ok);
+  json.end_object();
   return leg;
 }
 
@@ -333,41 +320,34 @@ int main(int argc, char** argv) {
   std::printf("  live scheduler checksum: fib(18) = %ld vs %ld  %s\n", got,
               want, live_ok ? "ok" : "MISMATCH");
 
+  JsonWriter json;
+  json.begin_object();
+  json.key("bench").string("adapt");
+  json.key("phase_windows").integer(phase_windows);
+  json.key("cost_adaptive").fixed(cost_adaptive, 0);
+  json.key("cost_static_symmetric").fixed(cost_sym, 0);
+  json.key("cost_static_asymmetric").fixed(cost_asym, 0);
+  json.key("best_static").fixed(best_static, 0);
+  json.key("switches").integer(switches);
+  json.key("tails_ok").boolean(tails_ok);
+  json.key("phase_win_factor")
+      .fixed(cost_adaptive > 0.0 ? worst_static / cost_adaptive : 0.0, 3);
+
   // Backend matrix: the double-l-mfence cell on each drain mechanism (see
   // the header comment for the gates).
   const int matrix_windows = quick ? 20 : 60;
   std::printf("\nbackend matrix (pops = steals = 200/window, rt 150, "
               "%d windows):\n",
               matrix_windows);
-  std::string backends_json;
   bool backends_ok = true;
+  json.key("backend_matrix").begin_array();
   for (adapt::BackendId id :
        {adapt::BackendId::kSignal, adapt::BackendId::kMembarrierPair}) {
-    backends_ok &= run_backend_leg(id, matrix_windows, costs,
-                                   backends_json).gate_ok;
+    backends_ok &= run_backend_leg(id, matrix_windows, costs, json).gate_ok;
   }
-
-  std::string json = "{\"bench\":\"adapt\",\"phase_windows\":";
-  json += std::to_string(phase_windows);
-  json += ",\"cost_adaptive\":";
-  append_num(json, cost_adaptive);
-  json += ",\"cost_static_symmetric\":";
-  append_num(json, cost_sym);
-  json += ",\"cost_static_asymmetric\":";
-  append_num(json, cost_asym);
-  json += ",\"best_static\":";
-  append_num(json, best_static);
-  json += ",\"switches\":" + std::to_string(switches);
-  json += ",\"tails_ok\":";
-  json += tails_ok ? "true" : "false";
-  json += ",\"phase_win_factor\":";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                cost_adaptive > 0.0 ? worst_static / cost_adaptive : 0.0);
-  json += buf;
-  json += ",\"backend_matrix\":[" + backends_json + "]}";
+  json.end_array().end_object();
   if (std::FILE* f = std::fopen("BENCH_adapt.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
+    std::fprintf(f, "%s\n", json.text().c_str());
     std::fclose(f);
     std::printf("wrote BENCH_adapt.json\n");
   }

@@ -27,6 +27,7 @@
 
 #include "lbmf/model/cost_model.hpp"
 #include "lbmf/rwlock/rwlock.hpp"
+#include "lbmf/util/json.hpp"
 #include "lbmf/util/stats.hpp"
 #include "lbmf/util/timing.hpp"
 
@@ -236,18 +237,20 @@ int main(int argc, char** argv) {
   std::printf("%-26s ARW %.2fx, ARW+ %.2fx\n", "batched writer speedup",
               arw_speedup, plus_speedup);
 
+  JsonWriter json;
+  json.begin_object();
+  json.key("bench").string("arw");
+  json.key("idle_readers").integer(kIdleReaders);
+  json.key("arw_seq_writer_p50_cycles").fixed(arw_seq.p50, 0);
+  json.key("arw_batch_writer_p50_cycles").fixed(arw_batch.p50, 0);
+  json.key("arw_batch_speedup").fixed(arw_speedup, 2);
+  json.key("arwplus_seq_writer_p50_cycles").fixed(plus_seq.p50, 0);
+  json.key("arwplus_batch_writer_p50_cycles").fixed(plus_batch.p50, 0);
+  json.key("arwplus_batch_speedup").fixed(plus_speedup, 2);
+  json.key("quick").boolean(quick);
+  json.end_object();
   if (std::FILE* f = std::fopen("BENCH_arw.json", "w")) {
-    std::fprintf(
-        f,
-        "{\"bench\":\"arw\",\"idle_readers\":%zu,"
-        "\"arw_seq_writer_p50_cycles\":%.0f,"
-        "\"arw_batch_writer_p50_cycles\":%.0f,"
-        "\"arw_batch_speedup\":%.2f,"
-        "\"arwplus_seq_writer_p50_cycles\":%.0f,"
-        "\"arwplus_batch_writer_p50_cycles\":%.0f,"
-        "\"arwplus_batch_speedup\":%.2f,\"quick\":%s}\n",
-        kIdleReaders, arw_seq.p50, arw_batch.p50, arw_speedup, plus_seq.p50,
-        plus_batch.p50, plus_speedup, quick ? "true" : "false");
+    std::fprintf(f, "%s\n", json.text().c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_arw.json\n");
   }

@@ -58,6 +58,7 @@
 #include "lbmf/infer/infer.hpp"
 #include "lbmf/sim/explorer.hpp"
 #include "lbmf/sim/litmus.hpp"
+#include "lbmf/util/json.hpp"
 #include "seed_baseline.hpp"
 
 using namespace lbmf::sim;
@@ -429,35 +430,36 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t rss_kib = peak_rss_kib();
 
+  lbmf::JsonWriter json;
+  json.begin_object();
+  json.key("bench").string("explorer");
+  json.key("workload").string("asymmetric_dekker_x2");
+  json.key("max_states").integer(max_states);
+  json.key("states_per_sec").fixed(def.states_per_sec, 0);
+  json.key("peak_rss_kib").integer(rss_kib);
+  json.key("speedup_vs_seed").fixed(speedup, 2);
+  json.key("memory_ratio_vs_seed").fixed(mem_ratio, 2);
+  json.key("symmetry").begin_object();
+  json.key("orbit").integer(sym_on.symmetry_orbit);
+  json.key("states_exact").integer(sym_off.states_explored);
+  json.key("states_canonical").integer(sym_on.states_explored);
+  json.key("ratio").fixed(sym_ratio, 2);
+  json.end_object();
+  json.key("spill").begin_object();
+  json.key("segments").integer(spilled.spill_segments);
+  json.key("spill_bytes").integer(spilled.spill_bytes);
+  json.key("counters_unchanged").boolean(spill_ok);
+  json.end_object();
+  json.key("incremental").begin_object();
+  json.key("states_cold").integer(inc_cold);
+  json.key("states_warm").integer(inc_warm);
+  json.key("ratio").fixed(inc_ratio, 2);
+  json.key("optima_equal").boolean(inc_ok);
+  json.end_object();
+  json.key("quick").boolean(quick);
+  json.end_object();
   if (std::FILE* f = std::fopen("BENCH_explorer.json", "w")) {
-    std::fprintf(f,
-                 "{\"bench\":\"explorer\",\"workload\":\"asymmetric_dekker_x2\","
-                 "\"max_states\":%llu,\"states_per_sec\":%.0f,"
-                 "\"peak_rss_kib\":%llu,"
-                 "\"speedup_vs_seed\":%.2f,\"memory_ratio_vs_seed\":%.2f,",
-                 static_cast<unsigned long long>(max_states),
-                 def.states_per_sec,
-                 static_cast<unsigned long long>(rss_kib), speedup, mem_ratio);
-    std::fprintf(f,
-                 "\"symmetry\":{\"orbit\":%llu,\"states_exact\":%llu,"
-                 "\"states_canonical\":%llu,\"ratio\":%.2f},",
-                 static_cast<unsigned long long>(sym_on.symmetry_orbit),
-                 static_cast<unsigned long long>(sym_off.states_explored),
-                 static_cast<unsigned long long>(sym_on.states_explored),
-                 sym_ratio);
-    std::fprintf(f,
-                 "\"spill\":{\"segments\":%u,\"spill_bytes\":%llu,"
-                 "\"counters_unchanged\":%s},",
-                 spilled.spill_segments,
-                 static_cast<unsigned long long>(spilled.spill_bytes),
-                 spill_ok ? "true" : "false");
-    std::fprintf(f,
-                 "\"incremental\":{\"states_cold\":%llu,\"states_warm\":%llu,"
-                 "\"ratio\":%.2f,\"optima_equal\":%s},"
-                 "\"quick\":%s}\n",
-                 static_cast<unsigned long long>(inc_cold),
-                 static_cast<unsigned long long>(inc_warm), inc_ratio,
-                 inc_ok ? "true" : "false", quick ? "true" : "false");
+    std::fprintf(f, "%s\n", json.text().c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_explorer.json\n");
   }

@@ -21,9 +21,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "lbmf/flowtable/pipeline.hpp"
+#include "lbmf/util/json.hpp"
 
 using namespace lbmf;
 using namespace lbmf::flowtable;
@@ -60,14 +60,11 @@ int main(int argc, char** argv) {
   std::printf("%-22s %14s %14s %8s %10s\n", "remote update rate", "sym pps",
               "asym pps", "asym/sym", "updates");
 
-  std::string json = "{\"bench\":\"flowtable\",\"quick\":";
-  json += quick ? "true" : "false";
-  json += ",\"window_seconds\":";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.2f", window);
-    json += buf;
-  }
+  JsonWriter json;
+  json.begin_object();
+  json.key("bench").string("flowtable");
+  json.key("quick").boolean(quick);
+  json.key("window_seconds").fixed(window, 2);
   double rare_ratio = 0.0;
   for (const Config& c : configs) {
     const PipelineResult sym = run_pipeline<SymmetricFence>(
@@ -82,24 +79,18 @@ int main(int argc, char** argv) {
     std::printf("%-22s %14.0f %14.0f %8.2f %10llu\n", c.label,
                 sym.packets_per_second(), asym.packets_per_second(), ratio,
                 static_cast<unsigned long long>(asym.remote_updates));
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"%s\":{\"sym_pps\":%.0f,\"asym_pps\":%.0f,"
-                  "\"ratio\":%.3f,\"updates\":%llu}",
-                  c.key, sym.packets_per_second(), asym.packets_per_second(),
-                  ratio,
-                  static_cast<unsigned long long>(asym.remote_updates));
-    json += buf;
+    json.key(c.key).begin_object();
+    json.key("sym_pps").fixed(sym.packets_per_second(), 0);
+    json.key("asym_pps").fixed(asym.packets_per_second(), 0);
+    json.key("ratio").fixed(ratio, 3);
+    json.key("updates").integer(asym.remote_updates);
+    json.end_object();
   }
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ",\"rare_update_ratio\":%.3f}",
-                  rare_ratio);
-    json += buf;
-  }
+  json.key("rare_update_ratio").fixed(rare_ratio, 3);
+  json.end_object();
 
   if (std::FILE* f = std::fopen("BENCH_flowtable.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
+    std::fprintf(f, "%s\n", json.text().c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_flowtable.json\n");
   }

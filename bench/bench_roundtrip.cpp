@@ -28,6 +28,7 @@
 #include "lbmf/core/membarrier.hpp"
 #include "lbmf/core/serializer.hpp"
 #include "lbmf/sim/litmus.hpp"
+#include "lbmf/util/json.hpp"
 #include "lbmf/util/stats.hpp"
 #include "lbmf/util/timing.hpp"
 
@@ -227,17 +228,22 @@ int main(int argc, char** argv) {
       "local mfence — which is why the fan-out sites batch and coalesce so\n"
       "the round trip is paid once (max), not once per participant (sum).\n");
 
+  JsonWriter json;
+  json.begin_object();
+  json.key("bench").string("roundtrip");
+  json.key("primaries").integer(kPrimaries);
+  json.key("secondaries").integer(kSecondaries);
+  json.key("signal_p50_cycles").fixed(sig.p50, 0);
+  json.key("seq_wave_mean_cycles").fixed(seq_wave.mean, 0);
+  json.key("batch_wave_mean_cycles").fixed(batch_wave.mean, 0);
+  json.key("batch_speedup").fixed(batch_speedup, 2);
+  json.key("uncoalesced_ops_per_sec").fixed(uncoalesced, 0);
+  json.key("coalesced_ops_per_sec").fixed(coalesced, 0);
+  json.key("coalesce_ratio").fixed(coalesce_ratio, 2);
+  json.key("quick").boolean(quick);
+  json.end_object();
   if (std::FILE* f = std::fopen("BENCH_roundtrip.json", "w")) {
-    std::fprintf(
-        f,
-        "{\"bench\":\"roundtrip\",\"primaries\":%zu,\"secondaries\":%d,"
-        "\"signal_p50_cycles\":%.0f,\"seq_wave_mean_cycles\":%.0f,"
-        "\"batch_wave_mean_cycles\":%.0f,\"batch_speedup\":%.2f,"
-        "\"uncoalesced_ops_per_sec\":%.0f,\"coalesced_ops_per_sec\":%.0f,"
-        "\"coalesce_ratio\":%.2f,\"quick\":%s}\n",
-        kPrimaries, kSecondaries, sig.p50, seq_wave.mean, batch_wave.mean,
-        batch_speedup, uncoalesced, coalesced, coalesce_ratio,
-        quick ? "true" : "false");
+    std::fprintf(f, "%s\n", json.text().c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_roundtrip.json\n");
   }

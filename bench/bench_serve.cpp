@@ -28,31 +28,19 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "lbmf/adapt/adaptive_fence.hpp"
 #include "lbmf/serve/serve.hpp"
 #include "lbmf/util/histogram.hpp"
+#include "lbmf/util/json.hpp"
 #include "lbmf/util/timing.hpp"
 
 using namespace lbmf;
 using namespace lbmf::serve;
 
 namespace {
-
-void append_num(std::string& s, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  s += buf;
-}
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
 
 // ------------------------------------------------------------------ leg A
 
@@ -381,56 +369,46 @@ int main(int argc, char** argv) {
   const bool pass_d = ad.ok;
   const bool pass = pass_a && pass_b && pass_c && pass_d;
 
-  std::string json = "{\"bench\":\"serve\",\"quick\":";
-  json += quick ? "true" : "false";
-  json += ",\"capacity\":{\"flows\":";
-  append_u64(json, fill.flows);
-  json += ",\"shards\":";
-  append_u64(json, fill.shards);
-  json += ",\"grows\":";
-  append_u64(json, fill.grows);
-  json += ",\"seconds\":";
-  append_num(json, fill.seconds);
-  json += ",\"flows_per_second\":";
-  append_num(json, fill.flows_per_second);
-  json += "},\"ablation\":{\"sym_pps\":";
-  append_num(json, sym.packets_per_second);
-  json += ",\"asym_pps\":";
-  append_num(json, asym.packets_per_second);
-  json += ",\"sym_p50_ns\":";
-  append_num(json, sym.p50_ns);
-  json += ",\"asym_p50_ns\":";
-  append_num(json, asym.p50_ns);
-  json += ",\"sym_p99_ns\":";
-  append_num(json, sym.p99_ns);
-  json += ",\"asym_p99_ns\":";
-  append_num(json, asym.p99_ns);
-  json += ",\"throughput_ratio\":";
-  append_num(json, tput_ratio);
-  json += ",\"p99_ratio\":";
-  append_num(json, p99_ratio);
-  json += "},\"wave\":{\"wave_cycles\":";
-  append_num(json, wavr.wave_cycles);
-  json += ",\"seq_cycles\":";
-  append_num(json, wavr.seq_cycles);
-  json += ",\"ratio\":";
-  append_num(json, wavr.ratio);
-  json += "},\"adaptive\":{\"min_switches\":";
-  append_u64(json, ad.min_switches);
-  json += ",\"total_switches\":";
-  append_u64(json, ad.total_switches);
-  json += "},\"pass\":{\"capacity\":";
-  json += pass_a ? "true" : "false";
-  json += ",\"ablation\":";
-  json += pass_b ? "true" : "false";
-  json += ",\"wave\":";
-  json += pass_c ? "true" : "false";
-  json += ",\"adaptive\":";
-  json += pass_d ? "true" : "false";
-  json += "}}";
+  JsonWriter json;
+  json.begin_object();
+  json.key("bench").string("serve");
+  json.key("quick").boolean(quick);
+  json.key("capacity").begin_object();
+  json.key("flows").integer(fill.flows);
+  json.key("shards").integer(fill.shards);
+  json.key("grows").integer(fill.grows);
+  json.key("seconds").fixed(fill.seconds, 3);
+  json.key("flows_per_second").fixed(fill.flows_per_second, 3);
+  json.end_object();
+  json.key("ablation").begin_object();
+  json.key("sym_pps").fixed(sym.packets_per_second, 3);
+  json.key("asym_pps").fixed(asym.packets_per_second, 3);
+  json.key("sym_p50_ns").fixed(sym.p50_ns, 3);
+  json.key("asym_p50_ns").fixed(asym.p50_ns, 3);
+  json.key("sym_p99_ns").fixed(sym.p99_ns, 3);
+  json.key("asym_p99_ns").fixed(asym.p99_ns, 3);
+  json.key("throughput_ratio").fixed(tput_ratio, 3);
+  json.key("p99_ratio").fixed(p99_ratio, 3);
+  json.end_object();
+  json.key("wave").begin_object();
+  json.key("wave_cycles").fixed(wavr.wave_cycles, 3);
+  json.key("seq_cycles").fixed(wavr.seq_cycles, 3);
+  json.key("ratio").fixed(wavr.ratio, 3);
+  json.end_object();
+  json.key("adaptive").begin_object();
+  json.key("min_switches").integer(ad.min_switches);
+  json.key("total_switches").integer(ad.total_switches);
+  json.end_object();
+  json.key("pass").begin_object();
+  json.key("capacity").boolean(pass_a);
+  json.key("ablation").boolean(pass_b);
+  json.key("wave").boolean(pass_c);
+  json.key("adaptive").boolean(pass_d);
+  json.end_object();
+  json.end_object();
 
   if (std::FILE* f = std::fopen("BENCH_serve.json", "w")) {
-    std::fprintf(f, "%s\n", json.c_str());
+    std::fprintf(f, "%s\n", json.text().c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_serve.json\n");
   }

@@ -227,87 +227,6 @@ std::string repair_source(const std::string& source,
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string json_report(const infer::InferProblem& p,
-                        const infer::InferResult& r) {
-  std::ostringstream j;
-  j << "{\n";
-  j << "  \"status\": \"" << infer::to_string(r.status) << "\",\n";
-  j << "  \"holes\": " << p.sites.size() << ",\n";
-  j << "  \"lattice_size\": " << r.lattice_size << ",\n";
-  j << "  \"candidates_generated\": " << r.candidates_generated << ",\n";
-  j << "  \"candidates_verified\": " << r.candidates_verified << ",\n";
-  j << "  \"candidates_pruned\": " << r.candidates_pruned << ",\n";
-  j << "  \"states_total\": " << r.states_total << ",\n";
-  j << "  \"prefix_states\": " << r.prefix_states << ",\n";
-  j << "  \"incremental_reuses\": " << r.incremental_reuses << ",\n";
-  j << "  \"cache_hits\": " << r.cache_hits << ",\n";
-  if (r.status == infer::InferStatus::kSat) {
-    j << "  \"best_cost\": " << r.best_cost << ",\n";
-    j << "  \"recheck_safe\": " << (r.recheck_safe ? "true" : "false")
-      << ",\n";
-    j << "  \"placement\": [\n";
-    for (std::size_t s = 0; s < p.sites.size(); ++s) {
-      j << "    {\"site\": \"" << json_escape(p.describe_site(s))
-        << "\", \"line\": " << p.sites[s].src_line << ", \"fence\": \""
-        << sim::to_string(r.best.kinds[s]) << "\"}"
-        << (s + 1 < p.sites.size() ? "," : "") << "\n";
-    }
-    j << "  ],\n";
-    // Runtime-source map, present only when the litmus text carries `#@`
-    // provenance comments (machine-extracted files) — hand-written tests
-    // keep the report byte-identical to what it always was.
-    bool any_prov = false;
-    for (const infer::FenceSite& s : p.sites) {
-      any_prov = any_prov || !s.provenance.empty();
-    }
-    if (any_prov) {
-      j << "  \"source_map\": [\n";
-      for (std::size_t s = 0; s < p.sites.size(); ++s) {
-        j << "    {\"site\": \"" << json_escape(p.describe_site(s))
-          << "\", \"fence\": \"" << sim::to_string(r.best.kinds[s])
-          << "\", \"source\": \"" << json_escape(p.sites[s].provenance)
-          << "\"}" << (s + 1 < p.sites.size() ? "," : "") << "\n";
-      }
-      j << "  ],\n";
-    }
-  }
-  if (r.unsat_violation) {
-    j << "  \"violation\": \"" << json_escape(*r.unsat_violation) << "\",\n";
-  }
-  j << "  \"clauses\": [";
-  for (std::size_t i = 0; i < r.clauses.size(); ++i) {
-    j << (i ? ", " : "") << "\"" << json_escape(r.clauses[i]) << "\"";
-  }
-  j << "],\n";
-  j << "  \"minimality\": [\n";
-  for (std::size_t i = 0; i < r.minimality.size(); ++i) {
-    const infer::MinimalityNote& n = r.minimality[i];
-    j << "    {\"site\": \"" << json_escape(p.describe_site(n.site))
-      << "\", \"from\": \"" << sim::to_string(n.from) << "\", \"to\": \""
-      << sim::to_string(n.to) << "\", \"safe\": " << (n.safe ? "true" : "false")
-      << ", \"cost_delta\": " << n.cost_delta << "}"
-      << (i + 1 < r.minimality.size() ? "," : "") << "\n";
-  }
-  j << "  ]\n";
-  j << "}\n";
-  return j.str();
-}
-
 /// --sweep mode: solve the problem over the (victim freq × LE/ST
 /// round-trip) grid, print the optimum per point plus the crossover
 /// boundaries, optionally dump the JSON report. Exit 0 iff every grid
@@ -475,7 +394,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
       return 2;
     }
-    jf << json_report(p, r);
+    jf << infer::result_to_json(p, r) << "\n";
     std::printf("report written to %s\n", cli.json_path.c_str());
   }
 

@@ -173,7 +173,7 @@ int run_inference(const CliOptions& cli_in, const std::string& lit) {
       std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
       return 2;
     }
-    jf << extract::extract_report_json(cli.protocol, p, r);
+    jf << infer::result_to_json(p, r, cli.protocol) << "\n";
     std::printf("report written to %s\n", cli.json_path.c_str());
   }
 

@@ -6,8 +6,8 @@
 /// `#@ file:line` provenance comment; the assembler parses it onto the
 /// hole, problem_from_source copies it onto the FenceSite, and this pass
 /// renders the winning assignment as compiler-style source diagnostics
-/// ("lbmf/ws/deque.hpp:84: l-mfence") plus a machine-readable JSON
-/// report for the CI gate.
+/// ("lbmf/ws/deque.hpp:84: l-mfence"). The machine-readable form is the
+/// `source_map` of infer::result_to_json's report.
 
 #include <string>
 #include <vector>
@@ -36,11 +36,5 @@ std::vector<SourcePlacement> map_back(const infer::InferProblem& p,
 ///   lbmf/ws/deque.hpp:84: l-mfence  (cpu0@0[T]=0)
 std::string format_source_placements(
     const std::vector<SourcePlacement>& placements);
-
-/// The full extract-mode JSON report: inference stats + placement +
-/// source_map, for run_extract_gates.sh and artifact upload.
-std::string extract_report_json(const std::string& protocol,
-                                const infer::InferProblem& p,
-                                const infer::InferResult& r);
 
 }  // namespace lbmf::extract

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lbmf/adapt/policy_table.hpp"
@@ -116,6 +117,13 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts);
 /// "backend_planes" section) — the payload of BENCH_sweep.json and
 /// --sweep --json.
 std::string sweep_to_json(const SweepResult& r, const std::string& workload);
+
+/// The report of one solve that fence_inferencer --json and lbmf_extract
+/// --infer --json write: counters, the placement (plus a source_map when
+/// any hole carries `#@` provenance), clauses and minimality notes, in
+/// JsonWriter's report layout. A non-empty `protocol` is the first member.
+std::string result_to_json(const InferProblem& p, const InferResult& r,
+                           std::string_view protocol = {});
 
 /// Collapse a sweep to the runtime policy table: the base grid plus one
 /// plane per backend. Each grid point's optimum is classified by its

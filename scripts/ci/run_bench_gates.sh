@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Bench acceptance gates (the E-series criteria from DESIGN.md). Runs the
 # smoke benches, then every gating bench in --quick mode, then verifies
-# each gating bench left its JSON report behind — a missing or empty file
-# means a bench silently stopped emitting its report, which previously
-# went unnoticed until someone diffed the uploaded artifacts.
+# each gating bench left a JSON report behind that parses — a missing or
+# empty file means a bench silently stopped emitting its report, which
+# previously went unnoticed until someone diffed the uploaded artifacts.
 #
 # Usage: scripts/ci/run_bench_gates.sh [build-dir]
 # Runs locally too; artifacts land in the current working directory.
@@ -87,6 +87,9 @@ for f in BENCH_arw.json BENCH_roundtrip.json BENCH_explorer.json \
          BENCH_flowtable.json BENCH_serve.json; do
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"
+    missing=1
+  elif ! python3 -m json.tool "$f" >/dev/null; then
+    echo "::error::gated artifact $f is not valid JSON"
     missing=1
   fi
 done

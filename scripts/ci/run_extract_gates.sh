@@ -134,6 +134,9 @@ for f in EXTRACT_the_deque.lit EXTRACT_chase_lev.lit \
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"
     missing=1
+  elif [[ "$f" == *.json ]] && ! python3 -m json.tool "$f" >/dev/null; then
+    echo "::error::gated artifact $f is not valid JSON"
+    missing=1
   fi
 done
 exit $missing

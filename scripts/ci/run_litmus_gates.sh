@@ -95,10 +95,17 @@ expect_runs_at_most() {
 
 # Incremental re-exploration across processes: a second solve against the
 # persisted graph must report a prefix-cache hit and reproduce the report
-# (modulo nothing — the verdicts are deterministic).
-"$BUILD_DIR"/examples/fence_inferencer --graph-cache=GRAPH_deque2.bin \
-    --json=INFER_deque2_rerun.json "$LITMUS"/the_deque_two_thieves.lit \
-    | tee /dev/stderr | grep -q "prefix cache: hit"
+# (modulo nothing — the verdicts are deterministic). The output is captured
+# and then echoed: `tee /dev/stderr` would reopen a stderr redirected to a
+# file with truncation, and `grep -q` quitting early would SIGPIPE the
+# pipeline under pipefail.
+rerun=$("$BUILD_DIR"/examples/fence_inferencer --graph-cache=GRAPH_deque2.bin \
+    --json=INFER_deque2_rerun.json "$LITMUS"/the_deque_two_thieves.lit)
+printf '%s\n' "$rerun" >&2
+if ! grep -qF "prefix cache: hit" <<<"$rerun"; then
+  echo "::error::second deque2 solve did not hit the persisted prefix cache"
+  exit 1
+fi
 cmp INFER_deque2.json INFER_deque2_rerun.json
 rm -f INFER_deque2_rerun.json
 
@@ -183,6 +190,9 @@ for f in INFER_dekker.json INFER_deque.json INFER_deque2.json \
          GRAPH_bakery.bin POLICY_the_deque.json; do
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"
+    missing=1
+  elif [[ "$f" == *.json ]] && ! python3 -m json.tool "$f" >/dev/null; then
+    echo "::error::gated artifact $f is not valid JSON"
     missing=1
   fi
 done

@@ -82,7 +82,8 @@ if [ "$skipped" -ne 0 ]; then
   echo "::warning::xval: $skipped of 10 native legs skipped on this host"
 fi
 
-# Every run — including skipped ones — must leave its report artifact.
+# Every run — including skipped ones — must leave a report artifact that
+# parses as JSON.
 missing=0
 for f in XVAL_store_buffer.json XVAL_asymmetric_dekker.json \
          XVAL_peterson_lmfence.json XVAL_spinlock.json \
@@ -91,6 +92,9 @@ for f in XVAL_store_buffer.json XVAL_asymmetric_dekker.json \
          XVAL_peterson_holes.json XVAL_spinlock_holes.json; do
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"
+    missing=1
+  elif ! python3 -m json.tool "$f" >/dev/null; then
+    echo "::error::gated artifact $f is not valid JSON"
     missing=1
   fi
 done

@@ -262,8 +262,13 @@ bool AdaptiveFence::quiescent_point(const Handle& h) {
     slot->booked.store(req, std::memory_order_relaxed);
     slot->booked_switches.fetch_add(1, std::memory_order_relaxed);
   }
+  // Probe membarrier only for a primary that asks for it: the first probe
+  // registers the whole process for EXPEDITED membarrier, a stall of
+  // milliseconds, and realize() ignores the flag for the signal drain.
+  const bool membarrier_ok =
+      reqb == BackendId::kMembarrierPair && membarrier::available();
   const PolicyMode realized =
-      realize(req, reqb, membarrier::available(), slot->sig.valid());
+      realize(req, reqb, membarrier_ok, slot->sig.valid());
   if (realized != req) {
     slot->degraded.fetch_add(1, std::memory_order_relaxed);
     static std::atomic<bool> warned{false};

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "lbmf/util/check.hpp"
+#include "lbmf/util/json.hpp"
 
 namespace lbmf::adapt {
 
@@ -213,16 +214,6 @@ bool valid_axis(const std::vector<double>& axis) {
   return true;
 }
 
-void append_num(std::string& s, double v) {
-  char buf[32];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
-  }
-  s += buf;
-}
-
 }  // namespace
 
 std::optional<PolicyTable> PolicyTable::from_json(std::string_view j) {
@@ -264,48 +255,30 @@ std::optional<PolicyTable> PolicyTable::from_json(std::string_view j) {
 }
 
 std::string PolicyTable::to_json() const {
-  std::string s = "{\"policy_table\":1,\"ratios\":[";
-  for (std::size_t i = 0; i < ratios_.size(); ++i) {
-    if (i > 0) s += ',';
-    append_num(s, ratios_[i]);
-  }
-  s += "],\"roundtrips\":[";
-  for (std::size_t i = 0; i < roundtrips_.size(); ++i) {
-    if (i > 0) s += ',';
-    append_num(s, roundtrips_[i]);
-  }
-  s += "],\"modes\":[";
-  for (std::size_t i = 0; i < modes_.size(); ++i) {
-    if (i > 0) s += ',';
-    s += '"';
-    s += to_string(modes_[i]);
-    s += '"';
-  }
-  s += ']';
+  JsonWriter w;
+  const auto axis = [&w](const char* key, const std::vector<double>& v) {
+    w.key(key).begin_array();
+    for (const double x : v) w.number(x);
+    w.end_array();
+  };
+  const auto modes = [&w](const std::string& key,
+                          const std::vector<PolicyMode>& v) {
+    w.key(key).begin_array();
+    for (const PolicyMode m : v) w.string(to_string(m));
+    w.end_array();
+  };
+  w.begin_object().key("policy_table").integer(1);
+  axis("ratios", ratios_);
+  axis("roundtrips", roundtrips_);
+  modes("modes", modes_);
   if (!planes_.empty()) {
-    s += ",\"backends\":[";
-    for (std::size_t i = 0; i < planes_.size(); ++i) {
-      if (i > 0) s += ',';
-      s += '"';
-      s += planes_[i].backend;
-      s += '"';
-    }
-    s += ']';
-    for (const BackendPlane& p : planes_) {
-      s += ",\"plane:";
-      s += p.backend;
-      s += "\":[";
-      for (std::size_t i = 0; i < p.modes.size(); ++i) {
-        if (i > 0) s += ',';
-        s += '"';
-        s += to_string(p.modes[i]);
-        s += '"';
-      }
-      s += ']';
-    }
+    w.key("backends").begin_array();
+    for (const BackendPlane& p : planes_) w.string(p.backend);
+    w.end_array();
+    for (const BackendPlane& p : planes_) modes("plane:" + p.backend, p.modes);
   }
-  s += '}';
-  return s;
+  w.end_object();
+  return w.text();
 }
 
 }  // namespace lbmf::adapt

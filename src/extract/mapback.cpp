@@ -34,68 +34,4 @@ std::string format_source_placements(
   return out.str();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string extract_report_json(const std::string& protocol,
-                                const infer::InferProblem& p,
-                                const infer::InferResult& r) {
-  std::ostringstream j;
-  j << "{\n";
-  j << "  \"protocol\": \"" << json_escape(protocol) << "\",\n";
-  j << "  \"status\": \"" << infer::to_string(r.status) << "\",\n";
-  j << "  \"holes\": " << p.sites.size() << ",\n";
-  j << "  \"lattice_size\": " << r.lattice_size << ",\n";
-  j << "  \"candidates_verified\": " << r.candidates_verified << ",\n";
-  j << "  \"states_total\": " << r.states_total;
-  if (r.status == infer::InferStatus::kSat) {
-    const std::vector<SourcePlacement> placements = map_back(p, r.best);
-    j << ",\n";
-    j << "  \"best_cost\": " << r.best_cost << ",\n";
-    j << "  \"recheck_safe\": " << (r.recheck_safe ? "true" : "false")
-      << ",\n";
-    // `fence` precedes the line fields on purpose: the CI gate pins
-    // `"site": ..., "fence": ...` prefixes that must not depend on
-    // volatile header line numbers.
-    j << "  \"placement\": [\n";
-    for (std::size_t i = 0; i < placements.size(); ++i) {
-      const SourcePlacement& sp = placements[i];
-      j << "    {\"site\": \"" << json_escape(sp.site_label)
-        << "\", \"fence\": \"" << sp.fence << "\", \"lit_line\": "
-        << sp.lit_line << "}" << (i + 1 < placements.size() ? "," : "")
-        << "\n";
-    }
-    j << "  ],\n";
-    j << "  \"source_map\": [\n";
-    for (std::size_t i = 0; i < placements.size(); ++i) {
-      const SourcePlacement& sp = placements[i];
-      j << "    {\"site\": \"" << json_escape(sp.site_label)
-        << "\", \"fence\": \"" << sp.fence << "\", \"source\": \""
-        << json_escape(sp.source) << "\"}"
-        << (i + 1 < placements.size() ? "," : "") << "\n";
-    }
-    j << "  ]\n";
-  } else {
-    j << "\n";
-  }
-  j << "}\n";
-  return j.str();
-}
-
 }  // namespace lbmf::extract

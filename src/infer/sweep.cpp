@@ -1,11 +1,10 @@
 #include "lbmf/infer/sweep.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "lbmf/infer/reach.hpp"
 #include "lbmf/util/check.hpp"
+#include "lbmf/util/json.hpp"
 
 namespace lbmf::infer {
 
@@ -160,90 +159,131 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts) {
 
 namespace {
 
-void append_num(std::string& s, double v) {
-  char buf[32];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
+void write_points(JsonWriter& w, const std::vector<SweepPoint>& points) {
+  w.key("points").begin_array();
+  for (const SweepPoint& p : points) {
+    w.begin_object();
+    w.key("freq").number(p.victim_freq);
+    w.key("roundtrip").number(p.lest_roundtrip);
+    w.key("status").string(to_string(p.status));
+    w.key("optimum").string(to_string(p.best));
+    w.key("cost").number(p.best_cost);
+    w.key("recheck_safe").boolean(p.recheck_safe);
+    w.end_object();
   }
-  s += buf;
-}
-
-}  // namespace
-
-namespace {
-
-void append_points(std::string& s, const std::vector<SweepPoint>& points) {
-  s += "\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    if (i > 0) s += ',';
-    s += "{\"freq\":";
-    append_num(s, p.victim_freq);
-    s += ",\"roundtrip\":";
-    append_num(s, p.lest_roundtrip);
-    s += ",\"status\":\"";
-    s += to_string(p.status);
-    s += "\",\"optimum\":\"" + to_string(p.best) + "\",\"cost\":";
-    append_num(s, p.best_cost);
-    s += ",\"recheck_safe\":";
-    s += p.recheck_safe ? "true" : "false";
-    s += '}';
-  }
-  s += ']';
+  w.end_array();
 }
 
 }  // namespace
 
 std::string sweep_to_json(const SweepResult& r, const std::string& workload) {
-  std::string s = "{\"bench\":\"sweep\",\"workload\":\"" + workload + "\",";
-  s += "\"victim_freqs\":[";
-  for (std::size_t i = 0; i < r.victim_freqs.size(); ++i) {
-    if (i > 0) s += ',';
-    append_num(s, r.victim_freqs[i]);
+  JsonWriter w;
+  w.begin_object();
+  w.key("bench").string("sweep");
+  w.key("workload").string(workload);
+  w.key("victim_freqs").begin_array();
+  for (const double f : r.victim_freqs) w.number(f);
+  w.end_array();
+  w.key("roundtrips").begin_array();
+  for (const double rt : r.roundtrips) w.number(rt);
+  w.end_array();
+  write_points(w, r.points);
+  w.key("crossovers").begin_array();
+  for (const Crossover& x : r.crossovers) {
+    w.begin_object();
+    w.key("roundtrip").number(x.lest_roundtrip);
+    w.key("freq_before").number(x.freq_before);
+    w.key("freq_after").number(x.freq_after);
+    w.key("from").string(x.from);
+    w.key("to").string(x.to);
+    w.end_object();
   }
-  s += "],\"roundtrips\":[";
-  for (std::size_t i = 0; i < r.roundtrips.size(); ++i) {
-    if (i > 0) s += ',';
-    append_num(s, r.roundtrips[i]);
-  }
-  s += "],";
-  append_points(s, r.points);
-  s += ",\"crossovers\":[";
-  for (std::size_t i = 0; i < r.crossovers.size(); ++i) {
-    const Crossover& x = r.crossovers[i];
-    if (i > 0) s += ',';
-    s += "{\"roundtrip\":";
-    append_num(s, x.lest_roundtrip);
-    s += ",\"freq_before\":";
-    append_num(s, x.freq_before);
-    s += ",\"freq_after\":";
-    append_num(s, x.freq_after);
-    s += ",\"from\":\"" + x.from + "\",\"to\":\"" + x.to + "\"}";
-  }
-  s += "],\"explorer_runs\":" + std::to_string(r.explorer_runs);
-  s += ",\"cache_hits\":" + std::to_string(r.cache_hits);
-  s += ",\"states_total\":" + std::to_string(r.states_total);
-  s += ",\"prefix_states\":" + std::to_string(r.prefix_states);
-  s += ",\"incremental_reuses\":" + std::to_string(r.incremental_reuses);
+  w.end_array();
+  w.key("explorer_runs").integer(r.explorer_runs);
+  w.key("cache_hits").integer(r.cache_hits);
+  w.key("states_total").integer(r.states_total);
+  w.key("prefix_states").integer(r.prefix_states);
+  w.key("incremental_reuses").integer(r.incremental_reuses);
   // The backend dimension rides after every base section so consumers that
   // stop at the first "points" array are unaffected.
   if (!r.backend_planes.empty()) {
-    s += ",\"backend_planes\":[";
-    for (std::size_t i = 0; i < r.backend_planes.size(); ++i) {
-      const SweepBackendPlane& bp = r.backend_planes[i];
-      if (i > 0) s += ',';
-      s += "{\"backend\":\"" + bp.name + "\",\"inverts_roles\":";
-      s += bp.inverts_roles ? "true" : "false";
-      s += ',';
-      append_points(s, bp.points);
-      s += '}';
+    w.key("backend_planes").begin_array();
+    for (const SweepBackendPlane& bp : r.backend_planes) {
+      w.begin_object();
+      w.key("backend").string(bp.name);
+      w.key("inverts_roles").boolean(bp.inverts_roles);
+      write_points(w, bp.points);
+      w.end_object();
     }
-    s += ']';
+    w.end_array();
   }
-  s += '}';
-  return s;
+  w.end_object();
+  return w.text();
+}
+
+std::string result_to_json(const InferProblem& p, const InferResult& r,
+                           std::string_view protocol) {
+  JsonWriter w(JsonWriter::Layout::kReport);
+  w.begin_object();
+  if (!protocol.empty()) w.key("protocol").string(protocol);
+  w.key("status").string(to_string(r.status));
+  w.key("holes").integer(p.sites.size());
+  w.key("lattice_size").integer(r.lattice_size);
+  w.key("candidates_generated").integer(r.candidates_generated);
+  w.key("candidates_verified").integer(r.candidates_verified);
+  w.key("candidates_pruned").integer(r.candidates_pruned);
+  w.key("states_total").integer(r.states_total);
+  w.key("prefix_states").integer(r.prefix_states);
+  w.key("incremental_reuses").integer(r.incremental_reuses);
+  w.key("cache_hits").integer(r.cache_hits);
+  if (r.status == InferStatus::kSat) {
+    w.key("best_cost").general(r.best_cost);
+    w.key("recheck_safe").boolean(r.recheck_safe);
+    w.key("placement").begin_array(/*one_per_line=*/true);
+    for (std::size_t s = 0; s < p.sites.size(); ++s) {
+      w.begin_object();
+      w.key("site").string(p.describe_site(s));
+      w.key("line").integer(p.sites[s].src_line);
+      w.key("fence").string(sim::to_string(r.best.kinds[s]));
+      w.end_object();
+    }
+    w.end_array();
+    // Runtime-source map, present only when the litmus text carries `#@`
+    // provenance comments (machine-extracted files). `fence` precedes
+    // `source` on purpose: the extraction gate pins `"site": ..., "fence":
+    // ...` prefixes that must not depend on volatile header line numbers.
+    const bool any_prov =
+        std::any_of(p.sites.begin(), p.sites.end(),
+                    [](const FenceSite& s) { return !s.provenance.empty(); });
+    if (any_prov) {
+      w.key("source_map").begin_array(/*one_per_line=*/true);
+      for (std::size_t s = 0; s < p.sites.size(); ++s) {
+        w.begin_object();
+        w.key("site").string(p.describe_site(s));
+        w.key("fence").string(sim::to_string(r.best.kinds[s]));
+        w.key("source").string(p.sites[s].provenance);
+        w.end_object();
+      }
+      w.end_array();
+    }
+  }
+  if (r.unsat_violation) w.key("violation").string(*r.unsat_violation);
+  w.key("clauses").begin_array();
+  for (const std::string& c : r.clauses) w.string(c);
+  w.end_array();
+  w.key("minimality").begin_array(/*one_per_line=*/true);
+  for (const MinimalityNote& n : r.minimality) {
+    w.begin_object();
+    w.key("site").string(p.describe_site(n.site));
+    w.key("from").string(sim::to_string(n.from));
+    w.key("to").string(sim::to_string(n.to));
+    w.key("safe").boolean(n.safe);
+    w.key("cost_delta").general(n.cost_delta);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.text();
 }
 
 adapt::PolicyTable policy_table(const SweepResult& r) {

@@ -1,11 +1,11 @@
 #include "lbmf/xval/harness.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "lbmf/sim/explorer.hpp"
 #include "lbmf/sim/litmus.hpp"
 #include "lbmf/util/affinity.hpp"
+#include "lbmf/util/json.hpp"
 
 namespace lbmf::xval {
 namespace {
@@ -48,34 +48,6 @@ const char* host_arch() noexcept {
 #else
   return "other";
 #endif
-}
-
-void append_escaped(std::string& s, const std::string& in) {
-  for (char c : in) {
-    if (c == '"' || c == '\\') s += '\\';
-    s += c;
-  }
-}
-
-void append_string_array(std::string& s, const char* key,
-                         const std::set<std::string>& v) {
-  s += '"';
-  s += key;
-  s += "\":[";
-  bool first = true;
-  for (const std::string& o : v) {
-    if (!first) s += ',';
-    first = false;
-    s += '"';
-    append_escaped(s, o);
-    s += '"';
-  }
-  s += ']';
-}
-
-void append_string_array(std::string& s, const char* key,
-                         const std::vector<std::string>& v) {
-  append_string_array(s, key, std::set<std::string>(v.begin(), v.end()));
 }
 
 }  // namespace
@@ -208,53 +180,42 @@ XvalReport cross_validate(std::string litmus_name,
 }
 
 std::string to_json(const XvalReport& r) {
-  std::string s = "{\"xval\":\"";
-  append_escaped(s, r.litmus);
-  s += "\",\"arch\":\"";
-  s += r.arch;
-  s += "\",\"online_cpus\":" + std::to_string(r.online_cpus);
-  s += ",\"skipped\":";
-  s += r.skipped ? "true" : "false";
-  s += ",\"skip_reason\":\"";
-  append_escaped(s, r.skip_reason);
-  s += "\",\"iterations\":" + std::to_string(r.iterations);
-  s += ",\"wedged_iterations\":" + std::to_string(r.wedged_iterations);
-  s += ",\"model_sound\":";
-  s += r.model_sound() ? "true" : "false";
-  s += ",\"conclusive\":";
-  s += r.conclusive() ? "true" : "false";
-  char cov[32];
-  std::snprintf(cov, sizeof cov, "%.4f", r.coverage());
-  s += ",\"coverage\":";
-  s += cov;
-  s += ",\"violations_observed\":" + std::to_string(r.violations_observed);
-  s += ",\"sim\":{\"states_explored\":" + std::to_string(r.sim.states_explored);
-  s += ",\"violating_states\":" + std::to_string(r.sim.violating_states);
-  s += ",\"complete\":";
-  s += r.sim.complete ? "true" : "false";
-  s += ",\"violation\":\"";
-  append_escaped(s, r.sim.violation);
-  s += "\",";
-  append_string_array(s, "reachable", r.sim.reachable);
-  s += ',';
-  append_string_array(s, "safe", r.sim.safe);
-  s += ',';
-  append_string_array(s, "violating", r.sim.violating);
-  s += "},\"observed\":{";
-  bool first = true;
-  for (const auto& [obs, count] : r.observed) {
-    if (!first) s += ',';
-    first = false;
-    s += '"';
-    append_escaped(s, obs);
-    s += "\":" + std::to_string(count);
-  }
-  s += "},";
-  append_string_array(s, "unexplained", r.unexplained);
-  s += ',';
-  append_string_array(s, "unobserved", r.unobserved);
-  s += "}\n";
-  return s;
+  JsonWriter w;
+  // Outcome lists are written sorted and without duplicates.
+  const auto strings = [&w](const char* key,
+                            const std::set<std::string>& v) {
+    w.key(key).begin_array();
+    for (const std::string& o : v) w.string(o);
+    w.end_array();
+  };
+  w.begin_object();
+  w.key("xval").string(r.litmus);
+  w.key("arch").string(r.arch);
+  w.key("online_cpus").integer(r.online_cpus);
+  w.key("skipped").boolean(r.skipped);
+  w.key("skip_reason").string(r.skip_reason);
+  w.key("iterations").integer(r.iterations);
+  w.key("wedged_iterations").integer(r.wedged_iterations);
+  w.key("model_sound").boolean(r.model_sound());
+  w.key("conclusive").boolean(r.conclusive());
+  w.key("coverage").fixed(r.coverage(), 4);
+  w.key("violations_observed").integer(r.violations_observed);
+  w.key("sim").begin_object();
+  w.key("states_explored").integer(r.sim.states_explored);
+  w.key("violating_states").integer(r.sim.violating_states);
+  w.key("complete").boolean(r.sim.complete);
+  w.key("violation").string(r.sim.violation);
+  strings("reachable", r.sim.reachable);
+  strings("safe", r.sim.safe);
+  strings("violating", r.sim.violating);
+  w.end_object();
+  w.key("observed").begin_object();
+  for (const auto& [obs, count] : r.observed) w.key(obs).integer(count);
+  w.end_object();
+  strings("unexplained", {r.unexplained.begin(), r.unexplained.end()});
+  strings("unobserved", {r.unobserved.begin(), r.unobserved.end()});
+  w.end_object();
+  return w.text() + "\n";
 }
 
 }  // namespace lbmf::xval

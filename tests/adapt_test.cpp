@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -180,6 +186,27 @@ TEST(PolicyTable, JsonRoundTripsTheCompactForm) {
   const std::optional<PolicyTable> back = PolicyTable::from_json(j);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, t);
+}
+
+TEST(PolicyTable, JsonIsByteStableWithPlanes) {
+  using enum PolicyMode;
+  PolicyTable t({0.5, 1, 1000}, {150, 1500},
+                {kSymmetric, kAsymmetric, kDoubleLmfence, kSymmetric,
+                 kSymmetric, kAsymmetric});
+  t.add_plane({"signal", {kSymmetric, kAsymmetric, kAsymmetric, kSymmetric,
+                          kSymmetric, kAsymmetric}});
+  t.add_plane({"membarrier-pair", {kDoubleLmfence, kAsymmetric,
+                                   kDoubleLmfence, kSymmetric, kSymmetric,
+                                   kAsymmetric}});
+  EXPECT_EQ(
+      t.to_json(),
+      R"({"policy_table":1,"ratios":[0.5,1,1000],"roundtrips":[150,1500],)"
+      R"("modes":["symmetric","asymmetric","double-lmfence","symmetric",)"
+      R"("symmetric","asymmetric"],"backends":["signal","membarrier-pair"],)"
+      R"("plane:signal":["symmetric","asymmetric","asymmetric","symmetric",)"
+      R"("symmetric","asymmetric"],)"
+      R"("plane:membarrier-pair":["double-lmfence","asymmetric",)"
+      R"("double-lmfence","symmetric","symmetric","asymmetric"]})");
 }
 
 TEST(PolicyTable, FromJsonRejectsASweepReport) {
@@ -604,6 +631,48 @@ TEST(AdaptiveFence, DoubleBookingDegradesLoudlyOnSignal) {
   EXPECT_EQ(AdaptiveFence::booked_switch_count(h), 1u);  // booked:   S -> D
   EXPECT_GE(AdaptiveFence::degraded_count(h), 1u);
   AdaptiveFence::unregister_primary(h);
+}
+
+// EXPEDITED membarrier registration is process-wide and costs
+// milliseconds in a multithreaded process, so a primary bound to the
+// signal drain must never trigger it. Registration survives fork(), and
+// earlier tests in this binary register, so the check runs in a child the
+// threadsafe death-test style re-executes from scratch.
+TEST(AdaptiveFenceDeathTest, SignalBoundPrimaryLeavesMembarrierUnregistered) {
+#ifdef SYS_membarrier
+  constexpr int kCmdQuery = 0;                   // <linux/membarrier.h>
+  constexpr int kCmdPrivateExpedited = 1 << 3;
+  const long mask = ::syscall(SYS_membarrier, kCmdQuery, 0, 0);
+  if (mask < 0 || (mask & kCmdPrivateExpedited) == 0) {
+    GTEST_SKIP() << "kernel lacks PRIVATE_EXPEDITED membarrier (QUERY mask "
+                 << mask << "): registration cannot be observed here";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        AdaptiveFence::Handle h = AdaptiveFence::register_primary();
+        AdaptiveFence::request_mode(h, PolicyMode::kAsymmetric);
+        AdaptiveFence::quiescent_point(h);
+        if (AdaptiveFence::realized_mode(h) != PolicyMode::kAsymmetric) {
+          std::fprintf(stderr, "signal-bound primary did not go asymmetric\n");
+          std::_Exit(2);
+        }
+        const long rc =
+            ::syscall(SYS_membarrier, kCmdPrivateExpedited, 0, 0);
+        const int err = errno;
+        if (rc != -1 || err != EPERM) {
+          std::fprintf(stderr,
+                       "raw PRIVATE_EXPEDITED returned %ld (errno %d): the "
+                       "process registered\n",
+                       rc, err);
+          std::_Exit(1);
+        }
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+#else
+  GTEST_SKIP() << "no membarrier syscall on this platform";
+#endif
 }
 
 TEST(AdaptiveFence, RoleInvertingBackendRealizesDouble) {

@@ -259,7 +259,7 @@ TEST(ExtractInfer, GeneratedTheDequeRecoversPaperPlacement) {
 
   // And the machine-readable report carries the same source_map.
   const std::string json =
-      extract_report_json("the-deque", *parsed.problem, r);
+      infer::result_to_json(*parsed.problem, r, "the-deque");
   EXPECT_NE(json.find("\"source_map\""), std::string::npos);
   EXPECT_NE(json.find("\"best_cost\": 3260"), std::string::npos) << json;
   EXPECT_NE(

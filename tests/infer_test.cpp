@@ -588,6 +588,52 @@ TEST(InferPolicyTable, BackendPlanesComeThroughByName) {
   EXPECT_EQ(*back, t);
 }
 
+TEST(InferSweep, JsonIsByteStableOnAHandBuiltSweep) {
+  SweepResult r = one_row_sweep({Assignment{{kM, kN, kM, kN}},
+                                 Assignment{{kL, kN, kM, kN}}});
+  r.points[0].best_cost = 200;
+  r.points[1].best_cost = 326.5;
+  r.crossovers.push_back({150, 1, 10, to_string(r.points[0].best),
+                          to_string(r.points[1].best)});
+  r.explorer_runs = 3;
+  r.cache_hits = 5;
+  r.states_total = 1234;
+  r.prefix_states = 56;
+  r.incremental_reuses = 2;
+  SweepBackendPlane signal{"signal", false, r.points};
+  SweepBackendPlane inverting{"membarrier-pair", true, r.points};
+  inverting.points[0].best = Assignment{{kL, kN, kL, kN}};
+  inverting.points[1].status = InferStatus::kLimit;
+  inverting.points[1].recheck_safe = false;
+  r.backend_planes = {signal, inverting};
+  const std::string point_1 =
+      R"({"freq":1,"roundtrip":150,"status":"SAT",)"
+      R"("optimum":"{mfence, none, mfence, none}","cost":200,)"
+      R"("recheck_safe":true})";
+  const std::string point_10 =
+      R"({"freq":10,"roundtrip":150,"status":"SAT",)"
+      R"("optimum":"{l-mfence, none, mfence, none}","cost":326.5,)"
+      R"("recheck_safe":true})";
+  EXPECT_EQ(
+      sweep_to_json(r, "unit"),
+      R"({"bench":"sweep","workload":"unit","victim_freqs":[1,10],)"
+      R"("roundtrips":[150],"points":[)" +
+          point_1 + "," + point_10 +
+          R"(],"crossovers":[{"roundtrip":150,"freq_before":1,)"
+          R"("freq_after":10,"from":"{mfence, none, mfence, none}",)"
+          R"("to":"{l-mfence, none, mfence, none}"}],"explorer_runs":3,)"
+          R"("cache_hits":5,"states_total":1234,"prefix_states":56,)"
+          R"("incremental_reuses":2,"backend_planes":[)"
+          R"({"backend":"signal","inverts_roles":false,"points":[)" +
+          point_1 + "," + point_10 +
+          R"(]},{"backend":"membarrier-pair","inverts_roles":true,)"
+          R"("points":[{"freq":1,"roundtrip":150,"status":"SAT",)"
+          R"("optimum":"{l-mfence, none, l-mfence, none}","cost":200,)"
+          R"("recheck_safe":true},{"freq":10,"roundtrip":150,)"
+          R"("status":"LIMIT","optimum":"{l-mfence, none, mfence, none}",)"
+          R"("cost":326.5,"recheck_safe":false}]}]})");
+}
+
 TEST(InferSweep, GridSharesOneVerdictCacheAcrossPoints) {
   const InferProblem p =
       parse(slurp(std::string(LBMF_LITMUS_DIR) + "/the_deque_holes.lit"));
@@ -638,6 +684,79 @@ TEST(InferSweep, JsonReportCarriesGridPointsAndCrossovers) {
   EXPECT_NE(json.find("\"optimum\":\"{l-mfence, none, mfence, none}\""),
             std::string::npos);
   EXPECT_NE(json.find("\"crossovers\":[{"), std::string::npos);
+}
+
+// ------------------------------------------------------------ solve report
+
+// The report fence_inferencer --json and lbmf_extract --infer --json write,
+// pinned byte for byte on the holey Dekker. The `#@` comments make the
+// source_map appear; the search learns clauses and the minimality pass
+// leaves notes.
+constexpr const char* kProvenanceDekker = R"(
+cpu 0:
+  freq 1000
+  ?fence [L1], 1     #@ dekker.hpp:10
+  load r0, [L2]
+  bne r0, 0, skip
+  cs_enter
+  cs_exit
+skip:
+  ?fence [L1], 0
+  halt
+cpu 1:
+  ?fence [L2], 1     #@ dekker.hpp:20
+  load r0, [L1]
+  bne r0, 0, skip
+  cs_enter
+  cs_exit
+skip:
+  ?fence [L2], 0
+  halt
+)";
+
+constexpr const char* kProvenanceDekkerReport = R"({
+  "status": "SAT",
+  "holes": 4,
+  "lattice_size": 81,
+  "candidates_generated": 36,
+  "candidates_verified": 5,
+  "candidates_pruned": 12,
+  "states_total": 1828,
+  "prefix_states": 1,
+  "incremental_reuses": 5,
+  "cache_hits": 0,
+  "best_cost": 3260,
+  "recheck_safe": true,
+  "placement": [
+    {"site": "cpu0@0[L1]=1", "line": 4, "fence": "l-mfence"},
+    {"site": "cpu0@5[L1]=0", "line": 10, "fence": "none"},
+    {"site": "cpu1@0[L2]=1", "line": 13, "fence": "mfence"},
+    {"site": "cpu1@5[L2]=0", "line": 19, "fence": "none"}
+  ],
+  "source_map": [
+    {"site": "cpu0@0[L1]=1", "fence": "l-mfence", "source": "dekker.hpp:10"},
+    {"site": "cpu0@5[L1]=0", "fence": "none", "source": ""},
+    {"site": "cpu1@0[L2]=1", "fence": "mfence", "source": "dekker.hpp:20"},
+    {"site": "cpu1@5[L2]=0", "fence": "none", "source": ""}
+  ],
+  "clauses": ["strengthen one of: cpu0@0[L1]=1 beyond none; cpu1@0[L2]=1 beyond none", "strengthen one of: cpu0@0[L1]=1 beyond none; cpu1@0[L2]=1 beyond l-mfence", "strengthen one of: cpu0@0[L1]=1 beyond none", "strengthen one of: cpu1@0[L2]=1 beyond none"],
+  "minimality": [
+    {"site": "cpu0@0[L1]=1", "from": "l-mfence", "to": "none", "safe": false, "cost_delta": -3160},
+    {"site": "cpu0@0[L1]=1", "from": "l-mfence", "to": "mfence", "safe": true, "cost_delta": 96840},
+    {"site": "cpu1@0[L2]=1", "from": "mfence", "to": "none", "safe": false, "cost_delta": -100}
+  ]
+})";
+
+TEST(InferReport, JsonIsByteStableWithSourceMapClausesAndMinimality) {
+  const InferProblem p = parse(kProvenanceDekker);
+  InferenceEngine engine(p, {});
+  const InferResult r = engine.run();
+  ASSERT_EQ(r.status, InferStatus::kSat);
+  EXPECT_EQ(result_to_json(p, r), kProvenanceDekkerReport);
+  // A protocol name rides first; the rest of the report is unchanged.
+  const std::string named = result_to_json(p, r, "dekker");
+  EXPECT_EQ(named, "{\n  \"protocol\": \"dekker\"," +
+                       std::string(kProvenanceDekkerReport).substr(1));
 }
 
 }  // namespace

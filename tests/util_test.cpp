@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "lbmf/util/check.hpp"
 #include "lbmf/util/hash.hpp"
 #include "lbmf/util/histogram.hpp"
+#include "lbmf/util/json.hpp"
 #include "lbmf/util/rng.hpp"
 #include "lbmf/util/spin.hpp"
 #include "lbmf/util/stats.hpp"
@@ -367,6 +369,88 @@ TEST(WordHasher, MatchesHash128OverTheSameBytes) {
         << n << " words";
     words.push_back(0x9e3779b97f4a7c15ULL * (n + 1));
   }
+}
+
+// --------------------------------------------------------------------- json
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter w;
+  w.begin_array().string("say \"hi\"").string("C:\\dir").string("a\nb");
+  w.string("tab\there\x01").string("").end_array();
+  EXPECT_EQ(w.text(),
+            R"(["say \"hi\"","C:\\dir","a\nb","tab\u0009here\u0001",""])");
+  // Keys take the same escaping.
+  JsonWriter k;
+  k.begin_object().key("plane:\"x\"").integer(1).end_object();
+  EXPECT_EQ(k.text(), R"({"plane:\"x\"":1})");
+}
+
+TEST(JsonWriter, CompactLayoutSeparatesAndNests) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("a").integer(1);
+  w.key("b").begin_array().integer(2).integer(3).end_array();
+  w.key("empty_object").begin_object().end_object();
+  w.key("empty_array").begin_array(/*one_per_line=*/true).end_array();
+  w.key("c").begin_object().key("d").begin_array();
+  w.begin_object().key("e").boolean(true).end_object().boolean(false);
+  w.end_array().end_object();
+  w.end_object();
+  EXPECT_EQ(w.text(),
+            R"({"a":1,"b":[2,3],"empty_object":{},"empty_array":[],)"
+            R"("c":{"d":[{"e":true},false]}})");
+}
+
+TEST(JsonWriter, ReportLayoutBreaksTheRootAndMarkedArrays) {
+  JsonWriter w(JsonWriter::Layout::kReport);
+  w.begin_object();
+  w.key("status").string("SAT");
+  w.key("rows").begin_array(/*one_per_line=*/true);
+  w.begin_object().key("x").integer(1);
+  w.key("y").begin_array().integer(2).integer(3).end_array().end_object();
+  w.begin_object().end_object();
+  w.end_array();
+  w.key("none").begin_array(/*one_per_line=*/true).end_array();
+  w.key("inline").begin_array().string("p").string("q").end_array();
+  w.key("empty").begin_array().end_array();
+  w.key("obj").begin_object().key("k").boolean(false).end_object();
+  w.end_object();
+  EXPECT_EQ(w.text(),
+            "{\n"
+            "  \"status\": \"SAT\",\n"
+            "  \"rows\": [\n"
+            "    {\"x\": 1, \"y\": [2, 3]},\n"
+            "    {}\n"
+            "  ],\n"
+            "  \"none\": [\n"
+            "  ],\n"
+            "  \"inline\": [\"p\", \"q\"],\n"
+            "  \"empty\": [],\n"
+            "  \"obj\": {\"k\": false}\n"
+            "}");
+}
+
+TEST(JsonWriter, NumberForms) {
+  JsonWriter w;
+  w.begin_array();
+  w.integer(-3).integer(std::numeric_limits<std::uint64_t>::max());
+  w.fixed(2.6, 0).fixed(1.0 / 3, 1).fixed(2.3456, 2).fixed(0.5, 3);
+  w.fixed(1, 4).fixed(-7.25, 2);
+  w.general(3260).general(1e6).general(0.1).general(-3160).general(1.0 / 3);
+  w.number(1000).number(0.5).number(326.5).number(-4);
+  w.number(999999999999999.0).number(1e15).number(2.5e20);
+  w.end_array();
+  EXPECT_EQ(w.text(),
+            "[-3,18446744073709551615,"
+            "3,0.3,2.35,0.500,1.0000,-7.25,"
+            "3260,1e+06,0.1,-3160,0.333333,"
+            "1000,0.5,326.5,-4,999999999999999,1e+15,2.5e+20]");
+}
+
+TEST(JsonWriterDeath, MisnestingAborts) {
+  EXPECT_DEATH(JsonWriter().begin_object().integer(1), "needs a key");
+  EXPECT_DEATH(JsonWriter().begin_array().end_object(), "does not match");
+  EXPECT_DEATH(JsonWriter().begin_array().key("k"), "belongs in an object");
 }
 
 }  // namespace

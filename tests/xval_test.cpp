@@ -203,6 +203,29 @@ TEST(XvalJson, ReportSerializes) {
   EXPECT_NE(j.find("\"reachable\""), std::string::npos);
   // Nothing unexplained: the array must be empty.
   EXPECT_EQ(j.find("\"unexplained\":[\""), std::string::npos);
+  EXPECT_EQ(
+      j,
+      R"({"xval":"demo","arch":"x86_64","online_cpus":4,"skipped":false,)"
+      R"("skip_reason":"","iterations":10,"wedged_iterations":0,)"
+      R"("model_sound":true,"conclusive":true,"coverage":1.0000,)"
+      R"("violations_observed":1,"sim":{"states_explored":0,)"
+      R"("violating_states":0,"complete":true,"violation":"",)"
+      R"("reachable":["a","b"],"safe":["a"],"violating":["b"]},)"
+      R"("observed":{"a":9,"b":1},"unexplained":[],"unobserved":[]})"
+      "\n");
+}
+
+TEST(XvalJson, SkipReasonIsEscaped) {
+  XvalReport rep;
+  rep.litmus = "demo";
+  rep.skipped = true;
+  rep.skip_reason = "no \"x86\" here\nsee dmesg";
+  const std::string j = to_json(rep);
+  EXPECT_NE(j.find(R"("skip_reason":"no \"x86\" here\nsee dmesg")"),
+            std::string::npos)
+      << j;
+  // The only raw newline is the one that ends the report.
+  EXPECT_EQ(j.find('\n'), j.size() - 1) << j;
 }
 
 }  // namespace
