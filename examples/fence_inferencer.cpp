@@ -54,9 +54,11 @@
 #include <string>
 #include <vector>
 
+#include "infer_cli.hpp"
 #include "lbmf/infer/infer.hpp"
 
 using namespace lbmf;
+using infer_cli::bad_flag;
 
 namespace {
 
@@ -69,38 +71,13 @@ struct CliOptions {
   bool sweep = false;
 };
 
-[[noreturn]] void bad_flag(const std::string& flag) {
-  std::fprintf(stderr, "unrecognized or malformed flag: %s\n", flag.c_str());
-  std::exit(2);
-}
-
 CliOptions parse_flags(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) != 0) continue;  // the litmus file argument
-    if (a.rfind("--max-states=", 0) == 0) {
-      char* end = nullptr;
-      cli.engine.max_states_per_check = std::strtoull(a.c_str() + 13, &end, 10);
-      if (end == nullptr || *end != '\0' ||
-          cli.engine.max_states_per_check == 0) {
-        bad_flag(a);
-      }
-    } else if (a.rfind("--threads=", 0) == 0) {
-      char* end = nullptr;
-      cli.engine.explorer_threads = std::strtoul(a.c_str() + 10, &end, 10);
-      if (end == nullptr || *end != '\0' || cli.engine.explorer_threads == 0 ||
-          cli.engine.explorer_threads > 256) {
-        bad_flag(a);
-      }
-    } else if (a.rfind("--batch=", 0) == 0) {
-      char* end = nullptr;
-      cli.engine.batch = std::strtoul(a.c_str() + 8, &end, 10);
-      if (end == nullptr || *end != '\0' || cli.engine.batch == 0 ||
-          cli.engine.batch > 64) {
-        bad_flag(a);
-      }
-    } else if (a.rfind("--json=", 0) == 0) {
+    if (infer_cli::parse_engine_flag(a, cli.engine)) continue;
+    if (a.rfind("--json=", 0) == 0) {
       cli.json_path = a.substr(7);
       if (cli.json_path.empty()) bad_flag(a);
     } else if (a.rfind("--policy-json=", 0) == 0) {
@@ -334,36 +311,9 @@ int main(int argc, char** argv) {
     std::printf(" — searching per placement orbit\n");
   }
 
-  // The persisted reached-state prefix graph: reuse it when its key still
-  // matches this problem (programs/sites/config/property — not costs),
-  // otherwise rebuild under the engine's explorer options and save.
   infer::PrefixGraph cached_graph;
-  if (!cli.graph_cache_path.empty() && cli.engine.incremental &&
-      !p.sites.empty()) {
-    const lbmf::Hash128 key = infer::problem_graph_key(p);
-    if (infer::load_prefix_graph(cached_graph, cli.graph_cache_path, key)) {
-      std::printf("prefix cache: hit — %s (%llu region states, %zu seeds)\n",
-                  cli.graph_cache_path.c_str(),
-                  static_cast<unsigned long long>(
-                      cached_graph.base.states_explored),
-                  cached_graph.seeds.size());
-    } else {
-      cached_graph = infer::build_prefix_graph(
-          p, infer::InferenceEngine::explorer_options_for(p, cli.engine));
-      if (cached_graph.valid &&
-          infer::save_prefix_graph(cached_graph, cli.graph_cache_path)) {
-        std::printf(
-            "prefix cache: miss — built %llu region states, %zu seeds, "
-            "saved to %s\n",
-            static_cast<unsigned long long>(cached_graph.base.states_explored),
-            cached_graph.seeds.size(), cli.graph_cache_path.c_str());
-      } else {
-        std::printf("prefix cache: unusable (region over budget or "
-                    "unwritable path)\n");
-      }
-    }
-    if (cached_graph.valid) cli.engine.prefix_graph = &cached_graph;
-  }
+  infer_cli::use_prefix_cache(p, cli.graph_cache_path, cli.engine,
+                              cached_graph);
 
   if (cli.sweep) return run_sweep_mode(p, cli);
 

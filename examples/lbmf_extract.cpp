@@ -32,10 +32,12 @@
 #include <vector>
 
 #define LBMF_EXTRACT 1
+#include "infer_cli.hpp"
 #include "lbmf/extract/extract.hpp"
 #include "lbmf/infer/infer.hpp"
 
 using namespace lbmf;
+using infer_cli::bad_flag;
 
 namespace {
 
@@ -50,11 +52,6 @@ struct CliOptions {
   bool run_infer = false;
   bool provenance = true;
 };
-
-[[noreturn]] void bad_flag(const std::string& flag) {
-  std::fprintf(stderr, "unrecognized or malformed flag: %s\n", flag.c_str());
-  std::exit(2);
-}
 
 CliOptions parse_flags(int argc, char** argv) {
   CliOptions cli;
@@ -81,28 +78,7 @@ CliOptions parse_flags(int argc, char** argv) {
     } else if (a.rfind("--graph-cache=", 0) == 0) {
       cli.graph_cache_path = a.substr(14);
       if (cli.graph_cache_path.empty()) bad_flag(a);
-    } else if (a.rfind("--max-states=", 0) == 0) {
-      char* end = nullptr;
-      cli.engine.max_states_per_check = std::strtoull(a.c_str() + 13, &end, 10);
-      if (end == nullptr || *end != '\0' ||
-          cli.engine.max_states_per_check == 0) {
-        bad_flag(a);
-      }
-    } else if (a.rfind("--threads=", 0) == 0) {
-      char* end = nullptr;
-      cli.engine.explorer_threads = std::strtoul(a.c_str() + 10, &end, 10);
-      if (end == nullptr || *end != '\0' || cli.engine.explorer_threads == 0 ||
-          cli.engine.explorer_threads > 256) {
-        bad_flag(a);
-      }
-    } else if (a.rfind("--batch=", 0) == 0) {
-      char* end = nullptr;
-      cli.engine.batch = std::strtoul(a.c_str() + 8, &end, 10);
-      if (end == nullptr || *end != '\0' || cli.engine.batch == 0 ||
-          cli.engine.batch > 64) {
-        bad_flag(a);
-      }
-    } else {
+    } else if (!infer_cli::parse_engine_flag(a, cli.engine)) {
       bad_flag(a);
     }
   }
@@ -132,37 +108,12 @@ int run_inference(const CliOptions& cli_in, const std::string& lit) {
   std::printf("inference: %zu cpu(s), %zu hole(s)\n", p.programs.size(),
               p.sites.size());
 
-  // Same persisted prefix-graph flow as fence_inferencer: the key covers
-  // programs/sites/config (not source text), so a cache built over the
-  // committed litmus answers for the generated one — that identity is
-  // itself a consequence of a clean drift gate.
+  // The cache key covers programs/sites/config (not source text), so a
+  // cache built over the committed litmus answers for the generated one —
+  // that identity is itself a consequence of a clean drift gate.
   infer::PrefixGraph cached_graph;
-  if (!cli.graph_cache_path.empty() && cli.engine.incremental &&
-      !p.sites.empty()) {
-    const lbmf::Hash128 key = infer::problem_graph_key(p);
-    if (infer::load_prefix_graph(cached_graph, cli.graph_cache_path, key)) {
-      std::printf("prefix cache: hit — %s (%llu region states, %zu seeds)\n",
-                  cli.graph_cache_path.c_str(),
-                  static_cast<unsigned long long>(
-                      cached_graph.base.states_explored),
-                  cached_graph.seeds.size());
-    } else {
-      cached_graph = infer::build_prefix_graph(
-          p, infer::InferenceEngine::explorer_options_for(p, cli.engine));
-      if (cached_graph.valid &&
-          infer::save_prefix_graph(cached_graph, cli.graph_cache_path)) {
-        std::printf(
-            "prefix cache: miss — built %llu region states, %zu seeds, "
-            "saved to %s\n",
-            static_cast<unsigned long long>(cached_graph.base.states_explored),
-            cached_graph.seeds.size(), cli.graph_cache_path.c_str());
-      } else {
-        std::printf("prefix cache: unusable (region over budget or "
-                    "unwritable path)\n");
-      }
-    }
-    if (cached_graph.valid) cli.engine.prefix_graph = &cached_graph;
-  }
+  infer_cli::use_prefix_cache(p, cli.graph_cache_path, cli.engine,
+                              cached_graph);
 
   infer::InferenceEngine engine(p, cli.engine);
   const infer::InferResult r = engine.run();

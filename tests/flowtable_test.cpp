@@ -203,6 +203,87 @@ TYPED_TEST(FlowTableTest, EvictBelowDropsColdFlows) {
   t.unbind_owner();
 }
 
+TYPED_TEST(FlowTableTest, TotalCountsOnlyOccupiedSlots) {
+  // Two kinds of slot keep counters of no live flow: the kMoved tombstones
+  // of an array still draining, and the slots an eviction emptied.
+  FlowTable<TypeParam> t(1u << 4, Growth::kGrowable);
+  t.bind_owner();
+  auto migrating = [&] {
+    return t.capacity() > (std::size_t{16} << t.grow_count());
+  };
+  FlowKey k = 0;
+  std::uint64_t packets = 0;
+  while (t.grow_count() < 4 || !migrating()) {
+    t.record_packet(++k, 64);
+    ++packets;
+  }
+  // Two more mutations move 16 entries and leave 16 tombstones behind.
+  t.record_packet(2, 64);
+  t.record_packet(4, 64);
+  packets += 2;
+  ASSERT_TRUE(migrating());
+  EXPECT_EQ(t.remote_total_packets(), packets);
+
+  // Every even flow gets a second packet; the odd ones are evicted.
+  for (FlowKey f = 6; f <= k; f += 2) t.record_packet(f, 64);
+  EXPECT_EQ(t.remote_evict_below(2), k - k / 2);
+  EXPECT_EQ(t.flow_count(), k / 2);
+  EXPECT_EQ(t.remote_total_packets(), 2 * (k / 2));
+  t.unbind_owner();
+}
+
+TYPED_TEST(FlowTableTest, MappedArraysHoldTwoHundredThousandFlows) {
+  // 16 slots to 2^19: the last arrays are 8 and 16 MiB mappings. Rules
+  // ride along through every migration.
+  FlowTable<TypeParam> t(1u << 4, Growth::kGrowable);
+  t.bind_owner();
+  constexpr FlowKey kFlows = 200000;
+  auto bytes_of = [](FlowKey f) {
+    return static_cast<std::uint32_t>(f % 1400);
+  };
+  auto rule_of = [](FlowKey f) {
+    return static_cast<std::uint32_t>(f * 2654435761u);
+  };
+  for (FlowKey f = 1; f <= kFlows; ++f) {
+    t.record_packet(f, bytes_of(f));
+    t.sync_mutex().lock_primary();
+    EXPECT_TRUE(t.upsert_rule_locked(f, rule_of(f)));
+    t.sync_mutex().unlock_primary();
+  }
+  // A second packet for every flow and a third for every fourth one; the
+  // mutations also drain the last migration.
+  for (FlowKey f = 1; f <= kFlows; ++f) {
+    const int reps = f % 4 == 0 ? 2 : 1;
+    for (int r = 0; r < reps; ++r) t.record_packet(f, bytes_of(f));
+  }
+  ASSERT_EQ(t.capacity(), std::size_t{16} << t.grow_count());
+  EXPECT_EQ(t.grow_count(), 15u);
+  EXPECT_EQ(t.flow_count(), kFlows);
+  for (FlowKey f = 1; f <= kFlows; ++f) {
+    const std::uint64_t n = f % 4 == 0 ? 3 : 2;
+    const auto s = t.owner_peek(f);
+    ASSERT_TRUE(s.has_value()) << f;
+    ASSERT_EQ(s->packets, n) << f;
+    ASSERT_EQ(s->bytes, n * bytes_of(f)) << f;
+    ASSERT_EQ(s->rule, rule_of(f)) << f;
+  }
+  EXPECT_EQ(t.remote_total_packets(), 2 * kFlows + kFlows / 4);
+
+  EXPECT_EQ(t.remote_evict_below(3), kFlows - kFlows / 4);
+  EXPECT_EQ(t.flow_count(), kFlows / 4);
+  EXPECT_EQ(t.remote_total_packets(), 3 * (kFlows / 4));
+  for (FlowKey f = 1; f <= kFlows; ++f) {
+    const auto s = t.owner_peek(f);
+    ASSERT_EQ(s.has_value(), f % 4 == 0) << f;
+    if (s) {
+      ASSERT_EQ(s->packets, 3u) << f;
+      ASSERT_EQ(s->bytes, 3u * bytes_of(f)) << f;
+      ASSERT_EQ(s->rule, rule_of(f)) << f;
+    }
+  }
+  t.unbind_owner();
+}
+
 TEST(FlowTableDeath, FixedCapacityTableDiesWhenFull) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

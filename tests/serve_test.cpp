@@ -10,6 +10,7 @@
 #include "lbmf/core/membarrier.hpp"
 #include "lbmf/serve/serve.hpp"
 #include "lbmf/util/histogram.hpp"
+#include "lbmf/util/rng.hpp"
 #include "lbmf/util/timing.hpp"
 
 namespace lbmf::serve {
@@ -204,6 +205,34 @@ TYPED_TEST(ServerTest, EvictSweepDropsColdFlowsUnderLoad) {
   auto st = srv.shard(srv.shard_of(7)).table().owner_peek(7);
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->packets, 15u);
+}
+
+TYPED_TEST(ServerTest, PrefillWavesInstallEveryFlowOnce) {
+  // lbmfbench's set-up at a quarter of its size: waves of 4096 new flows
+  // into two shards that start at 4096 slots each, so every shard grows
+  // six times onto mapped arrays while the waves arrive.
+  ServeConfig cfg;
+  cfg.shards = 2;
+  cfg.ring_capacity = 1024;
+  Server<TypeParam> srv(cfg);
+  srv.start();
+  constexpr std::size_t kWave = 4096;
+  constexpr std::size_t kFlows = std::size_t{1} << 18;
+  SplitMix64 keys(0x5eed);
+  std::vector<RuleUpdate> wave(kWave);
+  for (std::size_t done = 0; done < kFlows; done += kWave) {
+    for (RuleUpdate& u : wave) {
+      u = {keys.next(), static_cast<std::uint32_t>(done)};
+    }
+    ASSERT_EQ(srv.push_rules_wave(wave), 0u) << "wave at " << done;
+    ASSERT_EQ(srv.live_flows(), done + kWave);
+  }
+  // The control plane's steady-state wave: 8 updates to installed flows.
+  const std::vector<RuleUpdate> eight(wave.begin(), wave.begin() + 8);
+  EXPECT_EQ(srv.push_rules_wave(eight), 8u);
+  srv.stop();
+  EXPECT_EQ(srv.stats().flows, kFlows);
+  EXPECT_EQ(srv.stats().grows, 12u);
 }
 
 TEST(ServerClients, TwoClientLanesAreIndependent) {
