@@ -1,12 +1,12 @@
 // E14 — explorer engine throughput: the rebuilt explorer (fingerprint
 // dedup, iterative DFS with reusable frame slots, partial-order reduction,
-// optional lbmf::ws parallel fan-out, plus the Machine snapshot/fingerprint
-// optimizations that came with it) against the seed engine it replaced, at
-// equal max_states. The baseline is the *complete* seed stack — the
-// seed-commit Machine (std::map memory, heap-vector cache lines, allocating
-// canonical_state()/check_coherence()) compiled verbatim from
-// seed_baseline.{hpp,cpp}, driven by the seed's recursive DFS over a
-// std::set of full canonical keys with one Machine copy per transition.
+// plus the Machine snapshot/fingerprint optimizations that came with it)
+// against the seed engine it replaced, at equal max_states. The baseline
+// is the *complete* seed stack — the seed-commit Machine (std::map memory,
+// heap-vector cache lines, allocating canonical_state()/check_coherence())
+// compiled verbatim from seed_baseline.{hpp,cpp}, driven by the seed's
+// recursive DFS over a std::set of full canonical keys with one Machine
+// copy per transition.
 //
 // Workload: two independent instances of the bundled asymmetric-Dekker
 // protocol (l-mfence vs mfence) on one 4-CPU machine. A single pair's
@@ -290,24 +290,19 @@ int main(int argc, char** argv) {
                            r->states = sr.states;
                            r->visited_bytes = sr.visited_bytes;
                          }));
-  const auto new_engine = [&](bool por, std::size_t threads) {
-    return [&, por, threads](Row* r) {
+  const auto new_engine = [&](bool por) {
+    return [&, por](Row* r) {
       Explorer::Options opts;
       opts.max_states = max_states;
       opts.por = por;
-      opts.threads = threads;
       opts.check_mutual_exclusion = false;  // two pairs share the machine
       const ExploreResult er = explore_all(new_m, opts);
       r->states = er.states_explored;
       r->visited_bytes = er.visited_bytes;
     };
   };
-  rows.push_back(
-      measure("fingerprint dedup", min_seconds, new_engine(false, 1)));
-  rows.push_back(
-      measure("fingerprint + POR", min_seconds, new_engine(true, 1)));
-  rows.push_back(measure("fingerprint + POR, 4 threads", min_seconds,
-                         new_engine(true, 4)));
+  rows.push_back(measure("fingerprint dedup", min_seconds, new_engine(false)));
+  rows.push_back(measure("fingerprint + POR", min_seconds, new_engine(true)));
 
   std::printf(
       "two independent asymmetric-Dekker pairs (l-mfence/mfence), 4 CPUs,\n"

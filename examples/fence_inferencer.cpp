@@ -21,7 +21,9 @@
 //                                             # prefix graph: loaded when the
 //                                             # key matches, rebuilt + saved
 //                                             # otherwise
-//   fence_inferencer test.lit --max-states=N --batch=K --threads=T
+//   fence_inferencer test.lit --max-states=N --batch=K # K candidates
+//                                             # verified at once, each by
+//                                             # its own explorer
 //   fence_inferencer test.lit --sweep        # Fig. 6-style cost frontier:
 //                                            # re-solve over a (victim freq
 //                                            # × LE/ST round-trip) grid and

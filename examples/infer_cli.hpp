@@ -18,9 +18,9 @@ namespace lbmf::infer_cli {
   std::exit(2);
 }
 
-/// Parse `--max-states=N`, `--threads=T` (T <= 256) or `--batch=K`
-/// (K <= 64) into `engine`; every value must be a positive integer.
-/// Returns false when `a` is none of the three; exits 2 on a bad value.
+/// Parse `--max-states=N` or `--batch=K` (K <= 64) into `engine`; every
+/// value must be a positive integer. Returns false when `a` is neither;
+/// exits 2 on a bad value.
 inline bool parse_engine_flag(const std::string& a,
                               infer::InferenceEngine::Options& engine) {
   auto value = [&a](std::size_t skip, unsigned long long max) {
@@ -31,8 +31,6 @@ inline bool parse_engine_flag(const std::string& a,
   };
   if (a.rfind("--max-states=", 0) == 0) {
     engine.max_states_per_check = value(13, ULLONG_MAX);
-  } else if (a.rfind("--threads=", 0) == 0) {
-    engine.explorer_threads = value(10, 256);
   } else if (a.rfind("--batch=", 0) == 0) {
     engine.batch = value(8, 64);
   } else {

@@ -18,7 +18,7 @@
 //   lbmf_extract the-deque --infer          # infer over the generated litmus
 //   lbmf_extract the-deque --infer --json=report.json --graph-cache=g.bin
 //   lbmf_extract the-deque --no-provenance  # drop the #@ comments
-//   lbmf_extract the-deque --infer --max-states=N --threads=T --batch=K
+//   lbmf_extract the-deque --infer --max-states=N --batch=K
 //
 // Exit codes: 0 = success (drift clean, inference SAT+SAFE), 1 = drift
 // detected or UNSAT, 2 = usage/recording error, 3 = inference

@@ -10,7 +10,6 @@
 //   litmus_runner test.lit --protocol=moesi # pick MSI / MESI / MOESI
 //   litmus_runner test.lit --max-states=1000000   # state budget
 //   litmus_runner test.lit --no-por         # disable partial-order reduction
-//   litmus_runner test.lit --threads=8      # parallel exploration
 //   litmus_runner test.lit --stats          # dedup hit rate, states/sec,
 //                                           # symmetry orbit, spill bytes, ...
 //   litmus_runner test.lit --no-symmetry    # disable thread-symmetry state
@@ -74,7 +73,6 @@ struct CliOptions {
   Protocol protocol = Protocol::kMesi;
   std::uint64_t max_states = 2'000'000;
   bool por = true;
-  std::size_t threads = 1;
   bool stats = false;
   /// Thread-symmetry reduction: canonicalize states under permutations of
   /// CPUs running byte-identical programs (`symmetric` directive groups
@@ -108,13 +106,6 @@ CliOptions parse_flags(int argc, char** argv) {
       if (end == nullptr || *end != '\0' || cli.max_states == 0) bad_flag(a);
     } else if (a == "--no-por") {
       cli.por = false;
-    } else if (a.rfind("--threads=", 0) == 0) {
-      char* end = nullptr;
-      cli.threads = std::strtoul(a.c_str() + 10, &end, 10);
-      if (end == nullptr || *end != '\0' || cli.threads == 0 ||
-          cli.threads > 256) {
-        bad_flag(a);
-      }
     } else if (a == "--stats") {
       cli.stats = true;
     } else if (a == "--no-symmetry") {
@@ -181,8 +172,8 @@ int main(int argc, char** argv) {
   cfg.sb_capacity = 4;
   cfg.cache_capacity = 8;
   cfg.protocol = cli.protocol;
-  std::printf("coherence protocol: %s, por: %s, threads: %zu\n",
-              to_string(cfg.protocol), cli.por ? "on" : "off", cli.threads);
+  std::printf("coherence protocol: %s, por: %s\n", to_string(cfg.protocol),
+              cli.por ? "on" : "off");
   Machine machine(cfg);
   for (const auto& [a, v] : assembled.initial_memory) machine.set_memory(a, v);
   for (std::size_t i = 0; i < assembled.programs.size(); ++i) {
@@ -208,7 +199,6 @@ int main(int argc, char** argv) {
   Explorer::Options opts;
   opts.max_states = cli.max_states;
   opts.por = cli.por;
-  opts.threads = cli.threads;
   opts.visited_budget_bytes = cli.visited_budget;
   // Terminal-state property: `final` directives (if any) plus deadlock
   // detection for tests using `lock`/`unlock`. A no-op for tests without

@@ -128,7 +128,9 @@ class FlowTable {
   explicit FlowTable(std::size_t capacity_pow2 = 1u << 12,
                      Growth growth = Growth::kFixed)
       : growth_(growth), mask_(capacity_pow2 - 1), slots_(capacity_pow2) {
-    LBMF_CHECK((capacity_pow2 & (capacity_pow2 - 1)) == 0);
+    LBMF_CHECK_MSG(
+        capacity_pow2 != 0 && (capacity_pow2 & (capacity_pow2 - 1)) == 0,
+        "flow table capacity must be a power of two");
   }
 
   FlowTable(const FlowTable&) = delete;

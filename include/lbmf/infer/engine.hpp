@@ -143,10 +143,10 @@ class InferenceEngine {
     std::uint64_t max_states_per_check = 500'000;
     /// Hard cap on explorer invocations (runaway-lattice backstop).
     std::uint64_t max_candidates = 100'000;
-    /// lbmf::ws workers per explorer run (the explorer's parallel fan-out).
-    std::size_t explorer_threads = 1;
     /// Frontier candidates verified concurrently per wave (each on its own
-    /// thread, each running its own explorer).
+    /// thread, each running its own sequential explorer). The verifier's
+    /// one parallel knob: for a given batch, every run checks the same
+    /// candidates and reports the same counts.
     std::size_t batch = 1;
     bool por = true;
     /// Naive 3^k enumeration instead of the guided search — the bench

@@ -62,9 +62,10 @@ struct ExploreResult {
 ///    actions (Machine::action_is_local) via singleton ample sets with an
 ///    in-stack cycle proviso; terminal states, outcomes, and the built-in
 ///    coherence / mutual-exclusion verdicts are preserved exactly;
-///  * `threads > 1` fans a breadth-first frontier out over the repo's own
-///    lbmf::ws work-stealing scheduler with a sharded concurrent visited
-///    set — the asymmetric-fence runtime accelerating its own verifier.
+///  * a run is sequential and deterministic: the same machine and options
+///    give the same counts, verdict and violating schedule every time.
+///    Parallelism lives one level up, in lbmf::infer's candidate `batch`,
+///    where each thread runs its own Explorer.
 class Explorer {
  public:
   struct Options {
@@ -93,19 +94,12 @@ class Explorer {
     /// Slower and ~15x more memory, but dedup is exact by construction —
     /// the audit mode tests use it to show fingerprinting loses nothing.
     bool exact_dedup = false;
-    /// In-RAM budget for the visited set; 0 = unbounded. When a shard of
-    /// the set outgrows its slice, its live fingerprints freeze into a
-    /// file-backed mmap'd segment and a fresh live set takes over, so deep
-    /// explorations degrade to probing disk-backed pages instead of
-    /// OOMing. Ignored in exact_dedup mode.
+    /// In-RAM budget for the visited set; 0 = unbounded. When the live set
+    /// outgrows it, its fingerprints freeze into a file-backed mmap'd
+    /// segment and a fresh live set takes over, so deep explorations
+    /// degrade to probing disk-backed pages instead of OOMing. Ignored in
+    /// exact_dedup mode.
     std::uint64_t visited_budget_bytes = 0;
-    /// Number of lbmf::ws workers to fan the exploration out over; 0 or 1
-    /// explores sequentially. Parallel runs visit the same states and
-    /// produce the same outcomes/verdicts, but states_explored can differ
-    /// slightly under POR (the cycle proviso is evaluated conservatively
-    /// across workers) and the violating schedule found first is
-    /// nondeterministic.
-    std::size_t threads = 1;
   };
 
   Explorer(Machine initial, Options opts);

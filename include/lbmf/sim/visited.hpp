@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -91,22 +90,22 @@ class SpillSegment {
   std::size_t nslots_ = 0;        // power of two
 };
 
-/// The dedup set behind the explorer: sharded so parallel workers contend
-/// on 1/64th of the key space, with an exact mode that keys on the full
-/// canonical bytes (collision-free by construction) for audit runs.
+/// The dedup set behind the explorer, with an exact mode that keys on the
+/// full canonical bytes (collision-free by construction) for audit runs.
+/// One exploration owns it; it is not safe to share between threads.
 ///
-/// With a non-zero `budget_bytes`, each shard's live fingerprint set is
-/// frozen into a SpillSegment once it outgrows its slice of the budget and
-/// a fresh live set takes over — deep explorations degrade to probing a
-/// few file-backed segments per insert instead of growing RAM without
-/// bound. Exact mode never spills (audit runs are small by design).
+/// With a non-zero `budget_bytes`, the live fingerprint set is frozen into
+/// a SpillSegment once it outgrows the budget and a fresh live set takes
+/// over — deep explorations degrade to probing a few file-backed segments
+/// per insert instead of growing RAM without bound. Exact mode never
+/// spills (audit runs are small by design).
 class VisitedSet {
  public:
-  VisitedSet(bool exact, bool concurrent, std::uint64_t budget_bytes = 0);
+  explicit VisitedSet(bool exact, std::uint64_t budget_bytes = 0);
 
   /// Returns true if the state was not seen before. `canonical` must hold
   /// the serialized state `fp` was computed from (used in exact mode).
-  bool insert(const Fingerprint& fp, const std::string& canonical);
+  bool insert(Fingerprint fp, const std::string& canonical);
 
   /// Pre-mark states as visited (the incremental explorer re-seeds the set
   /// with a persisted prefix region). Fingerprint mode only.
@@ -118,32 +117,21 @@ class VisitedSet {
 
   /// Bytes frozen into file-backed spill segments.
   std::uint64_t spill_bytes() const;
-  std::uint32_t spill_segments() const;
+  std::uint32_t spill_segments() const {
+    return static_cast<std::uint32_t>(segs_.size());
+  }
 
  private:
-  static constexpr std::size_t kShards = 64;
   /// Never freeze below two grow steps of a fresh set: segments would
   /// otherwise hold a handful of fingerprints each and every insert would
   /// probe an unbounded segment chain.
-  static constexpr std::uint64_t kMinShardBudget = 64 * 1024;
-
-  struct Shard {
-    std::mutex mu;
-    FingerprintSet fps;
-    std::unordered_set<std::string> exact;
-    std::vector<std::unique_ptr<SpillSegment>> segs;
-  };
-
-  std::size_t shard_of(const Fingerprint& fp) const noexcept {
-    return concurrent_ ? static_cast<std::size_t>(fp.hi >> 58) : 0;
-  }
-
-  bool insert_into(Shard& s, Fingerprint fp, const std::string& canonical);
+  static constexpr std::uint64_t kMinBudget = 64 * 1024;
 
   bool exact_;
-  bool concurrent_;
-  std::uint64_t shard_budget_ = 0;  // 0 = unbounded (never spill)
-  std::vector<Shard> shards_;
+  std::uint64_t budget_ = 0;  // 0 = unbounded (never spill)
+  FingerprintSet fps_;
+  std::unordered_set<std::string> exact_keys_;
+  std::vector<std::unique_ptr<SpillSegment>> segs_;
 };
 
 }  // namespace lbmf::sim

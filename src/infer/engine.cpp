@@ -235,7 +235,6 @@ sim::Explorer::Options InferenceEngine::explorer_options_for(
   e.max_states = o.max_states_per_check;
   e.stop_at_violation = true;
   e.por = o.por;
-  e.threads = o.explorer_threads;
   // Terminal-state property: `final` directives plus deadlock detection
   // (a no-op scan for problems without either construct).
   e.check = sim::final_state_check(p.final_allowed);

@@ -1,9 +1,6 @@
 #include "lbmf/sim/explorer.hpp"
 
 #include <array>
-#include <atomic>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -11,7 +8,6 @@
 #include "lbmf/sim/trace.hpp"
 #include "lbmf/sim/visited.hpp"
 #include "lbmf/util/check.hpp"
-#include "lbmf/ws/algorithms.hpp"
 
 namespace lbmf::sim {
 namespace {
@@ -140,72 +136,54 @@ class PathSet {
   std::size_t size_ = 0;
 };
 
-/// State shared by every worker of one run() (trivially so when sequential).
-struct Shared {
-  explicit Shared(const Explorer::Options& o)
-      : opts(o),
-        visited(o.exact_dedup, o.threads > 1, o.visited_budget_bytes) {}
+/// One exploration: an iterative DFS with an explicit frame stack, plus
+/// everything the run accumulates (the visited set, the state budget and
+/// the result). Explorer::run() explores from the root, explore_seeded()
+/// from each seed in turn, on the calling thread. A batched inference
+/// check builds its own Explorer per thread, so nothing here is shared.
+class Search {
+ public:
+  explicit Search(const Explorer::Options& o)
+      : opts_(o), visited_(o.exact_dedup, o.visited_budget_bytes) {}
 
-  const Explorer::Options& opts;
-  VisitedSet visited;
-  std::atomic<std::uint64_t> states{0};
-  std::atomic<bool> done{false};
-  std::atomic<bool> hit_limit{false};
-
-  std::mutex result_mu;
-  ExploreResult merged;  // violation/outcomes/counters land here
-
-  /// Count one fresh state against max_states. Returns false (and stops the
-  /// run) if the budget is exhausted.
-  bool count_state() {
-    std::uint64_t cur = states.load(std::memory_order_relaxed);
-    do {
-      if (cur >= opts.max_states) {
-        hit_limit.store(true, std::memory_order_relaxed);
-        done.store(true, std::memory_order_relaxed);
-        return false;
-      }
-    } while (!states.compare_exchange_weak(cur, cur + 1,
-                                           std::memory_order_relaxed));
-    return true;
+  /// Start from a pre-explored region: its fingerprints are marked visited
+  /// and its counters and outcomes carried into the result.
+  void resume(const std::vector<Fingerprint>& visited,
+              const ExploreResult& base) {
+    visited_.preload(visited);
+    result_.states_explored = base.states_explored;
+    result_.transitions = base.transitions;
+    result_.terminal_states = base.terminal_states;
+    result_.dedup_hits = base.dedup_hits;
+    result_.outcomes = base.outcomes;
   }
 
   /// Record `m` (fingerprint `fp`) as visited; true if it is new. Only the
-  /// exact-dedup audit mode serializes the canonical key (into `scratch`).
-  bool visit(const Machine& m, const Fingerprint& fp, std::string& scratch) {
-    if (opts.exact_dedup) {
-      scratch.clear();
-      m.append_canonical(scratch);
+  /// exact-dedup audit mode serializes the canonical key.
+  bool visit(const Machine& m, const Fingerprint& fp) {
+    if (opts_.exact_dedup) {
+      canonical_.clear();
+      m.append_canonical(canonical_);
     }
-    return visited.insert(fp, scratch);
+    return visited_.insert(fp, canonical_);
   }
 
-  std::optional<std::string> check_state(const Machine& m) const {
-    std::optional<std::string> violation;
-    if (opts.check_coherence) violation = m.check_coherence();
-    if (!violation && opts.check_mutual_exclusion && m.cpus_in_cs() > 1) {
-      violation = "mutual exclusion violated: " +
-                  std::to_string(m.cpus_in_cs()) +
-                  " CPUs in the critical section";
+  /// Count one fresh state against max_states. Returns false (and the run
+  /// stops) if the budget is exhausted.
+  bool count_state() {
+    if (result_.states_explored >= opts_.max_states) {
+      result_.hit_limit = true;
+      return false;
     }
-    if (!violation && opts.check) violation = opts.check(m);
-    return violation;
+    ++result_.states_explored;
+    return true;
   }
 
-  void report_violation(std::string what, const std::vector<Choice>& trace) {
-    std::lock_guard<std::mutex> g(result_mu);
-    if (!merged.violation) {
-      merged.violation = std::move(what);
-      merged.violation_trace = trace;
-    }
-    if (opts.stop_at_violation) done.store(true, std::memory_order_relaxed);
+  /// True once the run must stop: the budget is spent, or a violation was
+  /// found under stop_at_violation.
+  bool done() const noexcept {
+    return result_.hit_limit || (result_.violation && opts_.stop_at_violation);
   }
-};
-
-/// One sequential DFS over a subtree, with an explicit frame stack.
-class Worker {
- public:
-  Worker(Shared& sh, bool parallel) : sh_(sh), parallel_(parallel) {}
 
   /// Explore from `start`, which the caller has already deduped, counted,
   /// and safety-checked. `prefix` is the schedule from the true root to
@@ -220,17 +198,24 @@ class Worker {
     if (agenda != nullptr) {
       cl = *agenda;
     } else {
-      choose_actions(start, sh_.opts.por, cl);
+      choose_actions(start, opts_.por, cl);
     }
     if (cl.n == 0) {
       note_terminal(start);
-      merge();
       return;
     }
     scratch_m_.emplace(std::move(start));
     push_scratch(start_fp.lo, cl);
     loop();
-    merge();
+  }
+
+  ExploreResult finish(std::uint64_t symmetry_orbit) {
+    ExploreResult r = std::move(result_);
+    r.visited_bytes = visited_.bytes();
+    r.spill_bytes = visited_.spill_bytes();
+    r.spill_segments = visited_.spill_segments();
+    r.symmetry_orbit = symmetry_orbit;
+    return r;
   }
 
  private:
@@ -243,51 +228,50 @@ class Worker {
 
   void loop() {
     while (depth_ > 0) {
-      if (sh_.done.load(std::memory_order_relaxed)) return;
       Frame& f = stack_[depth_ - 1];
       if (f.next >= f.choices.n) {
         pop_frame();
         continue;
       }
       const Choice c = f.choices.v[f.next++];
-      // Step a copy of the frame's snapshot in the worker's scratch
-      // machine: most edges land on an already-visited state and are
-      // discarded, and copy-assigning into the scratch's warm buffers
-      // allocates nothing. The copy carries the parent's cached CPU block
-      // hashes, so fingerprinting rehashes only the CPUs the step touched.
+      // Step a copy of the frame's snapshot in the scratch machine: most
+      // edges land on an already-visited state and are discarded, and
+      // copy-assigning into the scratch's warm buffers allocates nothing.
+      // The copy carries the parent's cached CPU block hashes, so
+      // fingerprinting rehashes only the CPUs the step touched.
       Machine& child = *scratch_m_;
       child = f.m;
       child.step(c.cpu, c.action);
-      ++local_.transitions;
+      ++result_.transitions;
 
       const Fingerprint fp = child.fingerprint();
-      if (!sh_.visit(child, fp, canonical_)) {
-        ++local_.dedup_hits;
+      if (!visit(child, fp)) {
+        ++result_.dedup_hits;
         // Cycle proviso: a reduced frame whose ample successor closes a
-        // cycle must be fully expanded, or the skipped CPUs could be
-        // starved around the loop forever ("ignoring problem"). The
-        // sequential test is `successor on the current DFS path`; parallel
-        // workers cannot see each other's paths, so they conservatively
-        // treat every revisit as a potential cycle.
-        if (f.choices.reduced && (parallel_ || on_path_.contains(fp.lo))) {
+        // cycle (lies on the current DFS path) must be fully expanded, or
+        // the skipped CPUs could be starved around the loop forever
+        // ("ignoring problem").
+        if (f.choices.reduced && on_path_.contains(fp.lo)) {
           expand_fully(f, c);
         }
         continue;
       }
 
-      if (!sh_.count_state()) return;
+      if (!count_state()) return;
       // Safety properties are state predicates: evaluate each distinct
       // state once, on discovery, rather than once per incoming transition.
-      if (auto violation = sh_.check_state(child)) {
-        trace_.push_back(c);
-        sh_.report_violation(std::move(*violation), trace_);
-        trace_.pop_back();
-        if (sh_.opts.stop_at_violation) return;
+      if (auto violation = check_state(child)) {
+        if (!result_.violation) {
+          result_.violation = std::move(*violation);
+          result_.violation_trace = trace_;
+          result_.violation_trace.push_back(c);
+        }
+        if (opts_.stop_at_violation) return;
         continue;  // never explore beyond a violating state
       }
 
       ChoiceList cl;
-      choose_actions(child, sh_.opts.por, cl);
+      choose_actions(child, opts_.por, cl);
       if (cl.n == 0) {
         note_terminal(child);
         continue;
@@ -297,13 +281,25 @@ class Worker {
     }
   }
 
+  std::optional<std::string> check_state(const Machine& m) const {
+    std::optional<std::string> violation;
+    if (opts_.check_coherence) violation = m.check_coherence();
+    if (!violation && opts_.check_mutual_exclusion && m.cpus_in_cs() > 1) {
+      violation = "mutual exclusion violated: " +
+                  std::to_string(m.cpus_in_cs()) +
+                  " CPUs in the critical section";
+    }
+    if (!violation && opts_.check) violation = opts_.check(m);
+    return violation;
+  }
+
   /// Make the scratch machine the top frame. Popped frames stay in stack_
   /// as slots: the scratch swaps into the next free slot and that slot's
   /// old machine becomes the new scratch, so a discovered state costs no
   /// Machine copy-construct or free — only growing to a new maximum depth
   /// appends a slot.
   void push_scratch(std::uint64_t path_key, const ChoiceList& cl) {
-    if (sh_.opts.por) on_path_.insert(path_key);
+    if (opts_.por) on_path_.insert(path_key);
     if (depth_ == stack_.size()) {
       stack_.push_back(Frame{std::move(*scratch_m_), path_key, cl, 0});
     } else {
@@ -318,7 +314,7 @@ class Worker {
 
   void pop_frame() {
     --depth_;
-    if (sh_.opts.por) on_path_.erase(stack_[depth_].path_key);
+    if (opts_.por) on_path_.erase(stack_[depth_].path_key);
     if (depth_ > 0) trace_.pop_back();
   }
 
@@ -336,36 +332,19 @@ class Worker {
   }
 
   void note_terminal(const Machine& m) {
-    ++local_.terminal_states;
-    if (sh_.opts.observe) local_.outcomes.insert(sh_.opts.observe(m));
+    ++result_.terminal_states;
+    if (opts_.observe) result_.outcomes.insert(opts_.observe(m));
   }
 
-  void merge() {
-    std::lock_guard<std::mutex> g(sh_.result_mu);
-    sh_.merged.transitions += local_.transitions;
-    sh_.merged.terminal_states += local_.terminal_states;
-    sh_.merged.dedup_hits += local_.dedup_hits;
-    for (const std::string& o : local_.outcomes) sh_.merged.outcomes.insert(o);
-    local_ = ExploreResult{};
-  }
-
-  Shared& sh_;
-  bool parallel_;
-  ExploreResult local_;
+  const Explorer::Options& opts_;
+  VisitedSet visited_;
+  ExploreResult result_;  // counters, outcomes and the first violation
   std::string canonical_;  // exact-dedup key scratch
   std::optional<Machine> scratch_m_;  // per-edge successor snapshot
   std::vector<Frame> stack_;  // [0, depth_) live frames, the rest free slots
   std::size_t depth_ = 0;
   std::vector<Choice> trace_;
   PathSet on_path_;
-};
-
-/// A frontier entry for the parallel mode: a deduped, counted, checked,
-/// non-terminal state plus the schedule that reaches it.
-struct FrontierItem {
-  Machine m;
-  Fingerprint fp;
-  std::vector<Choice> prefix;
 };
 
 }  // namespace
@@ -378,101 +357,15 @@ Explorer::Explorer(Machine initial, Options opts)
     : initial_(std::move(initial)), opts_(std::move(opts)) {}
 
 ExploreResult Explorer::run() {
-  Shared sh(opts_);
-  std::string scratch;
+  Search s(opts_);
 
   // Root accounting (the root is never safety-checked, matching the
   // original explorer: properties are evaluated after transitions).
   Machine root = initial_;
   const Fingerprint root_fp = root.fingerprint();
-  sh.visit(root, root_fp, scratch);
-  if (!sh.count_state()) {
-    ExploreResult result;
-    result.hit_limit = true;
-    result.visited_bytes = sh.visited.bytes();
-    return result;
-  }
-
-  const std::size_t threads = opts_.threads;
-  if (threads <= 1) {
-    Worker w(sh, /*parallel=*/false);
-    w.explore(std::move(root), root_fp, {});
-  } else {
-    // Seed a frontier breadth-first (full expansion — trivially sound under
-    // POR) until there is enough top-level parallelism to go around, then
-    // fan the subtrees out over the work-stealing pool.
-    std::deque<FrontierItem> frontier;
-    frontier.push_back(FrontierItem{std::move(root), root_fp, {}});
-    const std::size_t target = threads * 8;
-    while (!frontier.empty() && frontier.size() < target &&
-           !sh.done.load(std::memory_order_relaxed)) {
-      FrontierItem item = std::move(frontier.front());
-      frontier.pop_front();
-      ChoiceList cl;
-      enabled_choices(item.m, cl);
-      if (cl.n == 0) {  // terminal frontier state
-        std::lock_guard<std::mutex> g(sh.result_mu);
-        ++sh.merged.terminal_states;
-        if (opts_.observe) sh.merged.outcomes.insert(opts_.observe(item.m));
-        continue;
-      }
-      for (std::uint8_t i = 0;
-           i < cl.n && !sh.done.load(std::memory_order_relaxed); ++i) {
-        const Choice c = cl.v[i];
-        Machine child = i + 1 == cl.n ? std::move(item.m) : item.m;
-        child.step(c.cpu, c.action);
-        ++sh.merged.transitions;
-        const Fingerprint fp = child.fingerprint();
-        if (!sh.visit(child, fp, scratch)) {
-          ++sh.merged.dedup_hits;
-          continue;
-        }
-        if (!sh.count_state()) break;
-        std::vector<Choice> prefix = item.prefix;
-        prefix.push_back(c);
-        if (auto violation = sh.check_state(child)) {
-          sh.report_violation(std::move(*violation), prefix);
-          continue;
-        }
-        frontier.push_back(
-            FrontierItem{std::move(child), fp, std::move(prefix)});
-      }
-    }
-
-    if (!sh.done.load(std::memory_order_relaxed) && !frontier.empty()) {
-      std::vector<FrontierItem> items;
-      items.reserve(frontier.size());
-      while (!frontier.empty()) {
-        items.push_back(std::move(frontier.front()));
-        frontier.pop_front();
-      }
-      // Dog-food the paper's runtime: the asymmetric-fence work-stealing
-      // scheduler parallelizes the verifier that proves it correct.
-      ws::Scheduler<AsymmetricSignalFence> sched(threads);
-      sched.run([&] {
-        ws::parallel_for<AsymmetricSignalFence>(
-            0, items.size(), 1, [&](std::size_t i) {
-              if (sh.done.load(std::memory_order_relaxed)) return;
-              Worker w(sh, /*parallel=*/true);
-              w.explore(std::move(items[i].m), items[i].fp,
-                        std::move(items[i].prefix));
-            });
-      });
-    }
-  }
-
-  ExploreResult result;
-  {
-    std::lock_guard<std::mutex> g(sh.result_mu);
-    result = std::move(sh.merged);
-  }
-  result.states_explored = sh.states.load(std::memory_order_relaxed);
-  result.hit_limit = sh.hit_limit.load(std::memory_order_relaxed);
-  result.visited_bytes = sh.visited.bytes();
-  result.spill_bytes = sh.visited.spill_bytes();
-  result.spill_segments = sh.visited.spill_segments();
-  result.symmetry_orbit = initial_.symmetry_orbit();
-  return result;
+  s.visit(root, root_fp);
+  if (s.count_state()) s.explore(std::move(root), root_fp, {});
+  return s.finish(initial_.symmetry_orbit());
 }
 
 ExploreResult explore_seeded(std::vector<SeedState> seeds,
@@ -481,54 +374,19 @@ ExploreResult explore_seeded(std::vector<SeedState> seeds,
                              const Explorer::Options& opts) {
   if (base.violation || base.hit_limit) return base;
 
-  Shared sh(opts);
-  sh.visited.preload(visited);
-  sh.states.store(base.states_explored, std::memory_order_relaxed);
-  sh.merged.transitions = base.transitions;
-  sh.merged.terminal_states = base.terminal_states;
-  sh.merged.dedup_hits = base.dedup_hits;
-  sh.merged.outcomes = base.outcomes;
-
+  Search s(opts);
+  s.resume(visited, base);
   const std::uint64_t orbit =
       seeds.empty() ? 1 : seeds.front().m.symmetry_orbit();
-
-  auto run_seed = [&sh](SeedState& seed, bool parallel) {
+  for (SeedState& seed : seeds) {
+    if (s.done()) break;
     LBMF_CHECK(!seed.agenda.empty() && seed.agenda.size() <= kMaxChoices);
     ChoiceList cl;
     for (const Choice& c : seed.agenda) cl.add(c.cpu, c.action);
     const Fingerprint fp = seed.m.fingerprint();
-    Worker w(sh, parallel);
-    w.explore(std::move(seed.m), fp, std::move(seed.prefix), &cl);
-  };
-
-  if (opts.threads <= 1) {
-    for (SeedState& seed : seeds) {
-      if (sh.done.load(std::memory_order_relaxed)) break;
-      run_seed(seed, /*parallel=*/false);
-    }
-  } else {
-    ws::Scheduler<AsymmetricSignalFence> sched(opts.threads);
-    sched.run([&] {
-      ws::parallel_for<AsymmetricSignalFence>(
-          0, seeds.size(), 1, [&](std::size_t i) {
-            if (sh.done.load(std::memory_order_relaxed)) return;
-            run_seed(seeds[i], /*parallel=*/true);
-          });
-    });
+    s.explore(std::move(seed.m), fp, std::move(seed.prefix), &cl);
   }
-
-  ExploreResult result;
-  {
-    std::lock_guard<std::mutex> g(sh.result_mu);
-    result = std::move(sh.merged);
-  }
-  result.states_explored = sh.states.load(std::memory_order_relaxed);
-  result.hit_limit = sh.hit_limit.load(std::memory_order_relaxed);
-  result.visited_bytes = sh.visited.bytes();
-  result.spill_bytes = sh.visited.spill_bytes();
-  result.spill_segments = sh.visited.spill_segments();
-  result.symmetry_orbit = orbit;
-  return result;
+  return s.finish(orbit);
 }
 
 std::string annotate_schedule(Machine initial,

@@ -66,22 +66,27 @@ bool SpillSegment::contains(const Fingerprint& fp) const noexcept {
   }
 }
 
-VisitedSet::VisitedSet(bool exact, bool concurrent,
-                       std::uint64_t budget_bytes)
-    : exact_(exact), concurrent_(concurrent),
-      shards_(concurrent ? kShards : 1) {
+VisitedSet::VisitedSet(bool exact, std::uint64_t budget_bytes)
+    : exact_(exact) {
   if (budget_bytes != 0 && !exact) {
-    shard_budget_ =
-        std::max<std::uint64_t>(budget_bytes / shards_.size(),
-                                kMinShardBudget);
+    budget_ = std::max<std::uint64_t>(budget_bytes, kMinBudget);
   }
 }
 
-bool VisitedSet::insert(const Fingerprint& fp, const std::string& canonical) {
-  Shard& s = shards_[shard_of(fp)];
-  if (!concurrent_) return insert_into(s, fp, canonical);
-  std::lock_guard<std::mutex> g(s.mu);
-  return insert_into(s, fp, canonical);
+bool VisitedSet::insert(Fingerprint fp, const std::string& canonical) {
+  if (exact_) return exact_keys_.insert(canonical).second;
+  // Normalize once so the live set and the frozen segments agree on the
+  // {0,0}-is-empty convention.
+  if (fp.lo == 0 && fp.hi == 0) fp.lo = 1;
+  for (const auto& seg : segs_) {
+    if (seg->contains(fp)) return false;
+  }
+  if (!fps_.insert(fp)) return false;
+  if (budget_ != 0 && fps_.bytes() > budget_) {
+    segs_.push_back(std::make_unique<SpillSegment>(fps_.slots()));
+    fps_ = FingerprintSet{};
+  }
+  return true;
 }
 
 void VisitedSet::preload(const std::vector<Fingerprint>& fps) {
@@ -90,59 +95,29 @@ void VisitedSet::preload(const std::vector<Fingerprint>& fps) {
   for (const Fingerprint& fp : fps) insert(fp, kNoCanonical);
 }
 
-bool VisitedSet::insert_into(Shard& s, Fingerprint fp,
-                             const std::string& canonical) {
-  if (exact_) return s.exact.insert(canonical).second;
-  // Normalize once so the live set and the frozen segments agree on the
-  // {0,0}-is-empty convention.
-  if (fp.lo == 0 && fp.hi == 0) fp.lo = 1;
-  for (const auto& seg : s.segs) {
-    if (seg->contains(fp)) return false;
-  }
-  if (!s.fps.insert(fp)) return false;
-  if (shard_budget_ != 0 && s.fps.bytes() > shard_budget_) {
-    s.segs.push_back(std::make_unique<SpillSegment>(s.fps.slots()));
-    s.fps = FingerprintSet{};
-  }
-  return true;
-}
-
 std::uint64_t VisitedSet::bytes() const {
   std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    if (exact_) {
-      // Approximate unordered_set<string> footprint: key bytes + string
-      // header + node and bucket overhead.
-      for (const std::string& k : s.exact) {
-        total += k.capacity() + sizeof(std::string) + 24;
-      }
-      total += s.exact.bucket_count() * sizeof(void*);
-    } else {
-      total += s.fps.bytes();
-      for (const auto& seg : s.segs) {
-        if (!seg->on_disk()) total += seg->bytes();
-      }
+  if (exact_) {
+    // Approximate unordered_set<string> footprint: key bytes + string
+    // header + node and bucket overhead.
+    for (const std::string& k : exact_keys_) {
+      total += k.capacity() + sizeof(std::string) + 24;
     }
+    return total + exact_keys_.bucket_count() * sizeof(void*);
+  }
+  total = fps_.bytes();
+  for (const auto& seg : segs_) {
+    if (!seg->on_disk()) total += seg->bytes();
   }
   return total;
 }
 
 std::uint64_t VisitedSet::spill_bytes() const {
   std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    for (const auto& seg : s.segs) {
-      if (seg->on_disk()) total += seg->bytes();
-    }
+  for (const auto& seg : segs_) {
+    if (seg->on_disk()) total += seg->bytes();
   }
   return total;
-}
-
-std::uint32_t VisitedSet::spill_segments() const {
-  std::uint32_t n = 0;
-  for (const Shard& s : shards_) {
-    n += static_cast<std::uint32_t>(s.segs.size());
-  }
-  return n;
 }
 
 }  // namespace lbmf::sim

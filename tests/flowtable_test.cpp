@@ -6,6 +6,7 @@
 
 #include "lbmf/flowtable/flow_table.hpp"
 #include "lbmf/flowtable/pipeline.hpp"
+#include "lbmf/serve/server.hpp"
 
 namespace lbmf::flowtable {
 namespace {
@@ -294,6 +295,36 @@ TEST(FlowTableDeath, FixedCapacityTableDiesWhenFull) {
         t.unbind_owner();
       },
       "flow table full");
+}
+
+// 0 passes a bare `n & (n - 1)` power-of-two test; without the check the
+// first packet probes a table with no slots.
+TEST(FlowTableDeath, ZeroCapacityIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        FlowTable<SymmetricFence> t(0, Growth::kGrowable);
+        t.bind_owner();
+        t.record_packet(1, 1);
+        t.unbind_owner();
+      },
+      "flow table capacity must be a power of two");
+}
+
+TEST(FlowTableDeath, ServerWithZeroShardCapacityIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  serve::ServeConfig cfg;
+  cfg.shards = 1;
+  cfg.initial_shard_capacity = 0;
+  EXPECT_DEATH(
+      {
+        serve::Server<SymmetricFence> srv(cfg);
+        srv.start();
+        auto client = srv.make_client();
+        client.try_submit(/*key=*/1, /*bytes=*/64, /*burst=*/1, /*now_tsc=*/0);
+        srv.stop();
+      },
+      "flow table capacity must be a power of two");
 }
 
 TEST(PacketGenerator, DeterministicAndBounded) {

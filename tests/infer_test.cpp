@@ -353,6 +353,13 @@ TEST(InferEngine, BatchedVerificationFindsTheSameOptimum) {
   ASSERT_EQ(batched.status, InferStatus::kSat);
   EXPECT_EQ(batched.best, serial.best);
   EXPECT_DOUBLE_EQ(batched.best_cost, serial.best_cost);
+  // Batching is the verifier's one parallel path, and it is deterministic:
+  // a second solve at the same batch checks the same candidates, learns
+  // the same clauses and explores the same states.
+  const InferResult again = run_engine(kHoleyDekker, o);
+  EXPECT_EQ(again.candidates_verified, batched.candidates_verified);
+  EXPECT_EQ(again.clauses.size(), batched.clauses.size());
+  EXPECT_EQ(again.states_total, batched.states_total);
 }
 
 TEST(InferEngine, LearningOffStillFindsTheOptimum) {

@@ -285,11 +285,11 @@ TEST(SymmetryParity, FingerprintMatchesExactUnderSymmetry) {
 // ------------------------------------------------------- spillable set
 
 TEST(VisitedSpill, SegmentsStillAnswerMembership) {
-  // A 64 KiB single-shard budget freezes the live set after ~2.8k entries;
-  // 20k distinct fingerprints therefore span several frozen segments, and
+  // A 64 KiB budget freezes the live set after ~2.8k entries; 20k
+  // distinct fingerprints therefore span several frozen segments, and
   // every duplicate probe must still be caught in whichever segment holds
   // it.
-  VisitedSet vs(/*exact=*/false, /*concurrent=*/false, 64 * 1024);
+  VisitedSet vs(/*exact=*/false, 64 * 1024);
   const auto fp_of = [](std::uint64_t i) {
     return Fingerprint{i * 0x9E3779B97F4A7C15ull + 1, i + 1};
   };
@@ -299,7 +299,7 @@ TEST(VisitedSpill, SegmentsStillAnswerMembership) {
   }
   EXPECT_GE(vs.spill_segments(), 1u);
   EXPECT_GT(vs.spill_bytes(), 0u);
-  // Residency stays bounded by (roughly) the shard budget.
+  // Residency stays bounded by (roughly) the budget.
   EXPECT_LE(vs.bytes(), 2 * 64 * 1024u);
   for (std::uint64_t i = 0; i < kN; ++i) {
     ASSERT_FALSE(vs.insert(fp_of(i), "")) << i;
