@@ -11,10 +11,9 @@
 // cost-model columns (signal / signal+ack / LE/ST at each P) regenerate
 // the figure's shape; measured numbers are reported alongside.
 //
-// E15 rider: writer-acquire latency with 8 registered idle readers,
-// batched serialize_many wave vs. the sequential per-reader round-trip
-// loop (the pre-batching writer), for both ARW and ARW+. Emits
-// BENCH_arw.json.
+// E15 rider: writer-acquire latency with 8 registered idle readers, for
+// both ARW and ARW+ (EXPERIMENTS.md E15 records it against the paper's
+// sequential signal-one-wait-one writer). Emits BENCH_arw.json.
 //
 // Usage: bench_arw [--quick] [window_seconds]
 
@@ -78,8 +77,7 @@ double measure(std::size_t threads, double ratio, double window_s) {
 
 /// E15 fixture: a lock with `readers` registered but idle readers — the
 /// writer pays the full fan-out every acquire while the readers never
-/// contend, isolating the serialization cost. Kept alive across samples so
-/// two variants can be sampled interleaved under identical scheduler load.
+/// contend, isolating the serialization cost.
 template <typename Lock>
 class IdleReaderHarness {
  public:
@@ -121,23 +119,14 @@ class IdleReaderHarness {
   std::atomic<int> ready_{0};
 };
 
-/// Sample two writer variants interleaved (one acquire each per round) so
-/// scheduler drift hits both equally instead of biasing whichever variant
-/// was measured last.
-template <typename SeqLock, typename BatchLock>
-std::pair<Summary, Summary> writer_latency_pair(std::size_t readers,
-                                                int reps) {
-  IdleReaderHarness<SeqLock> seq(readers);
-  IdleReaderHarness<BatchLock> batch(readers);
-  std::vector<double> seq_samples, batch_samples;
-  seq_samples.reserve(static_cast<std::size_t>(reps));
-  batch_samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    seq_samples.push_back(seq.sample());
-    batch_samples.push_back(batch.sample());
-  }
-  return {summarize(std::move(seq_samples)),
-          summarize(std::move(batch_samples))};
+/// write_lock/write_unlock latency of `Lock` over `reps` acquires.
+template <typename Lock>
+Summary writer_latency(std::size_t readers, int reps) {
+  IdleReaderHarness<Lock> harness(readers);
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) samples.push_back(harness.sample());
+  return summarize(std::move(samples));
 }
 
 }  // namespace
@@ -212,41 +201,24 @@ int main(int argc, char** argv) {
       "ARW+ holds >= 1 except near 300:1, and LE/ST wins everywhere — the\n"
       "progression Fig. 6 uses to argue for the hardware mechanism.\n");
 
-  // --- E15: writer-acquire latency, batched wave vs. sequential loop ------
+  // --- E15: writer-acquire latency ---------------------------------------
   constexpr std::size_t kIdleReaders = 8;
   const int reps = quick ? 20 : 60;
   std::printf("\nE15 — write_lock latency (cycles), %zu registered idle "
               "readers:\n\n", kIdleReaders);
-  const auto [arw_seq, arw_batch] =
-      writer_latency_pair<ArwLockSequential, ArwLock>(kIdleReaders, reps);
-  const auto [plus_seq, plus_batch] =
-      writer_latency_pair<ArwPlusLockSequential, ArwPlusLock>(kIdleReaders,
-                                                              reps);
-  std::printf("%-26s p50=%9.0f  mean=%9.0f\n", "ARW  sequential signals",
-              arw_seq.p50, arw_seq.mean);
-  std::printf("%-26s p50=%9.0f  mean=%9.0f\n", "ARW  batched wave",
-              arw_batch.p50, arw_batch.mean);
-  std::printf("%-26s p50=%9.0f  mean=%9.0f\n", "ARW+ sequential signals",
-              plus_seq.p50, plus_seq.mean);
-  std::printf("%-26s p50=%9.0f  mean=%9.0f\n", "ARW+ batched wave",
-              plus_batch.p50, plus_batch.mean);
-  const double arw_speedup =
-      arw_batch.p50 > 0 ? arw_seq.p50 / arw_batch.p50 : 0.0;
-  const double plus_speedup =
-      plus_batch.p50 > 0 ? plus_seq.p50 / plus_batch.p50 : 0.0;
-  std::printf("%-26s ARW %.2fx, ARW+ %.2fx\n", "batched writer speedup",
-              arw_speedup, plus_speedup);
+  const Summary arw = writer_latency<ArwLock>(kIdleReaders, reps);
+  const Summary plus = writer_latency<ArwPlusLock>(kIdleReaders, reps);
+  std::printf("%-26s p50=%9.0f  mean=%9.0f\n", "ARW  writer", arw.p50,
+              arw.mean);
+  std::printf("%-26s p50=%9.0f  mean=%9.0f\n", "ARW+ writer", plus.p50,
+              plus.mean);
 
   JsonWriter json;
   json.begin_object();
   json.key("bench").string("arw");
   json.key("idle_readers").integer(kIdleReaders);
-  json.key("arw_seq_writer_p50_cycles").fixed(arw_seq.p50, 0);
-  json.key("arw_batch_writer_p50_cycles").fixed(arw_batch.p50, 0);
-  json.key("arw_batch_speedup").fixed(arw_speedup, 2);
-  json.key("arwplus_seq_writer_p50_cycles").fixed(plus_seq.p50, 0);
-  json.key("arwplus_batch_writer_p50_cycles").fixed(plus_batch.p50, 0);
-  json.key("arwplus_batch_speedup").fixed(plus_speedup, 2);
+  json.key("arw_writer_p50_cycles").fixed(arw.p50, 0);
+  json.key("arwplus_writer_p50_cycles").fixed(plus.p50, 0);
   json.key("quick").boolean(quick);
   json.end_object();
   if (std::FILE* f = std::fopen("BENCH_arw.json", "w")) {

@@ -47,34 +47,25 @@ class DecayedWindow {
 struct MonitorConfig {
   /// EWMA weight of the newest window for the pop/steal rates.
   double rate_alpha = 0.2;
-  /// EWMA weight of the newest round-trip measurement.
-  double roundtrip_alpha = 0.2;
-  /// Reported when no round-trip has been measured yet: the paper's
-  /// Sec. 5 signal-prototype constant, i.e. assume serialization is
-  /// expensive until proven otherwise.
-  double default_roundtrip_cycles = 10'000.0;
 };
 
 /// Per-deque (per-primary) workload estimator. Feed it cumulative event
 /// counters — the victim's announce count and the steal attempts against
 /// its deque, straight from ws::DequeStats — once per sampling window; it
 /// differences consecutive snapshots and keeps decayed windows of both
-/// rates plus the measured remote round trip.
+/// rates. The round trip that prices them is the drain's own average
+/// (adapt::roundtrip_cycles).
 class WorkloadMonitor {
  public:
   explicit WorkloadMonitor(MonitorConfig cfg = {}) noexcept
-      : cfg_(cfg), pops_(cfg.rate_alpha), steals_(cfg.rate_alpha),
-        roundtrip_(cfg.roundtrip_alpha) {}
+      : pops_(cfg.rate_alpha), steals_(cfg.rate_alpha) {}
 
   /// One sampling window. `pops_total` / `steals_total` are cumulative
   /// (monotone except across a reset_stats(), which is detected and treated
-  /// as a fresh baseline). `roundtrip_cycles` <= 0 means "no measurement
-  /// this window" and leaves the round-trip estimate untouched.
-  void sample(std::uint64_t pops_total, std::uint64_t steals_total,
-              double roundtrip_cycles = 0.0) noexcept {
+  /// as a fresh baseline).
+  void sample(std::uint64_t pops_total, std::uint64_t steals_total) noexcept {
     pops_.add(delta(pops_total, &last_pops_));
     steals_.add(delta(steals_total, &last_steals_));
-    if (roundtrip_cycles > 0.0) roundtrip_.add(roundtrip_cycles);
   }
 
   /// Decayed pops-per-window : steals-per-window ratio — the runtime analogue
@@ -84,13 +75,6 @@ class WorkloadMonitor {
     const double p = pops_.estimate();
     const double s = steals_.estimate();
     return (p + kFloor) / (s + kFloor);
-  }
-
-  /// Decayed remote round-trip estimate, or the configured default before
-  /// any measurement lands.
-  double roundtrip_cycles() const noexcept {
-    return roundtrip_.samples() > 0 ? roundtrip_.estimate()
-                                    : cfg_.default_roundtrip_cycles;
   }
 
   double pops_per_window() const noexcept { return pops_.estimate(); }
@@ -114,10 +98,8 @@ class WorkloadMonitor {
     return d;
   }
 
-  MonitorConfig cfg_;
   DecayedWindow pops_;
   DecayedWindow steals_;
-  DecayedWindow roundtrip_;
   std::uint64_t last_pops_ = 0;
   std::uint64_t last_steals_ = 0;
 };

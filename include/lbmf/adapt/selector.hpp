@@ -23,8 +23,9 @@ struct SelectorConfig {
   /// straddling a crossover boundary flip-flops the proposal and never
   /// builds a streak, so the current mode sticks.
   int confirm_windows = 3;
-  /// > 0: ignore the measured round trip and price serialization at this
-  /// many cycles (benchmarks and deployments that calibrated offline).
+  /// > 0: price serialization at this many cycles instead of the drain's
+  /// measured round trip (benchmarks and deployments that calibrated
+  /// offline).
   double fixed_roundtrip_cycles = 0.0;
   /// tick() calls per sampling window. Each sample is one selector window,
   /// and the caller's quiescent point doubles as where a decided switch is
@@ -49,13 +50,14 @@ class PolicySelector {
   }
 
   /// Feed one sampling window (cumulative counters, as WorkloadMonitor
-  /// expects) and return the selected mode after hysteresis.
-  PolicyMode update(std::uint64_t pops_total, std::uint64_t steals_total,
-                    double measured_roundtrip_cycles = 0.0) {
-    monitor_.sample(pops_total, steals_total, measured_roundtrip_cycles);
+  /// expects) and return the selected mode after hysteresis. The window is
+  /// priced at fixed_roundtrip_cycles when set, else at
+  /// roundtrip_cycles(backend).
+  PolicyMode update(std::uint64_t pops_total, std::uint64_t steals_total) {
+    monitor_.sample(pops_total, steals_total);
     const double rt = cfg_.fixed_roundtrip_cycles > 0.0
                           ? cfg_.fixed_roundtrip_cycles
-                          : monitor_.roundtrip_cycles();
+                          : roundtrip_cycles(cfg_.backend);
     const PolicyMode proposal =
         cfg_.table.lookup(monitor_.freq_ratio(), rt, to_string(cfg_.backend));
     ++windows_;
@@ -80,17 +82,14 @@ class PolicySelector {
   /// The adaptation loop, called by the primary `h` at each of its
   /// quiescent points (no announce in flight) with its cumulative primary
   /// and secondary event counts. Every sample_every-th call samples: it
-  /// updates the selector (priced with roundtrip_cycles(backend) unless a
-  /// fixed price is configured), binds `h` to the configured mechanism,
-  /// requests the selected mode, and adopts both right here. Returns true
-  /// on the calls that sampled.
+  /// updates the selector, binds `h` to the configured mechanism, requests
+  /// the selected mode, and adopts both right here. Returns true on the
+  /// calls that sampled.
   template <AdaptiveFencePolicy P>
   bool tick(const typename P::Handle& h, std::uint64_t primary_total,
             std::uint64_t secondary_total) {
     if (++ticks_ % cfg_.sample_every != 0) return false;
-    update(primary_total, secondary_total,
-           cfg_.fixed_roundtrip_cycles > 0.0 ? 0.0
-                                             : roundtrip_cycles(cfg_.backend));
+    update(primary_total, secondary_total);
     P::request_backend(h, cfg_.backend);
     P::request_mode(h, current_);
     P::quiescent_point(h);

@@ -99,13 +99,6 @@ struct AsymmetricSignalFence {
   static std::size_t serialize_many(std::span<const Handle> hs) {
     return SerializerRegistry::instance().serialize_many(hs);
   }
-  /// The pre-batching serialize: every call posts its own signal and
-  /// spin-waits the covering ack (no coalescing, no parking). Same
-  /// guarantee as serialize(); kept so sequential-baseline code paths and
-  /// benchmarks (bench_arw/bench_roundtrip E15) measure the original cost.
-  static bool serialize_baseline(const Handle& h) {
-    return SerializerRegistry::instance().serialize_uncoalesced(h);
-  }
   static constexpr const char* name() noexcept { return "asymmetric-signal"; }
 };
 

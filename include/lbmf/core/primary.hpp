@@ -10,6 +10,7 @@
 #include "lbmf/core/policies.hpp"
 #include "lbmf/util/cacheline.hpp"
 #include "lbmf/util/check.hpp"
+#include "lbmf/util/spin.hpp"
 
 namespace lbmf {
 
@@ -103,10 +104,15 @@ class PrimaryPool {
 
   /// Unpublish and unregister slot `i` while holding `gate`, the lock
   /// every serialize_wave() caller holds. Call on the slot's own thread.
+  /// The gate is polled, not waited on: until the slot is unpublished this
+  /// thread is a live primary, the round holding the gate may be waiting
+  /// for its signal handler, and a thread blocked in a contended mutex
+  /// lock need not run that handler (ThreadSanitizer defers it).
   template <typename Gate>
   void release(std::size_t i, Gate& gate) {
     Slot& s = *slots_[i];
-    std::lock_guard<Gate> g(gate);
+    for (SpinWait w; !gate.try_lock();) w.wait();
+    std::lock_guard<Gate> g(gate, std::adopt_lock);
     s.live.store(false, std::memory_order_release);
     P::unregister_primary(s.handle);
     s.used.store(false, std::memory_order_release);

@@ -152,8 +152,8 @@ class SerializerRegistry {
   /// Decayed (EWMA, α = 1/8) estimate of the wall-clock serialize() round
   /// trip in TSC cycles, measured across request-to-ack on every coalesced
   /// serialize() call. 0.0 until the first measurement. The adaptation
-  /// layer feeds this to its workload monitor so the policy frontier is
-  /// priced with *this machine's* trip, not the paper's constant.
+  /// layer prices its policy frontier with it (adapt::roundtrip_cycles),
+  /// so the price is *this machine's* trip, not the paper's constant.
   static double measured_roundtrip_cycles() noexcept;
 
  private:
@@ -175,7 +175,6 @@ class SerializerRegistry {
   static void record_roundtrip(std::uint64_t cycles) noexcept;
 
   CacheAligned<Slot> slots_[kMaxPrimaries];
-  std::atomic<std::size_t> high_water_{0};
   static std::atomic<std::uint64_t> rtt_ewma_cycles_;
   static std::atomic<std::uint64_t> rtt_samples_;
 };

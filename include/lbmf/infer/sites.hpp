@@ -147,8 +147,13 @@ struct Instantiation {
 /// across the insertions. Aborts on kLmfence at a register-store site.
 Instantiation instantiate(const InferProblem& p, const Assignment& a);
 
-/// instantiate() loaded into a machine with the problem's config and
-/// initial memory — ready for the explorer.
+/// A machine with the problem's config and initial memory, running
+/// `programs` (the base programs or an instantiation's) — ready for the
+/// explorer. Every machine the engine explores is built here.
+sim::Machine problem_machine(const InferProblem& p,
+                             std::vector<sim::Program> programs);
+
+/// instantiate() loaded into problem_machine().
 sim::Machine instantiate_machine(const InferProblem& p, const Assignment& a);
 
 /// Detect interchangeable CPUs of a problem: byte-identical base programs,

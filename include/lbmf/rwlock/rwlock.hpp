@@ -39,13 +39,11 @@ struct RwLockStats {
 ///   BiasedRwLock<AsymmetricSignalFence>             — ARW
 ///   BiasedRwLock<AsymmetricSignalFence, true>       — ARW+
 ///
-/// `kBatchedSignals` selects the writer's fan-out shape: batched (default)
-/// posts one serialize_many() wave to every reader it must signal and only
-/// then spin-waits on their flags, so the writer pays the slowest round trip
-/// instead of the sum; false reproduces the paper's sequential
-/// signal-one-wait-one loop (kept as the measured baseline, bench_arw E15).
-template <FencePolicy P, bool kWaitingHeuristic = false,
-          bool kBatchedSignals = true>
+/// The writer posts one serialize_many() wave to every reader it must
+/// signal and only then spin-waits on their flags, so it pays the slowest
+/// round trip instead of the sum (EXPERIMENTS.md E15 records the saving
+/// over the paper's sequential signal-one-wait-one writer).
+template <FencePolicy P, bool kWaitingHeuristic = false>
 class BiasedRwLock {
  private:
   struct Reader {
@@ -156,49 +154,23 @@ class BiasedRwLock {
       }
     }
 
-    if constexpr (kBatchedSignals) {
-      // Batched round: classify every live reader (ack-cleared vs.
-      // must-signal), fan the signals out as ONE serialize_many wave, and
-      // only then spin-wait on the flags. The wave overlaps the round
-      // trips, so the writer's serialization cost is max, not sum.
-      const std::size_t serialized = readers_.serialize_wave(
-          [&](Reader& s) {
-            if (kWaitingHeuristic && cleared_by_ack(s, epoch)) {
-              wstats_->ack_clears.fetch_add(1, std::memory_order_relaxed);
-              return false;
-            }
-            // Force the reader to serialize so a flag=1 parked in its
-            // store buffer (committed before our intent became visible)
-            // is exposed.
-            wstats_->signal_clears.fetch_add(1, std::memory_order_relaxed);
-            return true;
-          },
-          await_flag_down);
-      wstats_->serializations.fetch_add(serialized,
-                                        std::memory_order_relaxed);
-    } else {
-      // Sequential round (pre-batching baseline): one full round trip per
-      // reader, each awaited before the next is posted.
-      readers_.for_each_live([&](Reader& s, const typename P::Handle& h) {
-        if (kWaitingHeuristic && cleared_by_ack(s, epoch)) {
-          wstats_->ack_clears.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // Use the policy's pre-batching serialize when it has one so this
-          // leg measures the original writer's cost, not just its shape.
-          bool ok;
-          if constexpr (requires { P::serialize_baseline(h); }) {
-            ok = P::serialize_baseline(h);
-          } else {
-            ok = P::serialize(h);
+    // Classify every live reader (ack-cleared vs. must-signal), fan the
+    // signals out as ONE serialize_many wave, and only then spin-wait on
+    // the flags. The wave overlaps the round trips, so the writer's
+    // serialization cost is max, not sum.
+    const std::size_t serialized = readers_.serialize_wave(
+        [&](Reader& s) {
+          if (kWaitingHeuristic && cleared_by_ack(s, epoch)) {
+            wstats_->ack_clears.fetch_add(1, std::memory_order_relaxed);
+            return false;
           }
-          if (ok) {
-            wstats_->serializations.fetch_add(1, std::memory_order_relaxed);
-          }
+          // Force the reader to serialize so a flag=1 parked in its store
+          // buffer (committed before our intent became visible) is exposed.
           wstats_->signal_clears.fetch_add(1, std::memory_order_relaxed);
-        }
-        await_flag_down(s);
-      });
-    }
+          return true;
+        },
+        await_flag_down);
+    wstats_->serializations.fetch_add(serialized, std::memory_order_relaxed);
     wstats_->write_acquires.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -268,13 +240,6 @@ class BiasedRwLock {
 using SrwLock = BiasedRwLock<SymmetricFence, false>;
 using ArwLock = BiasedRwLock<AsymmetricSignalFence, false>;
 using ArwPlusLock = BiasedRwLock<AsymmetricSignalFence, true>;
-
-/// Pre-batching writers (sequential signal-one-wait-one fan-out): the
-/// measured baseline for the serialize_many wave, and the second leg of the
-/// existing-tests-pass-on-both-paths guarantee.
-using ArwLockSequential = BiasedRwLock<AsymmetricSignalFence, false, false>;
-using ArwPlusLockSequential =
-    BiasedRwLock<AsymmetricSignalFence, true, false>;
 
 }  // namespace lbmf
 

@@ -111,6 +111,13 @@ class Explorer {
   Options opts_;
 };
 
+/// The explorer's verdict on one state: coherence (check_coherence), then
+/// mutual exclusion (check_mutual_exclusion), then `opts.check`; the first
+/// violation found, or nullopt. lbmf::infer judges its prefix-region
+/// states with it, so they are judged as a cold run would judge them.
+std::optional<std::string> check_state(const Machine& m,
+                                       const Explorer::Options& opts);
+
 /// Convenience: explore `machine` with default options and the given state
 /// budget. Returns the result for further outcome assertions.
 ExploreResult explore_all(Machine machine, std::uint64_t max_states = 2'000'000);

@@ -126,8 +126,8 @@ class ChaseLevDeque {
     tstats_->reset();
   }
 
-  /// Scheduler-facing alias so TheDeque and ChaseLevDeque are drop-in
-  /// interchangeable (Chase-Lev literature calls this operation take()).
+  /// take() under TheDeque's name, so one harness drives both deques
+  /// (deque_tsan_test); Chase-Lev literature calls the operation take().
   TaskBase* pop() { return take(); }
 
   /// Advisory only — same contract (and same debug tripwire) as

@@ -71,13 +71,7 @@ struct SchedulerStats {
 ///     fib(n - 2, &b);          // continue working
 ///     tg.sync();               // like `sync`
 ///   });
-///
-/// The deque implementation is pluggable (default: the Cilk-5-style
-/// TheDeque; ws/chase_lev.hpp provides the lock-free alternative with the
-/// identical fence-policy slot):
-///
-///   Scheduler<AsymmetricSignalFence, ChaseLevDeque> cl_sched(n);
-template <FencePolicy P, template <class> class DequeT = TheDeque>
+template <FencePolicy P>
 class Scheduler {
  public:
   using Policy = P;
@@ -153,7 +147,7 @@ class Scheduler {
   struct Worker {
     Scheduler* scheduler = nullptr;
     std::size_t index = 0;
-    DequeT<P> deque;
+    TheDeque<P> deque;
     Xoshiro256 rng{0};
     std::thread thread;
     /// This worker's primary registration (published before ready_, so
@@ -187,16 +181,16 @@ class Scheduler {
   std::atomic<bool> inbox_full_{false};
 };
 
-template <FencePolicy P, template <class> class DequeT>
-thread_local typename Scheduler<P, DequeT>::Worker*
-    Scheduler<P, DequeT>::tls_worker_ = nullptr;
+template <FencePolicy P>
+thread_local typename Scheduler<P>::Worker*
+    Scheduler<P>::tls_worker_ = nullptr;
 
 // ---------------------------------------------------------------------------
 // Implementation
 // ---------------------------------------------------------------------------
 
-template <FencePolicy P, template <class> class DequeT>
-Scheduler<P, DequeT>::Scheduler(std::size_t num_workers) {
+template <FencePolicy P>
+Scheduler<P>::Scheduler(std::size_t num_workers) {
   LBMF_CHECK(num_workers >= 1 && num_workers <= 256);
   workers_.reserve(num_workers);
   for (std::size_t i = 0; i < num_workers; ++i) {
@@ -215,14 +209,14 @@ Scheduler<P, DequeT>::Scheduler(std::size_t num_workers) {
   while (ready_.load(std::memory_order_acquire) < workers_.size()) sw.wait();
 }
 
-template <FencePolicy P, template <class> class DequeT>
-Scheduler<P, DequeT>::~Scheduler() {
+template <FencePolicy P>
+Scheduler<P>::~Scheduler() {
   stop_.store(true, std::memory_order_release);
   for (auto& w : workers_) w->thread.join();
 }
 
-template <FencePolicy P, template <class> class DequeT>
-void Scheduler<P, DequeT>::worker_main(Worker& w) {
+template <FencePolicy P>
+void Scheduler<P>::worker_main(Worker& w) {
   tls_worker_ = &w;
   // Register as a primary for the asymmetric policies; the deque hands the
   // handle to thieves.
@@ -255,8 +249,8 @@ void Scheduler<P, DequeT>::worker_main(Worker& w) {
   tls_worker_ = nullptr;
 }
 
-template <FencePolicy P, template <class> class DequeT>
-void Scheduler<P, DequeT>::maybe_adapt(Worker& w) {
+template <FencePolicy P>
+void Scheduler<P>::maybe_adapt(Worker& w) {
   if constexpr (adapt::AdaptiveFencePolicy<P>) {
     if (!adapt_enabled_.load(std::memory_order_acquire)) return;
     if (!w.selector) {
@@ -276,8 +270,8 @@ void Scheduler<P, DequeT>::maybe_adapt(Worker& w) {
 /// Pop the youngest task of this worker's own deque and run it. Only this
 /// thread spawned into that deque, so it owns the task's group and counts
 /// the join without a locked instruction. False when there was none.
-template <FencePolicy P, template <class> class DequeT>
-bool Scheduler<P, DequeT>::run_own_task(Worker& w) {
+template <FencePolicy P>
+bool Scheduler<P>::run_own_task(Worker& w) {
   if (w.deque.looks_empty()) return false;
   TaskBase* t = w.deque.pop();
   if (t == nullptr) return false;
@@ -287,8 +281,8 @@ bool Scheduler<P, DequeT>::run_own_task(Worker& w) {
 
 /// The root task from the inbox, else a stolen one: tasks whose groups
 /// other threads own, so they complete through TaskBase::run().
-template <FencePolicy P, template <class> class DequeT>
-TaskBase* Scheduler<P, DequeT>::next_foreign_task(Worker& w) {
+template <FencePolicy P>
+TaskBase* Scheduler<P>::next_foreign_task(Worker& w) {
   if (inbox_full_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> g(inbox_mutex_);
     if (inbox_ != nullptr) {
@@ -301,21 +295,21 @@ TaskBase* Scheduler<P, DequeT>::next_foreign_task(Worker& w) {
   return try_steal(w);
 }
 
-template <FencePolicy P, template <class> class DequeT>
-TaskBase* Scheduler<P, DequeT>::try_steal(Worker& w) {
+template <FencePolicy P>
+TaskBase* Scheduler<P>::try_steal(Worker& w) {
   const std::size_t n = workers_.size();
   if (n == 1) return nullptr;
   // One random probe per call (the caller loops); skip self and deques that
   // look empty to avoid useless serialization traffic.
   const std::size_t victim = w.rng.next_below(n);
   if (victim == w.index) return nullptr;
-  DequeT<P>& d = workers_[victim]->deque;
+  TheDeque<P>& d = workers_[victim]->deque;
   if (d.looks_empty()) return nullptr;
   return d.steal();
 }
 
-template <FencePolicy P, template <class> class DequeT>
-void Scheduler<P, DequeT>::sync_help(Worker& w, TaskGroupBase& group) {
+template <FencePolicy P>
+void Scheduler<P>::sync_help(Worker& w, TaskGroupBase& group) {
   SpinWait idle;
   while (!group.done()) {
     // Ticks here too: under a recursive workload a worker lives in nested
@@ -332,8 +326,8 @@ void Scheduler<P, DequeT>::sync_help(Worker& w, TaskGroupBase& group) {
   }
 }
 
-template <FencePolicy P, template <class> class DequeT>
-void Scheduler<P, DequeT>::run(std::function<void()> root) {
+template <FencePolicy P>
+void Scheduler<P>::run(std::function<void()> root) {
   TaskGroupBase root_group;
   auto body = [&root] { root(); };
   ClosureTask<decltype(body)> task(root_group, std::move(body));
@@ -348,8 +342,8 @@ void Scheduler<P, DequeT>::run(std::function<void()> root) {
   while (!root_group.done()) sw.wait();
 }
 
-template <FencePolicy P, template <class> class DequeT>
-SchedulerStats Scheduler<P, DequeT>::stats() const {
+template <FencePolicy P>
+SchedulerStats Scheduler<P>::stats() const {
   SchedulerStats s;
   for (const auto& w : workers_) {
     const DequeStats d = w->deque.stats();
@@ -370,8 +364,8 @@ SchedulerStats Scheduler<P, DequeT>::stats() const {
   return s;
 }
 
-template <FencePolicy P, template <class> class DequeT>
-void Scheduler<P, DequeT>::reset_stats() {
+template <FencePolicy P>
+void Scheduler<P>::reset_stats() {
   for (auto& w : workers_) w->deque.reset_stats();
 }
 

@@ -137,10 +137,6 @@ SerializerRegistry::Handle SerializerRegistry::register_self() {
       // whose serialize() acquires `live == true` is guaranteed to see
       // `thread`, the ack epoch, and the installed TLS pointer.
       slot.live.store(true, std::memory_order_release);
-      std::size_t hw = high_water_.load(std::memory_order_relaxed);
-      while (hw < i + 1 && !high_water_.compare_exchange_weak(
-                               hw, i + 1, std::memory_order_acq_rel)) {
-      }
       return Handle(&slot);
     }
   }

@@ -53,22 +53,6 @@ std::vector<FenceKind> valid_kinds(const FenceSite& s) {
   return {FenceKind::kNone, FenceKind::kLmfence, FenceKind::kMfence};
 }
 
-sim::Machine machine_for(const InferProblem& p, const Instantiation& inst,
-                         bool symmetry = false) {
-  sim::SimConfig cfg = p.config;
-  cfg.num_cpus = inst.programs.size();
-  sim::Machine m(cfg);
-  for (const auto& [addr, v] : p.initial_memory) m.set_memory(addr, v);
-  for (std::size_t i = 0; i < inst.programs.size(); ++i) {
-    m.load_program(i, inst.programs[i]);
-  }
-  // State symmetry is per *instantiated* candidate: auto_symmetry groups
-  // only byte-identical programs, so a candidate that fences the group
-  // members differently simply explores without the reduction.
-  if (symmetry) m.auto_symmetry();
-  return m;
-}
-
 /// Replay a violating schedule of assignment `a` and return the *culprit
 /// sites*: candidate sites where a (stronger) fence would have ordered one
 /// of the store→load crossings the schedule performs. A fence at site s
@@ -85,7 +69,7 @@ std::set<std::size_t> find_culprits(const InferProblem& p,
   std::set<std::size_t> everything;
   for (std::size_t s = 0; s < nsites; ++s) everything.insert(s);
 
-  sim::Machine m = machine_for(p, inst);
+  sim::Machine m = problem_machine(p, inst.programs);
   // Per CPU: instantiated instruction index of each site's store.
   std::vector<std::map<std::size_t, std::size_t>> site_at(m.num_cpus());
   for (std::size_t s = 0; s < nsites; ++s) {
@@ -178,8 +162,12 @@ Checked check_one(const CheckCtx& x, const Assignment& a,
     c.r = explore_with_prefix(x.p, c.inst, *x.graph, eo, x.o.symmetry);
     c.reused = true;
   } else {
-    sim::Explorer ex(machine_for(x.p, c.inst, x.o.symmetry), eo);
-    c.r = ex.run();
+    sim::Machine m = problem_machine(x.p, c.inst.programs);
+    // State symmetry is per *instantiated* candidate: auto_symmetry groups
+    // only byte-identical programs, so a candidate that fences the group
+    // members differently simply explores without the reduction.
+    if (x.o.symmetry) m.auto_symmetry();
+    c.r = sim::Explorer(std::move(m), eo).run();
   }
   if (allow_cache && x.o.verdict_cache != nullptr && !c.r.hit_limit) {
     x.o.verdict_cache->store(a.kinds, c.r);

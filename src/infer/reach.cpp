@@ -76,31 +76,6 @@ struct Reader {
 // never match and must not be preloaded.
 constexpr char kGraphMagic[8] = {'L', 'B', 'M', 'F', 'P', 'G', '2', '\n'};
 
-/// Root machine of the *base* (all-none) problem.
-Machine base_machine(const InferProblem& p) {
-  sim::SimConfig cfg = p.config;
-  cfg.num_cpus = p.programs.size();
-  Machine m(cfg);
-  for (const auto& [addr, v] : p.initial_memory) m.set_memory(addr, v);
-  for (std::size_t i = 0; i < p.programs.size(); ++i) {
-    m.load_program(i, p.programs[i]);
-  }
-  return m;
-}
-
-std::optional<std::string> check_state(const Machine& m,
-                                       const sim::Explorer::Options& eo) {
-  std::optional<std::string> violation;
-  if (eo.check_coherence) violation = m.check_coherence();
-  if (!violation && eo.check_mutual_exclusion && m.cpus_in_cs() > 1) {
-    violation = "mutual exclusion violated: " +
-                std::to_string(m.cpus_in_cs()) +
-                " CPUs in the critical section";
-  }
-  if (!violation && eo.check) violation = eo.check(m);
-  return violation;
-}
-
 }  // namespace
 
 Hash128 problem_graph_key(const InferProblem& p) {
@@ -163,7 +138,8 @@ PrefixGraph build_prefix_graph(const InferProblem& p,
   std::deque<Item> queue;
   sim::FingerprintSet seen;
 
-  Machine root = base_machine(p);
+  // Root machine of the *base* (all-none) problem.
+  Machine root = problem_machine(p, p.programs);
   const Fingerprint root_fp = root.fingerprint();
   seen.insert(root_fp);
   g.visited.push_back(root_fp);
@@ -223,7 +199,7 @@ PrefixGraph build_prefix_graph(const InferProblem& p,
       ++g.base.states_explored;
       std::vector<Choice> prefix = it.prefix;
       prefix.push_back(c);
-      if (auto violation = check_state(child, eo)) {
+      if (auto violation = sim::check_state(child, eo)) {
         // No hole executed on this path, so the violating schedule exists
         // verbatim in every candidate instantiation: the whole lattice
         // shares this verdict.
@@ -248,13 +224,7 @@ sim::ExploreResult explore_with_prefix(const InferProblem& p,
   std::vector<sim::SeedState> seeds;
   seeds.reserve(g.seeds.size());
   for (const PrefixGraph::Seed& s : g.seeds) {
-    sim::SimConfig cfg = p.config;
-    cfg.num_cpus = inst.programs.size();
-    Machine m(cfg);
-    for (const auto& [addr, v] : p.initial_memory) m.set_memory(addr, v);
-    for (std::size_t i = 0; i < inst.programs.size(); ++i) {
-      m.load_program(i, inst.programs[i]);
-    }
+    Machine m = problem_machine(p, inst.programs);
     LBMF_CHECK_MSG(m.restore_arch(s.arch), "corrupt prefix-graph seed");
     // Saved pcs are base-coordinate; shift them past the candidate's
     // inserted fence instructions. All other state is hole-independent.

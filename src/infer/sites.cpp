@@ -295,16 +295,20 @@ Instantiation instantiate(const InferProblem& p, const Assignment& a) {
   return out;
 }
 
-sim::Machine instantiate_machine(const InferProblem& p, const Assignment& a) {
-  Instantiation inst = instantiate(p, a);
+sim::Machine problem_machine(const InferProblem& p,
+                             std::vector<sim::Program> programs) {
   sim::SimConfig cfg = p.config;
-  cfg.num_cpus = inst.programs.size();
+  cfg.num_cpus = programs.size();
   sim::Machine m(cfg);
   for (const auto& [addr, v] : p.initial_memory) m.set_memory(addr, v);
-  for (std::size_t i = 0; i < inst.programs.size(); ++i) {
-    m.load_program(i, std::move(inst.programs[i]));
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    m.load_program(i, std::move(programs[i]));
   }
   return m;
+}
+
+sim::Machine instantiate_machine(const InferProblem& p, const Assignment& a) {
+  return problem_machine(p, instantiate(p, a).programs);
 }
 
 namespace {

@@ -260,7 +260,7 @@ class Search {
       if (!count_state()) return;
       // Safety properties are state predicates: evaluate each distinct
       // state once, on discovery, rather than once per incoming transition.
-      if (auto violation = check_state(child)) {
+      if (auto violation = check_state(child, opts_)) {
         if (!result_.violation) {
           result_.violation = std::move(*violation);
           result_.violation_trace = trace_;
@@ -279,18 +279,6 @@ class Search {
       trace_.push_back(c);
       push_scratch(fp.lo, cl);
     }
-  }
-
-  std::optional<std::string> check_state(const Machine& m) const {
-    std::optional<std::string> violation;
-    if (opts_.check_coherence) violation = m.check_coherence();
-    if (!violation && opts_.check_mutual_exclusion && m.cpus_in_cs() > 1) {
-      violation = "mutual exclusion violated: " +
-                  std::to_string(m.cpus_in_cs()) +
-                  " CPUs in the critical section";
-    }
-    if (!violation && opts_.check) violation = opts_.check(m);
-    return violation;
   }
 
   /// Make the scratch machine the top frame. Popped frames stay in stack_
@@ -348,6 +336,19 @@ class Search {
 };
 
 }  // namespace
+
+std::optional<std::string> check_state(const Machine& m,
+                                       const Explorer::Options& opts) {
+  std::optional<std::string> violation;
+  if (opts.check_coherence) violation = m.check_coherence();
+  if (!violation && opts.check_mutual_exclusion && m.cpus_in_cs() > 1) {
+    violation = "mutual exclusion violated: " +
+                std::to_string(m.cpus_in_cs()) +
+                " CPUs in the critical section";
+  }
+  if (!violation && opts.check) violation = opts.check(m);
+  return violation;
+}
 
 // ---------------------------------------------------------------------------
 // Explorer

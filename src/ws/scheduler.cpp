@@ -11,9 +11,6 @@ template class Scheduler<AsymmetricMembarrierFence>;
 template class Scheduler<UnsafeNoFence>;
 template class Scheduler<adapt::AdaptiveFence>;
 
-template class Scheduler<SymmetricFence, ChaseLevDeque>;
-template class Scheduler<AsymmetricSignalFence, ChaseLevDeque>;
-
 template class ChaseLevDeque<SymmetricFence>;
 template class ChaseLevDeque<AsymmetricSignalFence>;
 template class ChaseLevDeque<AsymmetricMembarrierFence>;

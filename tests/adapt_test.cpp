@@ -138,19 +138,6 @@ TEST(WorkloadMonitor, ResetUnderSamplingDoesNotSpikeTheEwma) {
   EXPECT_GT(m.pops_per_window(), dipped);
 }
 
-TEST(WorkloadMonitor, RoundtripDefaultsUntilMeasured) {
-  MonitorConfig cfg;
-  cfg.default_roundtrip_cycles = 12'345.0;
-  cfg.roundtrip_alpha = 1.0;
-  WorkloadMonitor m(cfg);
-  m.sample(10, 1);  // no measurement this window
-  EXPECT_DOUBLE_EQ(m.roundtrip_cycles(), 12'345.0);
-  m.sample(20, 2, 800.0);
-  EXPECT_DOUBLE_EQ(m.roundtrip_cycles(), 800.0);
-  m.sample(30, 3);  // <= 0 leaves the estimate untouched
-  EXPECT_DOUBLE_EQ(m.roundtrip_cycles(), 800.0);
-}
-
 // ----------------------------------------------------------- PolicyTable
 
 TEST(PolicyTable, BuiltinFrontierMatchesTheShippedSweep) {
@@ -392,6 +379,27 @@ TEST(PolicySelector, BackendPlaneConstrainsProposals) {
   pops = steals = 0;
   sig_sel.update(pops += 100, steals += 100);
   EXPECT_EQ(sig_sel.current(), PolicyMode::kAsymmetric);
+}
+
+TEST(PolicySelector, PricesAtTheDrainRoundTripUnlessFixed) {
+  // Without a fixed price a window is priced at the drain's own round-trip
+  // average, or its documented default before the first measurement (at
+  // a 100:1 mix the membarrier-pair plane answers differently for its
+  // ~2.5k-cycle default than for a ~10k-cycle trip). Nothing here
+  // serializes, so the price holds still across the test.
+  for (const BackendId b : {BackendId::kSignal, BackendId::kMembarrierPair}) {
+    SelectorConfig cfg = crisp_selector(1);
+    cfg.fixed_roundtrip_cycles = 0.0;
+    cfg.backend = b;
+    for (const std::uint64_t pops : {1, 100, 2'000, 10'000, 200'000}) {
+      PolicySelector sel(cfg);
+      sel.update(pops, 100);
+      EXPECT_EQ(sel.current(),
+                cfg.table.lookup(sel.monitor().freq_ratio(),
+                                 roundtrip_cycles(b), to_string(b)))
+          << to_string(b) << ", " << pops << " pops";
+    }
+  }
 }
 
 // ------------------------------------------------- PolicySelector::tick

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "lbmf/ws/chase_lev.hpp"
-#include "lbmf/ws/scheduler.hpp"
 #include "lbmf/ws/task.hpp"
 
 namespace lbmf::ws {
@@ -150,48 +149,6 @@ TYPED_TEST(ChaseLevTest, EveryTaskConsumedExactlyOnceUnderContention) {
 
   EXPECT_EQ(executed.load(), kTasks);
   EXPECT_TRUE(g.done());  // run() decremented once per task — no double runs
-}
-
-// ------------------------------------------- scheduler over Chase-Lev
-
-// TaskGroup is scheduler-type-specific (its spawn resolves the worker TLS
-// of that instantiation), so the recursion is templated on the scheduler.
-template <typename Sched>
-long fib_on(long n) {
-  if (n < 2) return n;
-  long a = 0;
-  typename Sched::TaskGroup tg;
-  auto t = tg.capture([n, &a] { a = fib_on<Sched>(n - 1); });
-  tg.spawn(t);
-  const long b = fib_on<Sched>(n - 2);
-  tg.sync();
-  return a + b;
-}
-
-TYPED_TEST(ChaseLevTest, SchedulerRunsOnChaseLevBackend) {
-  using Sched = Scheduler<TypeParam, ChaseLevDeque>;
-  Sched sched(3);
-  long result = 0;
-  sched.run([&] { result = fib_on<Sched>(18); });
-  EXPECT_EQ(result, 2584);
-  const SchedulerStats s = sched.stats();
-  EXPECT_GT(s.spawns, 1000u);
-  // Conservation under Chase-Lev: fast takes + contested takes that won +
-  // successful steals account for every spawned task.
-  EXPECT_EQ(s.spawns,
-            s.pops_fast + (s.pops_conflict - s.pops_empty) + s.steals_success);
-}
-
-TYPED_TEST(ChaseLevTest, SchedulerBackendsComputeIdenticalResults) {
-  using TheSched = Scheduler<TypeParam, TheDeque>;
-  using ClSched = Scheduler<TypeParam, ChaseLevDeque>;
-  TheSched the_sched(2);
-  ClSched cl_sched(2);
-  long a = 0, b = 0;
-  the_sched.run([&] { a = fib_on<TheSched>(15); });
-  cl_sched.run([&] { b = fib_on<ClSched>(15); });
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, 610);
 }
 
 }  // namespace

@@ -24,12 +24,12 @@ using namespace lbmf::ws;
 
 constexpr int kTasks = 50000;
 
-// Every deque template is exercised the same way; DequeT is TheDeque or
+// Every deque template is exercised the same way; Deque is TheDeque or
 // ChaseLevDeque over the symmetric policy (no membarrier dependency, so
 // the binary runs anywhere TSan does).
-template <template <class> class DequeT>
+template <template <class> class Deque>
 int drive(const char* label) {
-  DequeT<lbmf::SymmetricFence> d;
+  Deque<lbmf::SymmetricFence> d;
   TaskGroupBase g;
   std::vector<ClosureTask<void (*)()>> tasks;
   tasks.reserve(kTasks);

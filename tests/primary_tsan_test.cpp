@@ -13,10 +13,12 @@
 //    reading the peer's `turn` store, so that store must carry the
 //    happens-before edge from the peer's previous critical section.
 //
-// The pools run under SymmetricFence and AsymmetricMembarrierFence (whose
-// handle carries data the wave reads); nothing here posts a signal, so the
-// binary runs anywhere TSan does. TSan makes any report fatal via
-// halt_on_error.
+// The pools run under SymmetricFence, AsymmetricMembarrierFence (whose
+// handle carries data the wave reads) and AsymmetricSignalFence, whose
+// waves signal the churning threads: a release that blocked in the gate's
+// mutex would never run the handler the round holding the gate waits for
+// (TSan defers signals in blocking calls), so the pair would hang until
+// ctest's timeout. TSan makes any report fatal via halt_on_error.
 //
 // Plain main, no gtest: gtest + TSan needs a separately instrumented gtest
 // build, which the repo does not carry.
@@ -125,8 +127,8 @@ int drive_peterson() {
 }
 
 // kChurners threads register, run body(token) and release in a loop while
-// this thread runs kRounds secondary rounds. A release waits for the gate
-// the secondary holds, so the rounds pause in between to let it through.
+// this thread runs kRounds secondary rounds. A release polls the gate the
+// secondary holds, so the rounds pause in between to let it through.
 // Returns the number of registrations.
 template <typename Register, typename Body, typename Secondary>
 long churn(Register&& reg, Body&& body, Secondary&& secondary) {
@@ -251,6 +253,7 @@ int main() {
   rc |= drive_peterson();
   rc |= drive_pools<SymmetricFence>("symmetric");
   rc |= drive_pools<AsymmetricMembarrierFence>("membarrier");
+  rc |= drive_pools<AsymmetricSignalFence>("signal");
   std::printf("%s\n", rc == 0 ? "PASS" : "FAIL");
   return rc;
 }

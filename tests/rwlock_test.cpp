@@ -10,16 +10,12 @@ namespace lbmf {
 namespace {
 
 // Exercise the three paper locks plus the membarrier variant through one
-// typed suite — and both writer fan-out shapes (batched serialize_many
-// wave vs. the sequential signal-one-wait-one baseline), so lock semantics
-// are pinned identical across the two paths.
+// typed suite.
 template <typename L>
 class RwLockTest : public ::testing::Test {};
 
-using LockTypes =
-    ::testing::Types<SrwLock, ArwLock, ArwPlusLock, ArwLockSequential,
-                     ArwPlusLockSequential,
-                     BiasedRwLock<AsymmetricMembarrierFence, false>>;
+using LockTypes = ::testing::Types<SrwLock, ArwLock, ArwPlusLock,
+                                   BiasedRwLock<AsymmetricMembarrierFence>>;
 TYPED_TEST_SUITE(RwLockTest, LockTypes);
 
 TYPED_TEST(RwLockTest, UncontendedReadLockUnlock) {
@@ -286,41 +282,31 @@ TEST(RwLockBatched, MixedWaveKeepsMutualExclusionUnderHeuristic) {
             static_cast<std::uint64_t>(kWriters * kWritesEach));
 }
 
-TEST(RwLockBatched, BatchedAndSequentialWritersAccountIdentically) {
-  // Same scenario on both fan-out paths: 3 idle registered readers, one
-  // write. Both writers must signal exactly the 3 silent slots.
-  const auto run = [](auto& lock) {
-    std::atomic<bool> stop{false};
-    std::atomic<int> ready{0};
-    std::vector<std::thread> readers;
-    for (int i = 0; i < 3; ++i) {
-      readers.emplace_back([&] {
-        auto token = lock.register_reader();
-        ready.fetch_add(1);
-        while (!stop.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-      });
-    }
-    while (ready.load() < 3) std::this_thread::yield();
-    lock.write_lock();
-    lock.write_unlock();
-    const RwLockStats st = lock.stats();
-    stop.store(true, std::memory_order_release);
-    for (auto& t : readers) t.join();
-    return st;
-  };
-
-  ArwLock batched;
-  ArwLockSequential sequential;
-  const RwLockStats b = run(batched);
-  const RwLockStats s = run(sequential);
-  EXPECT_EQ(b.signal_clears, 3u);
-  EXPECT_EQ(s.signal_clears, 3u);
-  EXPECT_EQ(b.serializations, 3u);
-  EXPECT_EQ(s.serializations, 3u);
-  EXPECT_EQ(b.ack_clears, 0u);
-  EXPECT_EQ(s.ack_clears, 0u);
+TEST(RwLockBatched, WaveSignalsEachSilentReaderOnce) {
+  // 3 idle registered readers, one write: the writer's wave must signal
+  // exactly the 3 silent slots.
+  ArwLock lock;
+  std::atomic<bool> stop{false};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) {
+    readers.emplace_back([&] {
+      auto token = lock.register_reader();
+      ready.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (ready.load() < 3) std::this_thread::yield();
+  lock.write_lock();
+  lock.write_unlock();
+  const RwLockStats st = lock.stats();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(st.signal_clears, 3u);
+  EXPECT_EQ(st.serializations, 3u);
+  EXPECT_EQ(st.ack_clears, 0u);
 }
 
 TEST(RwLockStats, ReadableWhileWriterIsMidAcquire) {
