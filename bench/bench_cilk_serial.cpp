@@ -23,16 +23,17 @@ using cilkbench::Scale;
 
 namespace {
 
+/// Best wall time of `reps` runs; `spawns` gets the spawns of one run.
 template <FencePolicy P>
 double best_of(ws::Scheduler<P>& sched, const Benchmark& b, int reps,
-               std::uint64_t* checksum, ws::SchedulerStats* stats) {
+               std::uint64_t* checksum, std::uint64_t* spawns) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    sched.reset_stats();
+    const std::uint64_t before = sched.stats().spawns;
     Stopwatch sw;
     *checksum = cilkbench::run_on(sched, b);
     best = std::min(best, sw.seconds());
-    *stats = sched.stats();
+    *spawns = sched.stats().spawns - before;
   }
   return best;
 }
@@ -66,17 +67,20 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < sym_list.size(); ++i) {
     std::uint64_t cs_sym = 0, cs_asym = 0, cs_base = 0;
-    ws::SchedulerStats ss{}, as{}, bs{};
-    const double t_sym = best_of(sym, sym_list[i], reps, &cs_sym, &ss);
-    const double t_asym = best_of(asym, asym_list[i], reps, &cs_asym, &as);
-    const double t_base = best_of(base, base_list[i], reps, &cs_base, &bs);
+    std::uint64_t spawns_sym = 0, spawns_asym = 0, spawns_base = 0;
+    const double t_sym =
+        best_of(sym, sym_list[i], reps, &cs_sym, &spawns_sym);
+    const double t_asym =
+        best_of(asym, asym_list[i], reps, &cs_asym, &spawns_asym);
+    const double t_base =
+        best_of(base, base_list[i], reps, &cs_base, &spawns_base);
     if (cs_sym != cs_asym || cs_sym != cs_base) {
       std::fprintf(stderr, "checksum mismatch on %s\n",
                    sym_list[i].name.c_str());
       return 1;
     }
     model::WsCounts counts;
-    counts.spawns = bs.spawns;
+    counts.spawns = spawns_base;
     counts.steal_attempts = 0;  // serial: no thieves exist
     counts.steals_success = 0;
     counts.work_cycles = t_base * tsc_hz();
@@ -88,7 +92,7 @@ int main(int argc, char** argv) {
     std::printf("%-10s %9.2f %9.2f %9.2f | %8.3f %8.3f %8.3f | %10llu\n",
                 sym_list[i].name.c_str(), t_sym * 1e3, t_asym * 1e3,
                 t_base * 1e3, t_sym > 0 ? t_asym / t_sym : 0.0, mdl_sig,
-                mdl_lest, static_cast<unsigned long long>(bs.spawns));
+                mdl_lest, static_cast<unsigned long long>(spawns_base));
   }
 
   std::printf(

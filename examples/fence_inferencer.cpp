@@ -51,7 +51,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,7 +59,7 @@
 #include "lbmf/infer/infer.hpp"
 
 using namespace lbmf;
-using infer_cli::bad_flag;
+using cli::bad_flag;
 
 namespace {
 
@@ -137,34 +136,6 @@ CliOptions parse_flags(int argc, char** argv) {
     std::exit(2);
   }
   return cli;
-}
-
-std::string read_source(int argc, char** argv) {
-  std::string arg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) != 0) {
-      arg = argv[i];
-      break;
-    }
-  }
-  if (arg.empty()) {
-    std::fprintf(stderr,
-                 "usage: fence_inferencer <test.lit | -> [--flags]\n");
-    std::exit(2);
-  }
-  if (arg == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    return ss.str();
-  }
-  std::ifstream f(arg);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", arg.c_str());
-    std::exit(2);
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 std::string bracketed(const infer::InferProblem& p, sim::Addr a) {
@@ -283,7 +254,13 @@ int run_sweep_mode(const infer::InferProblem& p, const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli = parse_flags(argc, argv);
-  const std::string source = read_source(argc, argv);
+  const std::string path = lbmf::cli::first_positional(argc, argv);
+  if (path.empty()) {
+    std::fprintf(stderr,
+                 "usage: fence_inferencer <test.lit | -> [--flags]\n");
+    return 2;
+  }
+  const std::string source = lbmf::cli::read_source(path);
 
   infer::ProblemParse parsed = infer::problem_from_source(source);
   if (!parsed.ok()) {

@@ -1,7 +1,7 @@
 #pragma once
 
-// What the two inference CLIs, fence_inferencer and lbmf_extract, share:
-// the malformed-flag exit, the engine's numeric flags and the persisted
+// What the two inference CLIs, fence_inferencer and lbmf_extract, share
+// beyond cli.hpp: the engine's numeric flags and the persisted
 // prefix-graph cache.
 
 #include <climits>
@@ -9,14 +9,10 @@
 #include <cstdlib>
 #include <string>
 
+#include "cli.hpp"
 #include "lbmf/infer/infer.hpp"
 
 namespace lbmf::infer_cli {
-
-[[noreturn]] inline void bad_flag(const std::string& flag) {
-  std::fprintf(stderr, "unrecognized or malformed flag: %s\n", flag.c_str());
-  std::exit(2);
-}
 
 /// Parse `--max-states=N` or `--batch=K` (K <= 64) into `engine`; every
 /// value must be a positive integer. Returns false when `a` is neither;
@@ -26,7 +22,9 @@ inline bool parse_engine_flag(const std::string& a,
   auto value = [&a](std::size_t skip, unsigned long long max) {
     char* end = nullptr;
     const unsigned long long v = std::strtoull(a.c_str() + skip, &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0 || v > max) bad_flag(a);
+    if (end == nullptr || *end != '\0' || v == 0 || v > max) {
+      cli::bad_flag(a);
+    }
     return v;
   };
   if (a.rfind("--max-states=", 0) == 0) {

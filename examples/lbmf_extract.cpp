@@ -37,7 +37,7 @@
 #include "lbmf/infer/infer.hpp"
 
 using namespace lbmf;
-using infer_cli::bad_flag;
+using cli::bad_flag;
 
 namespace {
 

@@ -32,17 +32,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "lbmf/sim/assembler.hpp"
 #include "lbmf/sim/explorer.hpp"
 #include "lbmf/sim/litmus.hpp"
 
 using namespace lbmf::sim;
+using lbmf::cli::bad_flag;
 
 namespace {
 
@@ -84,11 +83,6 @@ struct CliOptions {
   bool expect_violation = false;
 };
 
-[[noreturn]] void bad_flag(const std::string& flag) {
-  std::fprintf(stderr, "unrecognized or malformed flag: %s\n", flag.c_str());
-  std::exit(2);
-}
-
 CliOptions parse_flags(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
@@ -125,35 +119,13 @@ CliOptions parse_flags(int argc, char** argv) {
   return cli;
 }
 
-std::string read_source(int argc, char** argv) {
-  std::string arg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) != 0) {
-      arg = argv[i];
-      break;
-    }
-  }
-  if (arg.empty()) return kDemo;
-  if (arg == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    return ss.str();
-  }
-  std::ifstream f(arg);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", arg.c_str());
-    std::exit(2);
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliOptions cli = parse_flags(argc, argv);
-  const std::string source = read_source(argc, argv);
+  const std::string path = lbmf::cli::first_positional(argc, argv);
+  const std::string source =
+      path.empty() ? kDemo : lbmf::cli::read_source(path);
   const AssembleResult assembled = assemble(source);
   if (!assembled.ok()) {
     std::fprintf(stderr, "%s\n", assembled.error->to_string().c_str());

@@ -32,14 +32,20 @@ using cilkbench::Scale;
 
 namespace {
 
+/// Wall time of one run. The scheduler's counters only grow, so
+/// `stats_out` gets the change over the run in the fields main prints.
 template <FencePolicy P>
 double run_once(ws::Scheduler<P>& sched, const Benchmark& b,
                 ws::SchedulerStats* stats_out, std::uint64_t* checksum) {
-  sched.reset_stats();
+  const ws::SchedulerStats before = sched.stats();
   Stopwatch sw;
   *checksum = cilkbench::run_on(sched, b);
   const double secs = sw.seconds();
-  *stats_out = sched.stats();
+  const ws::SchedulerStats after = sched.stats();
+  stats_out->spawns = after.spawns - before.spawns;
+  stats_out->steal_attempts = after.steal_attempts - before.steal_attempts;
+  stats_out->steals_success = after.steals_success - before.steals_success;
+  stats_out->policy_switches = after.policy_switches - before.policy_switches;
   return secs;
 }
 
@@ -95,9 +101,6 @@ int main(int argc, char** argv) {
   if (adaptive) std::printf(" %10s %9s", "adapt(ms)", "switches");
   std::printf("\n");
   const char* defaults[] = {"fib", "cilksort", "nqueens"};
-  // Switch counts live in the policy slots and survive reset_stats();
-  // difference successive totals to report per-benchmark adoptions.
-  std::uint64_t switches_seen = 0;
   for (std::size_t i = 0; i < sym_list.size(); ++i) {
     const Benchmark& b = sym_list[i];
     if (only != nullptr) {
@@ -132,9 +135,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::printf(" %10.2f %9llu", t_adapt * 1e3,
-                  static_cast<unsigned long long>(ds.policy_switches -
-                                                  switches_seen));
-      switches_seen = ds.policy_switches;
+                  static_cast<unsigned long long>(ds.policy_switches));
     }
     std::printf("\n");
   }

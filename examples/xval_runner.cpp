@@ -34,15 +34,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 
+#include "cli.hpp"
 #include "lbmf/sim/assembler.hpp"
 #include "lbmf/xval/xval.hpp"
 
 using namespace lbmf;
+using cli::bad_flag;
 
 namespace {
 
@@ -52,11 +52,6 @@ struct CliOptions {
   bool expect_violation = false;
   bool sim_only = false;
 };
-
-[[noreturn]] void bad_flag(const std::string& flag) {
-  std::fprintf(stderr, "unrecognized or malformed flag: %s\n", flag.c_str());
-  std::exit(2);
-}
 
 std::uint64_t parse_u64(const std::string& flag, std::size_t prefix) {
   char* end = nullptr;
@@ -107,22 +102,6 @@ std::string litmus_name(const std::string& path) {
   return base;
 }
 
-std::string read_source(const std::string& arg) {
-  if (arg == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    return ss.str();
-  }
-  std::ifstream f(arg);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", arg.c_str());
-    std::exit(2);
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
 void print_set(const char* label, const std::set<std::string>& s) {
   std::printf("%s (%zu):\n", label, s.size());
   for (const std::string& o : s) std::printf("  %s\n", o.c_str());
@@ -132,19 +111,13 @@ void print_set(const char* label, const std::set<std::string>& s) {
 
 int main(int argc, char** argv) {
   const CliOptions cli = parse_flags(argc, argv);
-  std::string file;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) != 0) {
-      file = argv[i];
-      break;
-    }
-  }
+  const std::string file = lbmf::cli::first_positional(argc, argv);
   if (file.empty()) {
     std::fprintf(stderr, "usage: xval_runner <test.lit | -> [flags]\n");
     return 2;
   }
 
-  const std::string source = read_source(file);
+  const std::string source = lbmf::cli::read_source(file);
   const sim::AssembleResult assembled = sim::assemble(source);
   if (!assembled.ok()) {
     std::fprintf(stderr, "%s\n", assembled.error->to_string().c_str());

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "lbmf/util/check.hpp"
+
 namespace lbmf::adapt {
 
 /// Exponentially-decayed window over a stream of per-sample values: the
@@ -31,12 +33,6 @@ class DecayedWindow {
 
   std::uint64_t samples() const noexcept { return samples_; }
 
-  void reset() noexcept {
-    value_ = 0.0;
-    weight_ = 0.0;
-    samples_ = 0;
-  }
-
  private:
   double alpha_;
   double value_ = 0.0;
@@ -61,8 +57,7 @@ class WorkloadMonitor {
       : pops_(cfg.rate_alpha), steals_(cfg.rate_alpha) {}
 
   /// One sampling window. `pops_total` / `steals_total` are cumulative
-  /// (monotone except across a reset_stats(), which is detected and treated
-  /// as a fresh baseline).
+  /// counts (see delta).
   void sample(std::uint64_t pops_total, std::uint64_t steals_total) noexcept {
     pops_.add(delta(pops_total, &last_pops_));
     steals_.add(delta(steals_total, &last_steals_));
@@ -86,14 +81,16 @@ class WorkloadMonitor {
   /// idle deque — to ratio 1, the neutral middle of the table.
   static constexpr double kFloor = 1e-6;
 
-  double delta(std::uint64_t total, std::uint64_t* last) noexcept {
-    // A counter that moved backwards means reset_stats() ran concurrently.
-    // The events since the reset are indistinguishable from the window that
-    // was lost to it, so report an empty window and re-baseline on the new
-    // total: counting `total` itself would spike the EWMA with a delta that
-    // conflates pre- and post-reset activity.
-    const double d =
-        total >= *last ? static_cast<double>(total - *last) : 0.0;
+  /// Events since the previous sample. Cumulative counts never decrease:
+  /// each counter's writer is its owner or a side a gate serializes (the
+  /// THE gate for thieves, the Dekker gate for secondaries), so its
+  /// modification order only increases, and one thread's relaxed reads
+  /// never go backwards in that order (read-read coherence). A smaller
+  /// total is a broken caller, so it aborts.
+  static double delta(std::uint64_t total, std::uint64_t* last) noexcept {
+    LBMF_CHECK_MSG(total >= *last,
+                   "WorkloadMonitor: a cumulative count decreased");
+    const double d = static_cast<double>(total - *last);
     *last = total;
     return d;
   }

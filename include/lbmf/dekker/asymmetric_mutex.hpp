@@ -66,7 +66,6 @@ class AsymmetricMutex {
   }
 
   DekkerStats stats() const noexcept { return dekker_.stats(); }
-  void reset_stats() noexcept { dekker_.reset_stats(); }
 
  private:
   AsymmetricDekker<P> dekker_;

@@ -171,7 +171,8 @@ class AsymmetricDekker : public PrimaryBinding<P> {
 
   /// Merged snapshot of both sides' counters. Exact once both threads have
   /// quiesced; approximate (but tear-free per field — relaxed atomic loads)
-  /// while they run.
+  /// while they run. The counters only grow; subtract two snapshots for
+  /// the events in between.
   DekkerStats stats() const noexcept {
     DekkerStats s;
     s.primary_acquires = pstats_->acquires.load(std::memory_order_relaxed);
@@ -184,11 +185,6 @@ class AsymmetricDekker : public PrimaryBinding<P> {
     s.secondary_retreats = sstats_->retreats.load(std::memory_order_relaxed);
     s.serializations = sstats_->serializations.load(std::memory_order_relaxed);
     return s;
-  }
-
-  void reset_stats() noexcept {
-    pstats_->reset();
-    sstats_->reset();
   }
 
  private:
@@ -220,9 +216,10 @@ class AsymmetricDekker : public PrimaryBinding<P> {
     }
   }
 
-  // One side's counters: single writer (that side's thread), read by
-  // stats() from anywhere — relaxed atomics bumped without a lock prefix
-  // (bump_relaxed), so instrumentation adds no hidden fence to the
+  // One side's counters: one writer at a time (the primary, or the one
+  // secondary the two-party protocol admits — AsymmetricMutex's gate),
+  // read by stats() from anywhere — relaxed atomics bumped without a lock
+  // prefix (bump_relaxed), so instrumentation adds no hidden fence to the
   // announce paths.
   struct SideStats {
     std::atomic<std::uint64_t> acquires{0};
@@ -231,13 +228,6 @@ class AsymmetricDekker : public PrimaryBinding<P> {
     // Remote drains: serialize() on the secondary side, serialize_peers()
     // (double-l-mfence) on the primary side.
     std::atomic<std::uint64_t> serializations{0};
-
-    void reset() noexcept {
-      acquires.store(0, std::memory_order_relaxed);
-      fences.store(0, std::memory_order_relaxed);
-      retreats.store(0, std::memory_order_relaxed);
-      serializations.store(0, std::memory_order_relaxed);
-    }
   };
 
   CacheAligned<std::atomic<int>> flag_[2];

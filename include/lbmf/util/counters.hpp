@@ -14,6 +14,11 @@ namespace lbmf {
 /// of the counter are serialized (a side's own half of a Dekker pair, the
 /// deque victim's counters, thief counters under the THE gate); racing
 /// writers must use fetch_add instead.
+///
+/// Such a counter is never reset: a zeroing store that lands between the
+/// writer's load and store is overwritten by the old count plus one. It
+/// only grows, so a reader that wants the events of an interval subtracts
+/// the snapshot at its start from the one at its end.
 inline void bump_relaxed(std::atomic<std::uint64_t>& c) noexcept {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }

@@ -90,14 +90,6 @@ class LogHistogram {
     max_ = o.max_ > max_ ? o.max_ : max_;
   }
 
-  void reset() noexcept {
-    counts_.fill(0);
-    total_ = 0;
-    sum_ = 0;
-    min_ = ~std::uint64_t{0};
-    max_ = 0;
-  }
-
  private:
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t total_ = 0;

@@ -121,32 +121,16 @@ class ChaseLevDeque {
     return s;
   }
 
-  void reset_stats() noexcept {
-    vstats_->reset();
-    tstats_->reset();
-  }
-
   /// take() under TheDeque's name, so one harness drives both deques
   /// (deque_tsan_test); Chase-Lev literature calls the operation take().
   TaskBase* pop() { return take(); }
 
-  /// Advisory only — same contract (and same debug tripwire) as
-  /// TheDeque::looks_empty(): the hint may be stale before it returns, so
-  /// a non-empty answer only ever means "worth trying".
+  /// Advisory only — same contract as TheDeque::looks_empty(): the hint
+  /// may be stale before it returns, so a non-empty answer only ever means
+  /// "worth trying".
   bool looks_empty() const noexcept {
     return top_->load(std::memory_order_acquire) >=
            bottom_->load(std::memory_order_acquire);
-  }
-
-  /// See TheDeque::pop_expecting_nonempty().
-  TaskBase* pop_expecting_nonempty() {
-    TaskBase* t = take();
-#ifndef NDEBUG
-    LBMF_CHECK_MSG(t != nullptr,
-                   "looks_empty() is advisory, not authoritative: the deque "
-                   "that looked non-empty was drained before take()");
-#endif
-    return t;
   }
 
   std::int64_t size_estimate() const noexcept {

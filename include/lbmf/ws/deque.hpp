@@ -21,7 +21,8 @@ class TaskBase;
 /// stops counter *updates* from racing each other, but stats() reads both
 /// sides from arbitrary threads while they run, so the storage itself must
 /// be atomic or the snapshot is a data race (TSan flags it; the compiler
-/// may tear or invent reads).
+/// may tear or invent reads). The counters only grow: a reader that wants
+/// the events of an interval takes a snapshot at each end and subtracts.
 struct DequeStats {
   std::uint64_t pushes = 0;
   std::uint64_t pops_fast = 0;      // pop won without touching the lock
@@ -45,15 +46,6 @@ struct VictimCounters {
   std::atomic<std::uint64_t> pops_empty{0};
   std::atomic<std::uint64_t> victim_fences{0};
   std::atomic<std::uint64_t> victim_serializations{0};
-
-  void reset() noexcept {
-    pushes.store(0, std::memory_order_relaxed);
-    pops_fast.store(0, std::memory_order_relaxed);
-    pops_conflict.store(0, std::memory_order_relaxed);
-    pops_empty.store(0, std::memory_order_relaxed);
-    victim_fences.store(0, std::memory_order_relaxed);
-    victim_serializations.store(0, std::memory_order_relaxed);
-  }
 };
 
 /// Thief-written counters. In TheDeque every update happens under the THE
@@ -64,13 +56,6 @@ struct ThiefCounters {
   std::atomic<std::uint64_t> steals_empty{0};
   std::atomic<std::uint64_t> thief_fences{0};
   std::atomic<std::uint64_t> serializations{0};
-
-  void reset() noexcept {
-    steals_success.store(0, std::memory_order_relaxed);
-    steals_empty.store(0, std::memory_order_relaxed);
-    thief_fences.store(0, std::memory_order_relaxed);
-    serializations.store(0, std::memory_order_relaxed);
-  }
 };
 
 /// A Cilk-5-style THE (Tail / Head / Exception-free variant) work-stealing
@@ -183,26 +168,10 @@ class TheDeque {
   /// may drain the last task, the victim may push. Callers must treat a
   /// non-empty answer as "worth trying" and re-check the pop()/steal()
   /// result for nullptr (the scheduler does exactly this); never branch on
-  /// it as a guarantee. pop_expecting_nonempty() is the debug tripwire for
-  /// call sites that want that assumption checked.
+  /// it as a guarantee.
   bool looks_empty() const noexcept {
     return head_->load(std::memory_order_acquire) >=
            tail_->load(std::memory_order_acquire);
-  }
-
-  /// pop() for callers acting on a looks_empty() == false observation as
-  /// if it were authoritative. In debug builds the empty outcome aborts
-  /// with a diagnosis instead of silently returning nullptr — catching the
-  /// moment the advisory assumption is violated by a racing thief. Release
-  /// builds: identical to pop().
-  TaskBase* pop_expecting_nonempty() {
-    TaskBase* t = pop();
-#ifndef NDEBUG
-    LBMF_CHECK_MSG(t != nullptr,
-                   "looks_empty() is advisory, not authoritative: the deque "
-                   "that looked non-empty was drained before pop()");
-#endif
-    return t;
   }
 
   /// Merged snapshot; exact when victim and thieves are quiescent, and a
@@ -222,11 +191,6 @@ class TheDeque {
     s.thief_fences = tstats_->thief_fences.load(std::memory_order_relaxed);
     s.serializations = tstats_->serializations.load(std::memory_order_relaxed);
     return s;
-  }
-
-  void reset_stats() noexcept {
-    vstats_->reset();
-    tstats_->reset();
   }
 
  private:

@@ -88,8 +88,8 @@ class Scheduler {
   std::size_t num_workers() const noexcept { return workers_.size(); }
 
   /// Aggregate event counters; call while quiescent for exact numbers.
+  /// They only grow: subtract two snapshots for the events in between.
   SchedulerStats stats() const;
-  void reset_stats();
 
   /// Turn on online policy selection (adaptive policies only): every worker
   /// runs its own adapt::PolicySelector over its deque counters and, at its
@@ -362,11 +362,6 @@ SchedulerStats Scheduler<P>::stats() const {
     }
   }
   return s;
-}
-
-template <FencePolicy P>
-void Scheduler<P>::reset_stats() {
-  for (auto& w : workers_) w->deque.reset_stats();
 }
 
 }  // namespace lbmf::ws

@@ -14,6 +14,15 @@
 /// mean the stress run didn't hit that interleaving (or the host cannot —
 /// e.g. simulated drain timings with no native analogue).
 ///
+/// Lowering. The simulator explores the program the native leg runs
+/// (native.hpp): LE is a plain load and the link never arms
+/// (SimConfig::le_st_enabled = false), so every l-mfence is load; store;
+/// mfence. An LE/ST exploration is the wrong oracle for that code: in the
+/// window between LE and the guarded store LE/ST is strictly stronger, so
+/// its set lacks outcomes TSO gives the lowered program (peterson_lmfence
+/// has two), which would read as a false UNSOUND. LE/ST's own claims are
+/// checked by litmus_runner and the litmus gates.
+///
 /// Violation witnesses. An outcome is *violating* when some execution
 /// reaching it passes through a state that violates the litmus property
 /// (two CPUs in the critical section, or a failed `final` directive).
@@ -25,7 +34,9 @@
 /// terminal outcomes violations can produce. Natively observing one of
 /// those is the hardware reproducing the model's counterexample family —
 /// required of the broken_* litmus, forbidden (by SAFE verdicts +
-/// soundness) of the fenced ones.
+/// soundness) of the fenced ones. Every path to a terminal state either
+/// avoids violating states or passes a first one, so the two explorations
+/// together give the whole reachable set: safe ∪ violating.
 
 #include <cstdint>
 #include <map>
@@ -41,7 +52,7 @@ namespace lbmf::xval {
 
 /// The simulator's outcome sets for one litmus.
 struct ReachableSets {
-  /// Every terminal observation of the full (uncheck­ed) schedule graph.
+  /// Every terminal observation of the lowered program: safe ∪ violating.
   std::set<std::string> reachable;
   /// Terminal observations of the checked graph (violating states pruned).
   std::set<std::string> safe;

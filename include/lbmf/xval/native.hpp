@@ -17,13 +17,12 @@
 ///                     extension has no link register to arm
 ///   setlink           no-op, and the link-set branch is never taken, so
 ///                     the Fig. 3(b) l-mfence expansion falls through to
-///                     its MFENCE arm. This is the *conservative
-///                     strengthening*: on hardware without LE/ST support
-///                     every l-mfence degrades to store+mfence, and each
-///                     native execution corresponds to a model execution
-///                     in which every link happened to break — so native
-///                     outcomes remain a subset of the model's reachable
-///                     set (the soundness direction xval checks).
+///                     its MFENCE arm: every l-mfence runs as load;
+///                     store; mfence. This is not an execution of the
+///                     LE/ST model, where a remote access to the guarded
+///                     line drains the store buffer between the LE and
+///                     the guarded store; the simulator's oracle therefore
+///                     explores this same lowering (harness.hpp).
 ///
 /// Each iteration releases all roles from a sense-reversing barrier with
 /// a small per-role random skew (maximising the overlap window in which

@@ -20,6 +20,7 @@ fi
 "$BUILD_DIR"/bench/bench_sim_dekker
 "$BUILD_DIR"/bench/bench_sim_contention
 "$BUILD_DIR"/bench/bench_cilk_serial --test 1
+"$BUILD_DIR"/bench/bench_cilk_parallel --test
 
 # Leaves BENCH_arw.json (E6/E7 sweep + E15 writer latency).
 "$BUILD_DIR"/bench/bench_arw --quick

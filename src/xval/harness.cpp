@@ -15,11 +15,14 @@ namespace {
 /// and the harness degrades to complete=false rather than OOMing.
 constexpr std::size_t kMaxViolatingStates = 4096;
 
+/// The program the native leg runs (native.hpp): LE is a plain load and the
+/// link never arms, so every l-mfence is load; store; mfence.
 sim::Machine make_machine(const sim::AssembleResult& lit) {
   sim::SimConfig cfg;
   cfg.num_cpus = lit.programs.size();
   cfg.sb_capacity = 4;  // litmus_runner's geometry: forced natural drains
   cfg.cache_capacity = 8;
+  cfg.le_st_enabled = false;
   sim::Machine m(cfg);
   for (const auto& [a, v] : lit.initial_memory) m.set_memory(a, v);
   for (std::size_t i = 0; i < lit.programs.size(); ++i) {
@@ -57,28 +60,12 @@ ReachableSets compute_reachable(const sim::AssembleResult& lit,
                                 std::uint64_t max_states) {
   ReachableSets rs;
 
-  // Run A — the full unchecked graph: every terminal observation is
-  // reachable. POR stays on (terminal states and outcomes are preserved
-  // exactly; there is no custom intermediate-state check here).
-  {
-    sim::Explorer::Options o;
-    o.check_mutual_exclusion = false;
-    o.stop_at_violation = false;
-    o.observe = make_observe(schema);
-    o.max_states = max_states;
-    sim::ExploreResult r = sim::explore_all(make_machine(lit), o);
-    rs.reachable = std::move(r.outcomes);
-    rs.states_explored += r.states_explored;
-    rs.complete = rs.complete && !r.hit_limit;
-    if (r.violation) rs.violation = *r.violation;  // coherence = sim bug
-  }
-
-  // Run B — the checked graph: the litmus property (mutual exclusion +
-  // `final` directives) runs as a custom check so every violating state
-  // can be snapshotted; the built-in mutual-exclusion check would fire
-  // first and hide the state from us. The custom check inspects
-  // intermediate states, which POR does not guarantee to visit — so the
-  // reduction is off for this run only.
+  // The checked graph: the litmus property (mutual exclusion + `final`
+  // directives) runs as a custom check so every violating state can be
+  // snapshotted; the built-in mutual-exclusion check would fire first and
+  // hide the state from us. The custom check inspects intermediate
+  // states, which POR does not guarantee to visit — so the reduction is
+  // off for this run.
   std::vector<sim::Machine> bad;
   bool bad_overflow = false;
   {
@@ -110,12 +97,12 @@ ReachableSets compute_reachable(const sim::AssembleResult& lit,
     rs.safe = std::move(r.outcomes);
     rs.states_explored += r.states_explored;
     rs.complete = rs.complete && !r.hit_limit && !bad_overflow;
-    if (r.violation && rs.violation.empty()) rs.violation = *r.violation;
+    if (r.violation) rs.violation = *r.violation;
   }
   rs.violating_states = bad.size();
 
-  // Run C — taint replay: the terminal outcomes *of* a violation are what
-  // the violating states can still reach, so re-explore forward from each,
+  // Taint replay: the terminal outcomes *of* a violation are what the
+  // violating states can still reach, so re-explore forward from each,
   // unchecked. (Plain "reachable minus safe" misses outcomes that are also
   // reachable by an innocent schedule — broken Dekker's both-entered
   // terminal state is reachable with temporally disjoint critical
@@ -132,6 +119,11 @@ ReachableSets compute_reachable(const sim::AssembleResult& lit,
     rs.complete = rs.complete && !r.hit_limit;
   }
 
+  // Every path to a terminal state either avoids violating states, so its
+  // end is in `safe`, or passes a first violating state, which the checked
+  // run collected and the replay explored forward from.
+  rs.reachable = rs.safe;
+  rs.reachable.insert(rs.violating.begin(), rs.violating.end());
   return rs;
 }
 

@@ -57,16 +57,6 @@ TEST(DecayedWindow, SingleBurstMovesTheEstimateByAtMostAlpha) {
   EXPECT_GT(w.estimate(), 100.0);
 }
 
-TEST(DecayedWindow, ResetForgetsEverything) {
-  DecayedWindow w(0.3);
-  w.add(5.0);
-  w.reset();
-  EXPECT_DOUBLE_EQ(w.estimate(), 0.0);
-  EXPECT_EQ(w.samples(), 0u);
-  w.add(7.0);
-  EXPECT_DOUBLE_EQ(w.estimate(), 7.0);
-}
-
 // ------------------------------------------------------- WorkloadMonitor
 
 TEST(WorkloadMonitor, DifferencesCumulativeCounters) {
@@ -99,43 +89,17 @@ TEST(WorkloadMonitor, FreqRatioTracksThePopStealMix) {
   EXPECT_DOUBLE_EQ(idle.freq_ratio(), 1.0);
 }
 
-TEST(WorkloadMonitor, CounterResetRebaselinesInsteadOfGoingNegative) {
-  MonitorConfig cfg;
-  cfg.rate_alpha = 1.0;
-  WorkloadMonitor m(cfg);
-  m.sample(5'000, 100);
-  // reset_stats() ran concurrently: totals went backwards. The regressed
-  // window is unmeasurable, so it must read as *empty* — treating the new
-  // total as a delta would report a phantom burst that never happened —
-  // and the next window must difference from the new baseline.
-  m.sample(200, 4);
-  EXPECT_DOUBLE_EQ(m.pops_per_window(), 0.0);
-  EXPECT_DOUBLE_EQ(m.steals_per_window(), 0.0);
-  m.sample(350, 10);
-  EXPECT_DOUBLE_EQ(m.pops_per_window(), 150.0);
-  EXPECT_DOUBLE_EQ(m.steals_per_window(), 6.0);
-}
-
-TEST(WorkloadMonitor, ResetUnderSamplingDoesNotSpikeTheEwma) {
-  MonitorConfig cfg;
-  cfg.rate_alpha = 0.5;  // real EWMA: a phantom delta would linger
-  WorkloadMonitor m(cfg);
-  m.sample(1'000, 10);
-  m.sample(2'000, 20);
-  const double settled = m.pops_per_window();
-  EXPECT_NEAR(settled, 1'000.0, 1e-9);
-  // reset_stats() lands between samples and the counters restart low. The
-  // regressed window contributes 0, so the estimate decays *toward* zero;
-  // the old behavior fed the post-reset total in as a delta, spiking the
-  // EWMA with events that were already counted before the reset.
-  m.sample(600, 5);
-  EXPECT_LT(m.pops_per_window(), settled);
-  EXPECT_GE(m.pops_per_window(), 0.0);
-  // The stream recovers: the next window differences cleanly from the
-  // post-reset baseline and pulls the estimate back up.
-  const double dipped = m.pops_per_window();
-  m.sample(1'600, 15);
-  EXPECT_GT(m.pops_per_window(), dipped);
+// Counters only grow, so a smaller total is a broken caller, not a window
+// to absorb: the monitor aborts instead of inventing a rate.
+TEST(WorkloadMonitorDeathTest, DecreasingTotalAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        WorkloadMonitor m;
+        m.sample(5'000, 100);
+        m.sample(200, 100);
+      },
+      "a cumulative count decreased");
 }
 
 // ----------------------------------------------------------- PolicyTable

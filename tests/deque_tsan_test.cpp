@@ -1,15 +1,18 @@
 // ThreadSanitizer harness for the work-stealing deques' stats machinery:
-// a victim pushes/pops, a thief steals, and two extra threads hammer
-// stats() / reset_stats() while both run. Before the counters became
-// relaxed atomics TSan reported data races on every plain-uint64_t
-// increment read by stats(); this binary (built with -fsanitize=thread by
-// the lbmf_tsan_tests CMake option, see tests/CMakeLists.txt) must run
-// clean — TSan makes any report fatal via halt_on_error.
+// a victim pushes/pops, a thief steals, and a reader snapshots stats()
+// while both run. Before the counters became relaxed atomics TSan reported
+// data races on every plain-uint64_t increment read by stats(). The
+// counters only grow, so the reader also fails the run if a field of a
+// snapshot is smaller than in its previous one. This binary (built with
+// -fsanitize=thread by the lbmf_tsan_tests CMake option, see
+// tests/CMakeLists.txt) must run clean — TSan makes any report fatal via
+// halt_on_error.
 //
 // Plain main, no gtest: gtest + TSan needs a separately instrumented gtest
 // build, which the repo does not carry.
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -24,6 +27,13 @@ using namespace lbmf::ws;
 
 constexpr int kTasks = 50000;
 
+constexpr std::uint64_t DequeStats::*kFields[] = {
+    &DequeStats::pushes,         &DequeStats::pops_fast,
+    &DequeStats::pops_conflict,  &DequeStats::pops_empty,
+    &DequeStats::victim_fences,  &DequeStats::victim_serializations,
+    &DequeStats::steals_success, &DequeStats::steals_empty,
+    &DequeStats::thief_fences,   &DequeStats::serializations};
+
 // Every deque template is exercised the same way; Deque is TheDeque or
 // ChaseLevDeque over the symmetric policy (no membarrier dependency, so
 // the binary runs anywhere TSan does).
@@ -37,6 +47,7 @@ int drive(const char* label) {
 
   std::atomic<bool> stop{false};
   std::atomic<long> removed{0};
+  bool shrank = false;
 
   std::thread thief([&] {
     while (!stop.load(std::memory_order_acquire)) {
@@ -44,22 +55,12 @@ int drive(const char* label) {
     }
   });
   std::thread reader([&] {
-    std::uint64_t sink = 0;
+    DequeStats prev;
     while (!stop.load(std::memory_order_acquire)) {
       const DequeStats s = d.stats();
-      sink += s.pushes + s.pops_fast + s.steals_success + s.thief_fences;
+      for (auto f : kFields) shrank |= s.*f < prev.*f;
+      prev = s;
       (void)d.looks_empty();
-    }
-    // Keep the loads observable so the loop is not optimized away.
-    std::atomic_thread_fence(std::memory_order_relaxed);
-    (void)sink;
-  });
-  std::thread resetter([&] {
-    // reset_stats() concurrent with the workers: the counts become
-    // meaningless, but every access must stay a race-free atomic op.
-    for (int i = 0; i < 100; ++i) {
-      d.reset_stats();
-      std::this_thread::yield();
     }
   });
 
@@ -71,8 +72,11 @@ int drive(const char* label) {
   stop.store(true, std::memory_order_release);
   thief.join();
   reader.join();
-  resetter.join();
 
+  if (shrank) {
+    std::printf("FAIL %s: a stats() field went backwards\n", label);
+    return 1;
+  }
   if (removed.load() != kTasks) {
     std::printf("FAIL %s: %ld of %d tasks accounted for\n", label,
                 removed.load(), kTasks);

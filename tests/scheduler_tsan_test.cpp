@@ -1,10 +1,11 @@
 // ThreadSanitizer harness for the scheduler and rwlock paths the deque
 // harness does not reach: the run() inbox handoff and quiesce barrier, the
 // join that carries stolen children's plain writes back to their owner,
-// the stats()/reset_stats() aggregation racing live workers, the BiasedRwLock
-// writer fan-out racing stats() readers, and the adaptation hook
-// (monitor → selector → quiescent-point switch) ticking inside worker
-// loops. All policies are symmetric so the binary has no signal/membarrier
+// the stats() aggregation racing live workers, the BiasedRwLock writer
+// fan-out racing stats() readers, and the adaptation hook (monitor →
+// selector → quiescent-point switch) ticking inside worker loops. The
+// counters only grow, so each stats() reader also fails the run if a field
+// of a snapshot is smaller than in its previous one. All policies are symmetric so the binary has no signal/membarrier
 // dependency and runs anywhere TSan does; the adaptive leg still exercises
 // every adaptation code path because mode switching is policy-internal
 // bookkeeping. TSan makes any report fatal via halt_on_error.
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -45,7 +47,7 @@ void fib(long n, long* out) {
 }
 
 // Repeated run() cycles (inbox post, worker wake, quiesce barrier) with
-// stats() and reset_stats() hammered from outside while workers run.
+// stats() hammered from outside while workers run.
 template <typename P>
 int drive_scheduler(const char* label, bool adaptive) {
   ws::Scheduler<P> sched(2);
@@ -63,20 +65,20 @@ int drive_scheduler(const char* label, bool adaptive) {
     }
   }
 
+  using S = ws::SchedulerStats;
+  constexpr std::uint64_t S::*kFields[] = {
+      &S::spawns,          &S::pops_fast,         &S::pops_conflict,
+      &S::pops_empty,      &S::victim_fences,     &S::victim_serializations,
+      &S::steal_attempts,  &S::steals_success,    &S::serializations,
+      &S::policy_switches, &S::policy_switches_booked};
   std::atomic<bool> stop{false};
+  bool shrank = false;
   std::thread reader([&] {
-    std::uint64_t sink = 0;
+    S prev;
     while (!stop.load(std::memory_order_acquire)) {
-      const ws::SchedulerStats s = sched.stats();
-      sink += s.spawns + s.steals_success + s.pops_fast + s.policy_switches;
-      std::this_thread::yield();
-    }
-    std::atomic_thread_fence(std::memory_order_relaxed);
-    (void)sink;
-  });
-  std::thread resetter([&] {
-    for (int i = 0; i < 50; ++i) {
-      sched.reset_stats();
+      const S s = sched.stats();
+      for (auto f : kFields) shrank |= s.*f < prev.*f;
+      prev = s;
       std::this_thread::yield();
     }
   });
@@ -92,7 +94,10 @@ int drive_scheduler(const char* label, bool adaptive) {
   }
   stop.store(true, std::memory_order_release);
   reader.join();
-  resetter.join();
+  if (shrank) {
+    std::printf("FAIL %s: a stats() field went backwards\n", label);
+    rc = 1;
+  }
   if (rc == 0) std::printf("ok %s: 3 runs, stats hammered\n", label);
   return rc;
 }
@@ -168,15 +173,19 @@ int drive_rwlock() {
       }
     });
   }
+  constexpr std::uint64_t RwLockStats::*kFields[] = {
+      &RwLockStats::read_acquires,  &RwLockStats::reader_retreats,
+      &RwLockStats::write_acquires, &RwLockStats::serializations,
+      &RwLockStats::ack_clears,     &RwLockStats::signal_clears};
+  bool shrank = false;
   std::thread stats_reader([&] {
-    std::uint64_t sink = 0;
+    RwLockStats prev;
     while (!stop.load(std::memory_order_acquire)) {
       const RwLockStats s = lock.stats();
-      sink += s.read_acquires + s.write_acquires + s.serializations;
+      for (auto f : kFields) shrank |= s.*f < prev.*f;
+      prev = s;
       std::this_thread::yield();
     }
-    std::atomic_thread_fence(std::memory_order_relaxed);
-    (void)sink;
   });
 
   for (int i = 0; i < 200; ++i) {
@@ -189,6 +198,10 @@ int drive_rwlock() {
   for (auto& t : readers) t.join();
   stats_reader.join();
 
+  if (shrank) {
+    std::printf("FAIL rwlock: a stats() field went backwards\n");
+    return 1;
+  }
   const RwLockStats s = lock.stats();
   if (s.write_acquires != 200) {
     std::printf("FAIL rwlock: %llu write acquires, want 200\n",

@@ -347,16 +347,6 @@ TEST(LogHistogram, MergeMatchesCombinedRecording) {
   EXPECT_DOUBLE_EQ(a.mean(), combined.mean());
 }
 
-TEST(LogHistogram, ResetClears) {
-  LogHistogram h;
-  h.record(5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(99), 0u);
-  h.record(9);
-  EXPECT_EQ(h.percentile(50), 9u);
-}
-
 // --------------------------------------------------------------------- hash
 
 TEST(WordHasher, MatchesHash128OverTheSameBytes) {

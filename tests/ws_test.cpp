@@ -52,22 +52,6 @@ TEST(TheDeque, StatsCountFences) {
   EXPECT_EQ(s.steals_empty, 1u);
 }
 
-TEST(TheDeque, ResetStatsZeroesBothSides) {
-  TheDeque<SymmetricFence> d;
-  TaskGroupBase g;
-  auto t1 = ClosureTask(g, [] {});
-  d.push(&t1);
-  (void)d.pop();
-  (void)d.steal();
-  d.reset_stats();
-  const DequeStats s = d.stats();
-  EXPECT_EQ(s.pushes, 0u);
-  EXPECT_EQ(s.victim_fences, 0u);
-  EXPECT_EQ(s.pops_fast, 0u);
-  EXPECT_EQ(s.thief_fences, 0u);
-  EXPECT_EQ(s.steals_empty, 0u);
-}
-
 TEST(TheDeque, StatsAreReadableWhileVictimAndThiefRun) {
   // Regression for the stats() data race: the live counters must be
   // atomics, so a concurrent reader sees well-defined (if slightly stale)
@@ -113,17 +97,6 @@ TEST(TheDeque, StatsAreReadableWhileVictimAndThiefRun) {
   EXPECT_EQ(s.pushes, static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(s.pops_fast + s.pops_conflict - s.pops_empty + s.steals_success,
             static_cast<std::uint64_t>(kTasks));
-}
-
-TEST(TheDeque, PopExpectingNonemptySucceedsWhenTrulyNonempty) {
-  // Single-threaded, the advisory answer cannot go stale: the tripwire
-  // must pass through the popped task.
-  TheDeque<SymmetricFence> d;
-  TaskGroupBase g;
-  auto t1 = ClosureTask(g, [] {});
-  d.push(&t1);
-  ASSERT_FALSE(d.looks_empty());
-  EXPECT_EQ(d.pop_expecting_nonempty(), &t1);
 }
 
 TEST(TheDeque, InterleavedPushPopKeepsOrder) {
@@ -297,7 +270,6 @@ TYPED_TEST(SchedulerTest, ParallelSumMatchesSerial) {
 TYPED_TEST(SchedulerTest, StatsAccountSpawnsAndFences) {
   Scheduler<TypeParam> sched(2);
   long result = 0;
-  sched.reset_stats();
   sched.run([&] { ws_fib<TypeParam>(15, &result); });
   const SchedulerStats s = sched.stats();
   // fib(15) spawns one task per internal call.
@@ -322,7 +294,6 @@ TYPED_TEST(SchedulerTest, SequentialRunsBackToBack) {
 TYPED_TEST(SchedulerTest, SingleWorkerNeverSteals) {
   Scheduler<TypeParam> sched(1);
   long result = 0;
-  sched.reset_stats();
   sched.run([&] { ws_fib<TypeParam>(12, &result); });
   EXPECT_EQ(result, 144);
   const SchedulerStats s = sched.stats();
@@ -342,7 +313,6 @@ TYPED_TEST(SchedulerTest, ManyWorkersOversubscribedStillCorrect) {
 TEST(SchedulerAsymmetry, SignalPolicySerializesOnlyOnSteals) {
   Scheduler<AsymmetricSignalFence> sched(2);
   long result = 0;
-  sched.reset_stats();
   sched.run([&] { ws_fib<AsymmetricSignalFence>(18, &result); });
   const SchedulerStats s = sched.stats();
   // Serializations happen once per steal() call, never on the pop path:

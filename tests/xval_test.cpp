@@ -1,17 +1,21 @@
 // lbmf::xval unit tests: the pieces of the hardware cross-validation
 // harness that do NOT need a multi-core x86 host — the observation
-// schema, the reachable/violating set computation (pure simulator), the
-// observed-vs-reachable differ (fed hand-built inputs, including a
-// deliberately weakened model that must be reported unsound), and the
-// JSON artifact writer. The native stress leg itself runs when the host
+// schema, the reachable/violating set computation (pure simulator, on the
+// lowering the native leg runs), the observed-vs-reachable differ (fed
+// hand-built inputs, including a deliberately weakened model that must be
+// reported unsound), and the JSON artifact writer. The native stress leg itself runs when the host
 // allows (>= 2 CPUs, x86-64) and skips loudly otherwise — the CI gate
 // script exercises it for real on the x86 runners.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "lbmf/sim/assembler.hpp"
+#include "lbmf/sim/explorer.hpp"
 #include "lbmf/xval/xval.hpp"
 
 namespace lbmf::xval {
@@ -50,10 +54,49 @@ skip:
   halt
 )";
 
-sim::AssembleResult assemble_or_die(const char* src) {
+sim::AssembleResult assemble_or_die(const std::string& src) {
   sim::AssembleResult r = sim::assemble(src);
   EXPECT_TRUE(r.ok()) << (r.error ? r.error->to_string() : "");
   return r;
+}
+
+sim::AssembleResult assemble_litmus(const std::string& name) {
+  const std::string path = std::string(LBMF_LITMUS_DIR) + "/" + name + ".lit";
+  std::ifstream f(path);
+  EXPECT_TRUE(f.is_open()) << "missing " << path;
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return assemble_or_die(ss.str());
+}
+
+// One unchecked exploration of every terminal observation, on the
+// harness's machine geometry, with the LE/ST link armable or not.
+std::set<std::string> unchecked_outcomes(const sim::AssembleResult& lit,
+                                         bool le_st) {
+  sim::SimConfig cfg;
+  cfg.num_cpus = lit.programs.size();
+  cfg.sb_capacity = 4;
+  cfg.cache_capacity = 8;
+  cfg.le_st_enabled = le_st;
+  sim::Machine m(cfg);
+  for (const auto& [a, v] : lit.initial_memory) m.set_memory(a, v);
+  for (std::size_t i = 0; i < lit.programs.size(); ++i) {
+    m.load_program(i, lit.programs[i]);
+  }
+  const ObservationSchema schema = ObservationSchema::from(lit);
+  sim::Explorer::Options o;
+  o.check_mutual_exclusion = false;
+  o.stop_at_violation = false;
+  o.observe = [&schema](const sim::Machine& s) {
+    return schema.format(
+        [&](std::size_t c, unsigned r) { return s.cpu(c).regs[r]; },
+        [&](sim::Addr a) { return s.coherent_value(a); },
+        [&](std::size_t c) { return !s.cpu(c).halted; });
+  };
+  sim::ExploreResult r = sim::explore_all(std::move(m), o);
+  EXPECT_FALSE(r.hit_limit);
+  EXPECT_FALSE(r.violation) << *r.violation;
+  return std::move(r.outcomes);
 }
 
 // ------------------------------------------------------------- schema
@@ -107,6 +150,52 @@ TEST(XvalReachable, BrokenDekkerTaintsTheBothZeroOutcome) {
   EXPECT_NE(tainted.find("cpu1{r0=0}"), std::string::npos);
   // Tainted outcomes are also reachable outcomes.
   EXPECT_TRUE(sets.reachable.count(tainted));
+}
+
+// The native leg runs l-mfence as load; store; mfence, so the oracle is
+// the lowered machine. In the window between LE and the guarded store
+// LE/ST is strictly stronger: with the link armed, cpu 1's load of `turn`
+// drains cpu 0's buffered flag0 store first, so LE/ST forbids the two
+// outcomes in which both CPUs read turn == 0 before either store of it
+// landed. TSO gives them to the lowered program, and they are safe: cpu 1
+// leaves its critical section before cpu 0 enters.
+TEST(XvalReachable, PetersonLmfenceExploresTheLoweredProgram) {
+  const sim::AssembleResult a = assemble_litmus("peterson_lmfence");
+  const ReachableSets sets = compute_reachable(a, ObservationSchema::from(a));
+  EXPECT_TRUE(sets.complete);
+  EXPECT_TRUE(sets.violating.empty());
+  EXPECT_EQ(sets.reachable.size(), 24u);
+
+  const std::set<std::string> lest = unchecked_outcomes(a, /*le_st=*/true);
+  EXPECT_EQ(lest.size(), 22u);
+  std::set<std::string> lowered_only;
+  for (const std::string& o : sets.reachable) {
+    if (lest.count(o) == 0) lowered_only.insert(o);
+  }
+  const std::set<std::string> want = {
+      "cpu0{r0=0 r1=0 r7=0} cpu1{r0=0 r1=0 r7=0} mem{flag0=0 turn=1 flag1=0}",
+      "cpu0{r0=0 r1=0 r7=0} cpu1{r0=0 r1=0 r7=0} mem{flag0=0 turn=2 flag1=0}"};
+  EXPECT_EQ(lowered_only, want);
+  for (const std::string& o : lest) {
+    EXPECT_TRUE(sets.reachable.count(o)) << "LE/ST only: " << o;
+  }
+}
+
+// reachable is computed as safe ∪ violating; on every litmus the xval
+// gates run it must equal a plain unchecked exploration of the lowered
+// machine.
+TEST(XvalReachable, SafeUnionViolatingIsTheWholeLoweredGraph) {
+  for (const char* name :
+       {"store_buffer", "asymmetric_dekker", "peterson_lmfence", "spinlock",
+        "futex_mutex", "bakery", "broken_dekker", "store_buffer_holes",
+        "peterson_holes", "spinlock_holes"}) {
+    const sim::AssembleResult a = assemble_litmus(name);
+    const ReachableSets sets =
+        compute_reachable(a, ObservationSchema::from(a));
+    EXPECT_TRUE(sets.complete) << name;
+    EXPECT_EQ(sets.reachable, unchecked_outcomes(a, /*le_st=*/false))
+        << name;
+  }
 }
 
 // ------------------------------------------------------------- differ
