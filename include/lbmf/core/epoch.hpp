@@ -105,6 +105,7 @@ class EpochDomain {
   /// existed when synchronize() was called has ended by the time it
   /// returns. Also runs all reclamations retired before the call.
   void synchronize() {
+    readers_.await_releases();
     std::lock_guard<std::mutex> g(writer_gate_);
     std::vector<std::pair<void*, void (*)(void*)>> to_free;
     to_free.swap(retired_);

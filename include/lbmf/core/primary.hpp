@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -111,11 +112,38 @@ class PrimaryPool {
   template <typename Gate>
   void release(std::size_t i, Gate& gate) {
     Slot& s = *slots_[i];
-    for (SpinWait w; !gate.try_lock();) w.wait();
-    std::lock_guard<Gate> g(gate, std::adopt_lock);
-    s.live.store(false, std::memory_order_release);
-    P::unregister_primary(s.handle);
-    s.used.store(false, std::memory_order_release);
+    // Releases take the gate in ticket order, so an owner's
+    // await_releases() knows which ones were pending before its round.
+    const std::uint64_t ticket =
+        release_tickets_.fetch_add(1, std::memory_order_relaxed);
+    for (SpinWait w; releases_served_.load(std::memory_order_acquire) !=
+                     ticket;) {
+      w.wait();
+    }
+    {
+      for (SpinWait w; !gate.try_lock();) w.wait();
+      std::lock_guard<Gate> g(gate, std::adopt_lock);
+      s.live.store(false, std::memory_order_release);
+      P::unregister_primary(s.handle);
+      s.used.store(false, std::memory_order_release);
+    }
+    releases_served_.store(ticket + 1, std::memory_order_release);
+  }
+
+  /// Call before taking the gate for a round: waits until every release()
+  /// that drew its ticket before the call has finished. glibc's mutex does
+  /// not hand off, so an owner running rounds back to back would otherwise
+  /// retake its gate ahead of a polling release, round after round. A
+  /// release that draws its ticket later waits for at most this round, so
+  /// a stream of releases cannot starve the owner either. One load of each
+  /// count when nobody is releasing.
+  void await_releases() const noexcept {
+    const std::uint64_t drawn =
+        release_tickets_.load(std::memory_order_acquire);
+    for (SpinWait w;
+         releases_served_.load(std::memory_order_acquire) < drawn;) {
+      w.wait();
+    }
   }
 
   State& operator[](std::size_t i) noexcept { return *slots_[i]; }
@@ -164,6 +192,8 @@ class PrimaryPool {
 
   CacheAligned<Slot> slots_[N];
   std::atomic<std::size_t> high_water_{0};
+  std::atomic<std::uint64_t> release_tickets_{0};  // drawn by release()
+  std::atomic<std::uint64_t> releases_served_{0};  // tickets finished
 };
 
 /// The RAII base of the pools' per-thread tokens: move-only, and its

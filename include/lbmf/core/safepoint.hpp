@@ -119,6 +119,7 @@ class Safepoint {
   /// inside its own safe region).
   template <typename Action>
   void stop_the_world(Action&& action) {
+    mutators_.await_releases();
     std::lock_guard<std::mutex> g(coordinator_gate_);
     request_->store(1, std::memory_order_relaxed);
     P::secondary_fence();

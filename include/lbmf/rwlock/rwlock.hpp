@@ -133,6 +133,7 @@ class BiasedRwLock {
 
   /// Writer slow path: the augmented Dekker round against every reader.
   void write_lock() {
+    readers_.await_releases();
     writer_gate_.lock();
     const std::uint64_t epoch = ++epoch_counter_;
     intent_->store(epoch, std::memory_order_relaxed);

@@ -76,6 +76,18 @@ struct ShardStats {
   DekkerStats sync;
 };
 
+/// The owner's wait between two empty polls of its lanes. Rounds stop
+/// doubling at 8 pauses (~90 ns on a 4-vCPU Xeon KVM guest), so a lone
+/// request is picked up within one short round; at SpinWait's default of
+/// 64 (~690 ns) that pickup wait was the largest stage of a serve_rare
+/// request's sojourn. 474 rounds (1 + 2 + 4 + 471 x 8 = 3,775 pauses, about
+/// 41 us) precede the first yield, the default's budget. Other waiters keep
+/// the default: a thief that polls sooner costs its victim more signal
+/// round trips.
+inline SpinWait owner_idle_wait() noexcept {
+  return SpinWait(/*spin_limit=*/474, /*max_pauses=*/8);
+}
+
 /// One shard: a FlowTable owned by the worker running owner_loop(), plus
 /// per-client SPSC lanes. The owner is the table's Dekker *primary* — every
 /// packet it accounts costs an l-mfence announce only — while the control
@@ -114,7 +126,7 @@ class Shard {
         selector = std::make_unique<adapt::PolicySelector>(*cfg.adapt);
       }
     }
-    SpinWait idle;
+    SpinWait idle = owner_idle_wait();
     while (!stop.load(std::memory_order_acquire)) {
       std::size_t drained = 0;
       for (std::size_t lane = 0; lane < ingress_.size(); ++lane) {

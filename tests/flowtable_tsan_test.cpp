@@ -2,7 +2,8 @@
 // table itself (owner fast path vs remote rule updates/reads), the
 // owner-side incremental rehash under concurrent secondary traffic, the
 // lock-free flow_count()/grow_count() snapshots, and the serving tier's
-// SPSC lanes + cross-shard secondary waves. Everything racy is
+// SPSC lanes + cross-shard secondary waves, with idle gaps that put the
+// shard owners on their yield path between bursts. Everything racy is
 // instantiated (and instrumented) in this TU; see deque_tsan_test.cpp for
 // the probe/linking rationale.
 //
@@ -10,6 +11,7 @@
 // non-zero exit, which is the assertion.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -112,14 +114,21 @@ void serve_race() {
     }
   });
 
+  // Bursts, each after an idle gap long enough for the owners to reach the
+  // yield path of their idle wait (about 41 us of pauses, more under TSan).
   constexpr std::size_t kReqs = 30000;
+  constexpr std::size_t kBurst = 3000;
   std::uint64_t reaped = 0, submitted = 0;
   while (reaped < kReqs) {
-    if (submitted < kReqs &&
-        client.try_submit(submitted % 2000 + 1, 64, 2, submitted)) {
-      ++submitted;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::uint64_t end = reaped + kBurst;
+    while (reaped < end) {
+      if (submitted < end &&
+          client.try_submit(submitted % 2000 + 1, 64, 2, submitted)) {
+        ++submitted;
+      }
+      reaped += client.poll(nullptr);
     }
-    reaped += client.poll(nullptr);
   }
   stop.store(true, std::memory_order_release);
   control.join();

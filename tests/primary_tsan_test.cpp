@@ -8,7 +8,8 @@
 //    the same lock from the other side.
 //  * EpochDomain, Safepoint, BiasedRwLock: reader/mutator tokens are
 //    claimed and released in a loop while synchronize(), stop_the_world()
-//    and write_lock() run their serialization waves over the live slots.
+//    and write_lock() run their serialization waves over the live slots,
+//    first paced, then back to back.
 //  * AsymmetricPeterson under contention: each side may leave its wait on
 //    reading the peer's `turn` store, so that store must carry the
 //    happens-before edge from the peer's previous critical section.
@@ -18,13 +19,18 @@
 // waves signal the churning threads: a release that blocked in the gate's
 // mutex would never run the handler the round holding the gate waits for
 // (TSan defers signals in blocking calls), so the pair would hang until
-// ctest's timeout. TSan makes any report fatal via halt_on_error.
+// ctest's timeout. Rounds run back to back must still let each pending
+// release through at the next turn: glibc's mutex does not hand off, and a
+// polling release that keeps losing the gate to the next round is checked
+// by counting the rounds it spans. TSan makes any report fatal via
+// halt_on_error.
 //
 // Plain main, no gtest: gtest + TSan needs a separately instrumented gtest
 // build, which the repo does not carry.
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -41,7 +47,21 @@ namespace {
 using namespace lbmf;
 
 constexpr int kChurners = 3;
-constexpr long kRounds = 200;  // secondary rounds per pool
+constexpr long kRounds = 200;    // paced secondary rounds per pool
+constexpr long kReleases = 200;  // releases per churner, back to back
+// Rounds that may finish while one release runs back to back: the round
+// holding the gate, one that passed its check just before, and slack for
+// a churner descheduled around its release.
+constexpr long kMaxRoundsPerRelease = 4;
+
+// Each secondary round holds its gate this long, as a round of signal
+// round trips would, so a release gets in only between rounds.
+void hold_the_gate() {
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
 
 int drive_biased_lock() {
   BiasedLock<SymmetricFence> lock;
@@ -126,87 +146,137 @@ int drive_peterson() {
   return 0;
 }
 
+struct Churned {
+  bool back_to_back = false;
+  long rounds = 0;
+  long registrations = 0;
+  long max_rounds_per_release = 0;
+
+  const char* mode() const { return back_to_back ? ", back to back" : ""; }
+  // Every churner registered; back to back, each finished its releases and
+  // no release waited out more than kMaxRoundsPerRelease rounds.
+  bool complete() const {
+    return back_to_back ? registrations == kChurners * kReleases &&
+                              max_rounds_per_release <= kMaxRoundsPerRelease
+                        : registrations > 0;
+  }
+  // Ends a driver's "ok"/"FAIL" line.
+  void print() const {
+    std::printf("%ld registrations, at most %ld rounds per release\n",
+                registrations, max_rounds_per_release);
+  }
+};
+
 // kChurners threads register, run body(token) and release in a loop while
-// this thread runs kRounds secondary rounds. A release polls the gate the
-// secondary holds, so the rounds pause in between to let it through.
-// Returns the number of registrations.
+// this thread runs secondary rounds. Paced: kRounds rounds, 100 us apart,
+// while the churners loop. Back to back: rounds with no pause until every
+// churner has released kReleases times, counting the rounds that finish
+// while each release runs.
 template <typename Register, typename Body, typename Secondary>
-long churn(Register&& reg, Body&& body, Secondary&& secondary) {
+Churned churn(bool back_to_back, Register&& reg, Body&& body,
+              Secondary&& secondary) {
   std::atomic<bool> stop{false};
   std::atomic<long> registrations{0};
+  std::atomic<int> finished{0};
+  std::atomic<long> rounds_done{0};
+  std::atomic<long> max_span{0};  // rounds finished during one release
   std::vector<std::thread> threads;
   for (int t = 0; t < kChurners; ++t) {
     threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        auto token = reg();
-        body(token);
+      for (long i = 0; back_to_back ? i < kReleases
+                                    : !stop.load(std::memory_order_acquire);
+           ++i) {
+        long before = 0;
+        {
+          auto token = reg();
+          body(token);
+          before = rounds_done.load(std::memory_order_acquire);
+        }  // the release
+        const long span = rounds_done.load(std::memory_order_acquire) - before;
+        for (long m = max_span.load(std::memory_order_relaxed);
+             span > m && !max_span.compare_exchange_weak(m, span);) {
+        }
         registrations.fetch_add(1, std::memory_order_relaxed);
       }
+      finished.fetch_add(1, std::memory_order_release);
     });
   }
-  for (long r = 0; r < kRounds; ++r) {
+  Churned c;
+  c.back_to_back = back_to_back;
+  while (back_to_back ? finished.load(std::memory_order_acquire) < kChurners
+                      : c.rounds < kRounds) {
     secondary();
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ++c.rounds;
+    rounds_done.store(c.rounds, std::memory_order_release);
+    if (!back_to_back) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
-  return registrations.load();
+  c.registrations = registrations.load();
+  c.max_rounds_per_release = max_span.load();
+  return c;
 }
 
 template <typename P>
-int drive_epoch(const char* policy) {
+int drive_epoch(const char* policy, bool back_to_back) {
   EpochDomain<P> domain;
-  const long regs = churn(
-      [&] { return domain.register_reader(); },
+  const Churned c = churn(
+      back_to_back, [&] { return domain.register_reader(); },
       [](auto& token) {
         for (int i = 0; i < 4; ++i) auto guard = token.read_lock();
       },
       [&] {
         domain.retire(new int(1));
+        // synchronize() runs the deleters under its gate.
+        domain.retire(nullptr, [](void*) { hold_the_gate(); });
         domain.synchronize();
       });
-  if (domain.grace_periods() != kRounds || domain.retired_pending() != 0 ||
-      regs == 0) {
-    std::printf("FAIL epoch<%s>: %llu grace periods, %ld registrations\n",
-                policy,
-                static_cast<unsigned long long>(domain.grace_periods()), regs);
-    return 1;
-  }
-  std::printf("ok epoch<%s>: %ld grace periods, %ld reader registrations\n",
-              policy, kRounds, regs);
-  return 0;
+  const bool ok =
+      domain.grace_periods() == static_cast<std::uint64_t>(c.rounds) &&
+      domain.retired_pending() == 0 && c.complete();
+  std::printf("%s epoch<%s%s>: %llu grace periods, ", ok ? "ok" : "FAIL",
+              policy, c.mode(),
+              static_cast<unsigned long long>(domain.grace_periods()));
+  c.print();
+  return ok ? 0 : 1;
 }
 
 template <typename P>
-int drive_safepoint(const char* policy) {
+int drive_safepoint(const char* policy, bool back_to_back) {
   Safepoint<P> sp;
   long actions = 0;  // coordinator-only
-  const long regs = churn(
-      [&] { return sp.register_mutator(); },
+  const Churned c = churn(
+      back_to_back, [&] { return sp.register_mutator(); },
       [](auto& token) {
         for (int i = 0; i < 4; ++i) token.poll();
         // The coordinator waits for running mutators, and a token's
         // release waits for the coordinator: leave from a safe region.
         token.enter_safe_region();
       },
-      [&] { sp.stop_the_world([&] { ++actions; }); });
-  if (actions != kRounds || sp.stops() != kRounds || regs == 0) {
-    std::printf("FAIL safepoint<%s>: %ld actions, %ld registrations\n",
-                policy, actions, regs);
-    return 1;
-  }
-  std::printf("ok safepoint<%s>: %ld stops, %ld mutator registrations\n",
-              policy, kRounds, regs);
-  return 0;
+      [&] {
+        sp.stop_the_world([&] {
+          ++actions;
+          hold_the_gate();
+        });
+      });
+  const bool ok = actions == c.rounds &&
+                  sp.stops() == static_cast<std::uint64_t>(c.rounds) &&
+                  c.complete();
+  std::printf("%s safepoint<%s%s>: %ld stops, ", ok ? "ok" : "FAIL", policy,
+              c.mode(), actions);
+  c.print();
+  return ok ? 0 : 1;
 }
 
 template <typename P, bool kWaitingHeuristic>
-int drive_rwlock(const char* policy) {
+int drive_rwlock(const char* policy, bool back_to_back) {
   BiasedRwLock<P, kWaitingHeuristic> lock;
   long version = 0;  // plain: bumped by the writer, read by readers
   std::atomic<bool> went_back{false};
-  const long regs = churn(
-      [&] { return lock.register_reader(); },
+  const Churned c = churn(
+      back_to_back, [&] { return lock.register_reader(); },
       [&](auto& token) {
         long last = 0;
         for (int i = 0; i < 4; ++i) {
@@ -219,29 +289,29 @@ int drive_rwlock(const char* policy) {
       [&] {
         lock.write_lock();
         ++version;
+        hold_the_gate();
         lock.write_unlock();
       });
   const RwLockStats s = lock.stats();
-  if (went_back.load() || version != kRounds || s.write_acquires != kRounds ||
-      regs == 0) {
-    std::printf("FAIL rwlock<%s%s>: went back %d, %ld writes, %ld "
-                "registrations\n",
-                policy, kWaitingHeuristic ? ", ack" : "",
-                went_back.load() ? 1 : 0, version, regs);
-    return 1;
-  }
-  std::printf("ok rwlock<%s%s>: %ld writes, %ld reader registrations\n",
-              policy, kWaitingHeuristic ? ", ack" : "", kRounds, regs);
-  return 0;
+  const bool ok = !went_back.load() && version == c.rounds &&
+                  s.write_acquires == static_cast<std::uint64_t>(c.rounds) &&
+                  c.complete();
+  std::printf("%s rwlock<%s%s%s>: went back %d, %ld writes, ",
+              ok ? "ok" : "FAIL", policy, kWaitingHeuristic ? ", ack" : "",
+              c.mode(), went_back.load() ? 1 : 0, version);
+  c.print();
+  return ok ? 0 : 1;
 }
 
 template <typename P>
 int drive_pools(const char* policy) {
   int rc = 0;
-  rc |= drive_epoch<P>(policy);
-  rc |= drive_safepoint<P>(policy);
-  rc |= drive_rwlock<P, false>(policy);
-  rc |= drive_rwlock<P, true>(policy);
+  for (const bool back_to_back : {false, true}) {
+    rc |= drive_epoch<P>(policy, back_to_back);
+    rc |= drive_safepoint<P>(policy, back_to_back);
+    rc |= drive_rwlock<P, false>(policy, back_to_back);
+    rc |= drive_rwlock<P, true>(policy, back_to_back);
+  }
   return rc;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -233,6 +234,29 @@ TYPED_TEST(ServerTest, PrefillWavesInstallEveryFlowOnce) {
   srv.stop();
   EXPECT_EQ(srv.stats().flows, kFlows);
   EXPECT_EQ(srv.stats().grows, 12u);
+}
+
+TYPED_TEST(ServerTest, RequestAfterAnIdleGapIsServed) {
+  // An idle owner yields after about 41 us of pauses, so each request
+  // below reaches an owner that is on its yield path.
+  Server<TypeParam> srv(small_config());
+  srv.start();
+  auto client = srv.make_client();
+  constexpr FlowKey kKeys = 8;  // keys 1..8 land on both shards
+  for (FlowKey k = 1; k <= kKeys; ++k) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(client.try_submit(k, 64, /*burst=*/3, rdtsc()));
+    Stopwatch waited;
+    while (client.poll(nullptr) == 0) {
+      ASSERT_LT(waited.seconds(), 10.0) << "request " << k << " not served";
+    }
+  }
+  srv.stop();
+  const ServerStats s = srv.stats();
+  EXPECT_EQ(s.requests, kKeys);
+  EXPECT_EQ(s.packets, 3 * kKeys);
+  EXPECT_GT(s.shards[0].requests, 0u);
+  EXPECT_GT(s.shards[1].requests, 0u);
 }
 
 TEST(ServerClients, TwoClientLanesAreIndependent) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "lbmf/serve/shard.hpp"
 #include "lbmf/util/affinity.hpp"
 #include "lbmf/util/barrier.hpp"
 #include "lbmf/util/cacheline.hpp"
@@ -65,10 +68,41 @@ TEST(SpinWait, CountsPauseRoundsThenYields) {
   SpinWait w(/*spin_limit=*/4);
   for (int i = 0; i < 4; ++i) w.wait();
   EXPECT_EQ(w.rounds(), 4u);
-  w.wait();  // yield path; rounds saturates at the limit
+  EXPECT_EQ(w.wait(), 0u);  // yield path; rounds saturates at the limit
   EXPECT_EQ(w.rounds(), 4u);
   w.reset();
   EXPECT_EQ(w.rounds(), 0u);
+  EXPECT_EQ(w.wait(), 1u);  // the backoff starts over too
+}
+
+// The pauses of each round up to the first yield.
+std::vector<std::uint32_t> rounds_until_yield(SpinWait w) {
+  std::vector<std::uint32_t> pauses;
+  for (std::uint32_t p = w.wait(); p != 0; p = w.wait()) pauses.push_back(p);
+  return pauses;
+}
+
+std::uint64_t sum(const std::vector<std::uint32_t>& v) {
+  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
+}
+
+TEST(SpinWait, DefaultDoublesToSixtyFourPausesAndYieldsAfter3775) {
+  const std::vector<std::uint32_t> p = rounds_until_yield(SpinWait());
+  ASSERT_EQ(p.size(), 64u);
+  EXPECT_EQ(std::vector<std::uint32_t>(p.begin(), p.begin() + 7),
+            (std::vector<std::uint32_t>{1, 2, 4, 8, 16, 32, 64}));
+  EXPECT_EQ(*std::max_element(p.begin(), p.end()), 64u);
+  EXPECT_EQ(sum(p), 3775u);
+}
+
+TEST(SpinWait, ServeOwnerPollsEveryEightPausesOnTheDefaultBudget) {
+  const std::vector<std::uint32_t> p =
+      rounds_until_yield(serve::owner_idle_wait());
+  ASSERT_GE(p.size(), 4u);
+  EXPECT_EQ(std::vector<std::uint32_t>(p.begin(), p.begin() + 4),
+            (std::vector<std::uint32_t>{1, 2, 4, 8}));
+  EXPECT_EQ(*std::max_element(p.begin(), p.end()), 8u);
+  EXPECT_EQ(sum(p), sum(rounds_until_yield(SpinWait())));
 }
 
 TEST(SpinWait, ZeroLimitYieldsImmediatelyWithoutCrashing) {
