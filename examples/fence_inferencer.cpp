@@ -299,10 +299,12 @@ int main(int argc, char** argv) {
   infer::InferenceEngine engine(p, cli.engine);
   const infer::InferResult r = engine.run();
 
-  std::printf("%s: %llu explorer checks over a %llu-point lattice (%llu "
-              "pruned by %zu learned clauses), %llu states\n",
+  std::printf("%s: %llu explorer checks (%llu refuted under the reorder "
+              "bound) over a %llu-point lattice (%llu pruned by %zu learned "
+              "clauses), %llu states\n",
               infer::to_string(r.status),
               static_cast<unsigned long long>(r.candidates_verified),
+              static_cast<unsigned long long>(r.bounded_refutations),
               static_cast<unsigned long long>(r.lattice_size),
               static_cast<unsigned long long>(r.candidates_pruned),
               r.clauses.size(),

@@ -82,8 +82,11 @@ struct InferResult {
 
   /// Assignments whose safety was actually model-checked (explorer runs),
   /// including the minimality pass; the CEGIS-vs-naive bench ratio is over
-  /// this counter.
+  /// this counter. One check is one candidate, whichever passes it ran.
   std::uint64_t candidates_verified = 0;
+  /// Checks the bounded first pass settled: it found a violation, so the
+  /// unbounded run was skipped.
+  std::uint64_t bounded_refutations = 0;
   /// Assignments dispatched without an explorer run because a learned
   /// clause already covers them (a prior counterexample applies).
   std::uint64_t candidates_pruned = 0;
@@ -96,9 +99,10 @@ struct InferResult {
   /// Full lattice size Π per-site kind counts (3^holes minus the l-mfence
   /// option at register-store sites) — what naive enumeration verifies.
   std::uint64_t lattice_size = 0;
-  /// Σ states_explored over every explorer invocation. Candidate checks
-  /// that resumed from the prefix graph contribute only their *new* suffix
-  /// states here; the shared region is counted once in prefix_states.
+  /// Σ states_explored over every explorer invocation, both passes of a
+  /// check included. Runs that resumed from the prefix graph contribute
+  /// only their *new* suffix states here; the shared region is counted once
+  /// in prefix_states.
   std::uint64_t states_total = 0;
   /// States in the hole-independent prefix region (0 when incremental mode
   /// is off or the region alone blew the per-check budget).
@@ -132,6 +136,12 @@ struct InferResult {
 /// Candidates covered by a learned clause are pruned without an explorer
 /// run; a counterexample with no culprit sites (the violation happens with
 /// no reordering at all) proves the program unsafe under every placement.
+/// Each check first explores with at most one buffered store per CPU
+/// (sim::Explorer::Options::max_pending_stores): counterexamples with few
+/// reorderings name few culprits, so their clauses prune more. Only a
+/// candidate that pass finds no violation for gets the unbounded run, and
+/// only unbounded runs answer SAFE; the final recheck is one cold,
+/// unbounded run.
 /// A final minimality pass weakens/swaps each fence of the winner and
 /// re-verifies, emitting a per-site certificate. See docs/ARCHITECTURE.md
 /// "Fence inference".
@@ -168,10 +178,10 @@ class InferenceEngine {
     /// search, one run per lattice point reached.
     bool symmetry = true;
     /// Incremental re-exploration: explore the hole-independent prefix
-    /// region once (see infer/reach.hpp) and resume every candidate check
-    /// from its frontier instead of from the root. Verdict-equivalent to
-    /// cold checks; falls back to cold runs when the region alone exceeds
-    /// max_states_per_check.
+    /// region once (see infer/reach.hpp) and resume both passes of every
+    /// candidate check from its frontier instead of from the root.
+    /// Verdict-equivalent to cold checks; falls back to cold runs when the
+    /// region alone exceeds max_states_per_check.
     bool incremental = true;
     /// Externally built or loaded prefix graph (not owned; must outlive
     /// the engine). Used only when valid and its key matches this
@@ -187,7 +197,7 @@ class InferenceEngine {
 
   /// The explorer configuration `o` implies for checking candidates of `p`
   /// (coherence + mutual-exclusion checks, the problem's final-state
-  /// property, state budget, POR, threads). Shared by the engine itself,
+  /// property, state budget, POR). Shared by the engine itself,
   /// run_sweep's grid-wide prefix-graph build and the CLI's --graph-cache
   /// path, so every prefix graph is built under the exact checks it will
   /// later answer for.

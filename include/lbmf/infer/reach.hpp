@@ -63,13 +63,15 @@ PrefixGraph build_prefix_graph(const InferProblem& p,
 
 /// Instantiate `inst`'s seed machines for one candidate and resume the
 /// exploration (see sim::explore_seeded). `eo` must carry the same checks
-/// the graph was built under. `symmetry` turns on Machine-level state
-/// symmetry (auto_symmetry) for the resumed suffix; the graph itself is
-/// always built with plain fingerprints so its seed set covers every
-/// deferred hole edge even for candidates that fence group members
-/// asymmetrically — preloading plain region fingerprints into a symmetric
-/// suffix run stays sound because the region is closed under the CPU
-/// permutations (base programs are what made the CPUs symmetric).
+/// the graph was built under; it may add a reorder bound
+/// (max_pending_stores), which the seeds and their agendas then honour.
+/// `symmetry` turns on Machine-level state symmetry (auto_symmetry) for
+/// the resumed suffix; the graph itself is always built with plain
+/// fingerprints so its seed set covers every deferred hole edge even for
+/// candidates that fence group members asymmetrically — preloading plain
+/// region fingerprints into a symmetric suffix run stays sound because the
+/// region is closed under the CPU permutations (base programs are what
+/// made the CPUs symmetric).
 sim::ExploreResult explore_with_prefix(const InferProblem& p,
                                        const Instantiation& inst,
                                        const PrefixGraph& g,

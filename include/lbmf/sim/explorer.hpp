@@ -62,6 +62,10 @@ struct ExploreResult {
 ///    actions (Machine::action_is_local) via singleton ample sets with an
 ///    in-stack cycle proviso; terminal states, outcomes, and the built-in
 ///    coherence / mutual-exclusion verdicts are preserved exactly;
+///  * a nonzero max_pending_stores explores only the schedules that keep
+///    at most that many stores buffered per CPU — a bug-finding subgraph
+///    whose counterexamples cross few fence sites (Joshi & Kroening's
+///    reorder bound);
 ///  * a run is sequential and deterministic: the same machine and options
 ///    give the same counts, verdict and violating schedule every time.
 ///    Parallelism lives one level up, in lbmf::infer's candidate `batch`,
@@ -100,6 +104,13 @@ class Explorer {
     /// degrade to probing disk-backed pages instead of OOMing. Ignored in
     /// exact_dedup mode.
     std::uint64_t visited_budget_bytes = 0;
+    /// Reorder bound; 0 = unbounded. While a CPU holds this many
+    /// store-buffer entries, its store Execute (a plain or register store,
+    /// the l-mfence expansion's included) is not offered, so only its
+    /// Drain remains. Machine::step is untouched, so every schedule a
+    /// bounded run reports replays on the unbounded machine: its
+    /// violations are real, but a SAFE verdict holds only within the bound.
+    std::uint32_t max_pending_stores = 0;
   };
 
   Explorer(Machine initial, Options opts);
@@ -149,9 +160,12 @@ struct SeedState {
 /// would) and `base` carries the region's counters/outcomes, which the
 /// returned result includes. Seeds must already be deduped, counted (in
 /// `base.states_explored`) and safety-checked. If `base` already holds a
-/// violation or hit its limit, it is returned unchanged. This is the
-/// engine behind lbmf::infer's incremental re-exploration: the hole-free
-/// prefix region is explored once and reused across candidate placements.
+/// violation or hit its limit, it is returned unchanged. Under a reorder
+/// bound (opts.max_pending_stores), a seed holding more buffered stores
+/// than the bound lies outside the bounded graph and is skipped, and each
+/// agenda keeps only the choices the bound offers. This is the engine
+/// behind lbmf::infer's incremental re-exploration: the hole-free prefix
+/// region is explored once and reused across candidate placements.
 ExploreResult explore_seeded(std::vector<SeedState> seeds,
                              const std::vector<Fingerprint>& visited,
                              const ExploreResult& base,

@@ -44,14 +44,16 @@ class FutexMutex : public PrimaryBinding<P> {
   void lock_primary() noexcept { acquire(); }
   void lock_secondary() { acquire(); }
 
+  // The release store orders the critical section before the next
+  // acquirer's exchange (a plain `mov` on x86, as relaxed is).
   void unlock_primary() noexcept {
-    word_->store(0, std::memory_order_relaxed);
+    word_->store(0, std::memory_order_release);
     P::primary_fence();
     if (waiters_->load(std::memory_order_acquire) != 0) wake();
   }
 
   void unlock_secondary() noexcept {
-    word_->store(0, std::memory_order_relaxed);
+    word_->store(0, std::memory_order_release);
     P::secondary_fence();
     if (waiters_->load(std::memory_order_acquire) != 0) wake();
   }

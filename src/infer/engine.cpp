@@ -133,8 +133,12 @@ std::set<std::size_t> find_culprits(const InferProblem& p,
 struct Checked {
   Instantiation inst;
   sim::ExploreResult r;
-  bool cached = false;  // answered from Options::verdict_cache
-  bool reused = false;  // resumed from the prefix graph
+  /// States this check explored over both passes, less the prefix region
+  /// a resumed run carries in its counters (paid once, in prefix_states).
+  std::uint64_t states = 0;
+  bool cached = false;   // answered from Options::verdict_cache
+  bool bounded = false;  // refuted by the bounded first pass
+  bool reused = false;   // resumed from the prefix graph
 };
 
 /// Everything one candidate check needs: the problem, the options and —
@@ -145,33 +149,60 @@ struct CheckCtx {
   const PrefixGraph* graph = nullptr;  // null => cold exploration
 };
 
-Checked check_one(const CheckCtx& x, const Assignment& a,
-                  bool allow_cache = true) {
+/// Stores a CPU may hold buffered in a check's first pass. Schedules with
+/// few reorderings cross few fence sites, so the counterexamples found
+/// under the bound name few culprits, and the clauses learned from them
+/// prune more of the lattice (Joshi & Kroening's reorder bound).
+constexpr std::uint32_t kFirstPassPendingStores = 1;
+
+/// One cold exploration of an instantiated candidate.
+sim::ExploreResult explore_cold(const CheckCtx& x, const Instantiation& inst,
+                                const sim::Explorer::Options& eo) {
+  sim::Machine m = problem_machine(x.p, inst.programs);
+  // State symmetry is per *instantiated* candidate: auto_symmetry groups
+  // only byte-identical programs, so a candidate that fences the group
+  // members differently simply explores without the reduction.
+  if (x.o.symmetry) m.auto_symmetry();
+  return sim::Explorer(std::move(m), eo).run();
+}
+
+/// Check one candidate: the verdict cache answers if it can. Otherwise a
+/// pass under the reorder bound runs first, and its violation (a schedule
+/// of the unbounded machine) is the counterexample. Only a candidate that
+/// pass finds no violation for gets the unbounded run, which alone can
+/// answer SAFE. Both passes resume from the prefix graph when there is one,
+/// and both passes' verdicts are cached alike.
+Checked check_one(const CheckCtx& x, const Assignment& a) {
   Checked c;
   c.inst = instantiate(x.p, a);
-  if (allow_cache && x.o.verdict_cache != nullptr) {
-    if (auto hit = x.o.verdict_cache->lookup(a.kinds)) {
+  VerdictCache* const cache = x.o.verdict_cache;
+  if (cache != nullptr) {
+    if (auto hit = cache->lookup(a.kinds)) {
       c.r = std::move(*hit);
       c.cached = true;
       return c;
     }
   }
-  const sim::Explorer::Options eo =
-      InferenceEngine::explorer_options_for(x.p, x.o);
-  if (x.graph != nullptr) {
+  const auto explore = [&](const sim::Explorer::Options& eo) {
+    if (x.graph == nullptr) {
+      c.r = explore_cold(x, c.inst, eo);
+      c.states += c.r.states_explored;
+      return;
+    }
     c.r = explore_with_prefix(x.p, c.inst, *x.graph, eo, x.o.symmetry);
+    c.states += c.r.states_explored -
+                std::min(c.r.states_explored, x.graph->base.states_explored);
     c.reused = true;
-  } else {
-    sim::Machine m = problem_machine(x.p, c.inst.programs);
-    // State symmetry is per *instantiated* candidate: auto_symmetry groups
-    // only byte-identical programs, so a candidate that fences the group
-    // members differently simply explores without the reduction.
-    if (x.o.symmetry) m.auto_symmetry();
-    c.r = sim::Explorer(std::move(m), eo).run();
+  };
+  sim::Explorer::Options eo = InferenceEngine::explorer_options_for(x.p, x.o);
+  eo.max_pending_stores = kFirstPassPendingStores;
+  explore(eo);
+  c.bounded = c.r.violation.has_value();
+  if (!c.bounded) {
+    eo.max_pending_stores = 0;
+    explore(eo);
   }
-  if (allow_cache && x.o.verdict_cache != nullptr && !c.r.hit_limit) {
-    x.o.verdict_cache->store(a.kinds, c.r);
-  }
+  if (cache != nullptr && !c.r.hit_limit) cache->store(a.kinds, c.r);
   return c;
 }
 
@@ -353,15 +384,9 @@ InferResult InferenceEngine::run() {
       return;
     }
     ++res.candidates_verified;
-    std::uint64_t states = c.r.states_explored;
-    if (c.reused && graph != nullptr) {
-      // A resumed check's counters include the preloaded region (that is
-      // its verdict coverage); the region's cost was paid once and lives
-      // in prefix_states, so states_total only charges the new suffix.
-      ++res.incremental_reuses;
-      states -= std::min<std::uint64_t>(states, graph->base.states_explored);
-    }
-    res.states_total += states;
+    if (c.bounded) ++res.bounded_refutations;
+    if (c.reused) ++res.incremental_reuses;
+    res.states_total += c.states;
   };
   // A candidate is refuted by a learned clause if the clause covers any of
   // its within-group permutation images (same verdict by automorphism).
@@ -581,15 +606,15 @@ InferResult InferenceEngine::run() {
   res.best = *best;
   res.best_cost = best_cost;
 
-  // End-to-end certificate: one fresh *cold* exploration of the emitted
-  // placement — never served from the verdict cache and never resumed from
-  // the prefix graph, so on incremental runs it independently cross-checks
-  // the resumed verdict for the winner.
+  // End-to-end certificate: one fresh *cold*, unbounded exploration of the
+  // emitted placement — never served from the verdict cache and never
+  // resumed from the prefix graph, so on incremental runs it independently
+  // cross-checks the resumed verdict for the winner.
   {
-    const CheckCtx cold{p_, o_, nullptr};
-    Checked c = check_one(cold, res.best, /*allow_cache=*/false);
-    res.states_total += c.r.states_explored;
-    res.recheck_safe = !c.r.violation && !c.r.hit_limit;
+    const sim::ExploreResult r = explore_cold(
+        ctx, instantiate(p_, res.best), explorer_options_for(p_, o_));
+    res.states_total += r.states_explored;
+    res.recheck_safe = !r.violation && !r.hit_limit;
   }
   return res;
 }

@@ -231,6 +231,7 @@ std::string result_to_json(const InferProblem& p, const InferResult& r,
   w.key("lattice_size").integer(r.lattice_size);
   w.key("candidates_generated").integer(r.candidates_generated);
   w.key("candidates_verified").integer(r.candidates_verified);
+  w.key("bounded_refutations").integer(r.bounded_refutations);
   w.key("candidates_pruned").integer(r.candidates_pruned);
   w.key("states_total").integer(r.states_total);
   w.key("prefix_states").integer(r.prefix_states);

@@ -34,12 +34,38 @@ struct ChoiceList {
   }
 };
 
-void enabled_choices(const Machine& m, ChoiceList& out) {
+/// Machine::action_enabled, less a store Execute on a CPU that already
+/// holds `max_pending` buffered entries (Options::max_pending_stores; 0 =
+/// unbounded). Such a CPU's buffer is not empty, so its Drain stays
+/// offered and the bound never wedges a run.
+bool offered(const Machine& m, std::size_t cpu, Action a,
+             std::uint32_t max_pending) {
+  if (!m.action_enabled(cpu, a)) return false;
+  if (max_pending == 0 || a != Action::Execute) return true;
+  const CpuState& c = m.cpu(cpu);
+  if (c.sb.size() < max_pending) return true;
+  const Op op = c.program->code[c.pc].op;
+  return op != Op::kStore && op != Op::kStoreReg;
+}
+
+/// Whether every CPU holds at most `max_pending` buffered entries (always
+/// true when unbounded).
+bool within_bound(const Machine& m, std::uint32_t max_pending) {
+  for (std::size_t cpu = 0; max_pending != 0 && cpu < m.num_cpus(); ++cpu) {
+    if (m.cpu(cpu).sb.size() > max_pending) return false;
+  }
+  return true;
+}
+
+void enabled_choices(const Machine& m, std::uint32_t max_pending,
+                     ChoiceList& out) {
   out.n = 0;
   out.reduced = false;
   for (std::size_t cpu = 0; cpu < m.num_cpus(); ++cpu) {
     for (Action a : {Action::Execute, Action::Drain}) {
-      if (m.action_enabled(cpu, a)) out.add(static_cast<std::uint8_t>(cpu), a);
+      if (offered(m, cpu, a, max_pending)) {
+        out.add(static_cast<std::uint8_t>(cpu), a);
+      }
     }
   }
 }
@@ -50,22 +76,26 @@ void enabled_choices(const Machine& m, ChoiceList& out) {
 /// action of every other CPU, so {it} is a valid singleton ample set: every
 /// interleaving from here is equivalent to one that schedules it first.
 /// The in-stack cycle proviso (handled by the caller on a dedup hit) keeps
-/// the reduction from starving the other CPUs around cycles.
-void choose_actions(const Machine& m, bool por, ChoiceList& out) {
+/// the reduction from starving the other CPUs around cycles. The reorder
+/// bound keeps this sound within the bounded graph: an ample CPU's buffer
+/// is empty, so its store is offered, and whether a CPU's store is offered
+/// depends only on that CPU's own buffer.
+void choose_actions(const Machine& m, const Explorer::Options& o,
+                    ChoiceList& out) {
   out.n = 0;
   out.reduced = false;
   int ample = -1;  // first CPU whose only enabled action is a local Execute
   for (std::size_t cpu = 0; cpu < m.num_cpus(); ++cpu) {
-    const bool exec = m.action_enabled(cpu, Action::Execute);
+    const bool exec = offered(m, cpu, Action::Execute, o.max_pending_stores);
     const bool drain = m.action_enabled(cpu, Action::Drain);
     if (exec) out.add(static_cast<std::uint8_t>(cpu), Action::Execute);
     if (drain) out.add(static_cast<std::uint8_t>(cpu), Action::Drain);
-    if (por && ample < 0 && exec && !drain &&
+    if (o.por && ample < 0 && exec && !drain &&
         m.action_is_local(cpu, Action::Execute)) {
       ample = static_cast<int>(cpu);
     }
   }
-  if (por && ample >= 0 && out.n > 1) {
+  if (o.por && ample >= 0 && out.n > 1) {
     out.n = 0;
     out.add(static_cast<std::uint8_t>(ample), Action::Execute);
     out.reduced = true;
@@ -198,7 +228,7 @@ class Search {
     if (agenda != nullptr) {
       cl = *agenda;
     } else {
-      choose_actions(start, opts_.por, cl);
+      choose_actions(start, opts_, cl);
     }
     if (cl.n == 0) {
       note_terminal(start);
@@ -271,7 +301,7 @@ class Search {
       }
 
       ChoiceList cl;
-      choose_actions(child, opts_.por, cl);
+      choose_actions(child, opts_, cl);
       if (cl.n == 0) {
         note_terminal(child);
         continue;
@@ -310,7 +340,7 @@ class Search {
   /// except the ample one just taken.
   void expand_fully(Frame& f, const Choice& taken) {
     ChoiceList all;
-    enabled_choices(f.m, all);
+    enabled_choices(f.m, opts_.max_pending_stores, all);
     ChoiceList rest;
     for (std::uint8_t i = 0; i < all.n; ++i) {
       if (!(all.v[i] == taken)) rest.add(all.v[i].cpu, all.v[i].action);
@@ -382,8 +412,16 @@ ExploreResult explore_seeded(std::vector<SeedState> seeds,
   for (SeedState& seed : seeds) {
     if (s.done()) break;
     LBMF_CHECK(!seed.agenda.empty() && seed.agenda.size() <= kMaxChoices);
+    if (!within_bound(seed.m, opts.max_pending_stores)) continue;
     ChoiceList cl;
-    for (const Choice& c : seed.agenda) cl.add(c.cpu, c.action);
+    for (const Choice& c : seed.agenda) {
+      if (offered(seed.m, c.cpu, c.action, opts.max_pending_stores)) {
+        cl.add(c.cpu, c.action);
+      }
+    }
+    // The bound holds back every deferred edge, and the seed's other
+    // edges lie inside the pre-explored region.
+    if (cl.n == 0) continue;
     const Fingerprint fp = seed.m.fingerprint();
     s.explore(std::move(seed.m), fp, std::move(seed.prefix), &cl);
   }

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lbmf/infer/infer.hpp"
 
@@ -450,6 +453,127 @@ TEST(InferExamples, TwoThievesPlacementIsThiefCountIndependent) {
   EXPECT_TRUE(r.recheck_safe);
 }
 
+TEST(InferExamples, BakeryHolesSolvesToTheCommittedRepair) {
+  // The three-CPU bakery, pinned: the committed bakery.lit placement at
+  // cost 7360. Most checks are refuted under the reorder bound, whose
+  // counterexamples name one to three culprit sites each, so 8 clauses
+  // settle the 19,683-point lattice in 9 checks.
+  const InferProblem holes =
+      parse(slurp(std::string(LBMF_LITMUS_DIR) + "/bakery_holes.lit"));
+  const InferProblem repaired =
+      parse(slurp(std::string(LBMF_LITMUS_DIR) + "/bakery.lit"));
+  const InferResult r = InferenceEngine(holes, {}).run();
+  ASSERT_EQ(r.status, InferStatus::kSat);
+  EXPECT_EQ(r.best_cost, 7360.0);
+  EXPECT_TRUE(r.recheck_safe);
+  const Instantiation inst = instantiate(holes, r.best);
+  ASSERT_EQ(inst.programs.size(), repaired.programs.size());
+  for (std::size_t c = 0; c < inst.programs.size(); ++c) {
+    EXPECT_EQ(inst.programs[c].code, repaired.programs[c].code) << "cpu" << c;
+  }
+  EXPECT_EQ(r.candidates_verified, 9u);
+  EXPECT_EQ(r.bounded_refutations, 4u);
+  EXPECT_EQ(r.clauses.size(), 8u);
+}
+
+// Every point of `p`'s fence lattice.
+std::vector<Assignment> lattice_points(const InferProblem& p) {
+  std::vector<Assignment> points{p.uniform(FenceKind::kNone)};
+  for (std::size_t s = 0; s < p.sites.size(); ++s) {
+    std::vector<FenceKind> kinds{FenceKind::kNone, FenceKind::kMfence};
+    if (!p.sites[s].is_reg_store && !p.sites[s].no_lmfence) {
+      kinds.push_back(FenceKind::kLmfence);
+    }
+    std::vector<Assignment> next;
+    for (const Assignment& a : points) {
+      for (FenceKind k : kinds) {
+        Assignment b = a;
+        b.kinds[s] = k;
+        next.push_back(std::move(b));
+      }
+    }
+    points = std::move(next);
+  }
+  return points;
+}
+
+// Store-buffering with one more store between each fence hole and the
+// load: the load can only overtake the hole's store while both stores are
+// buffered, so the unfenced placements violate only beyond the reorder
+// bound of 1.
+constexpr const char* kTwoPendingSb = R"(
+cpu 0:
+  ?fence [x], 1
+  store [u], 1
+  load r0, [y]
+  bne r0, 0, skip
+  cs_enter
+  cs_exit
+skip:
+  halt
+cpu 1:
+  ?fence [y], 1
+  store [w], 1
+  load r0, [x]
+  bne r0, 0, skip
+  cs_enter
+  cs_exit
+skip:
+  halt
+)";
+
+TEST(InferEngine, CachedVerdictsMatchColdRunsAndTracesReplay) {
+  // An audit of both passes: exhaustive mode caches a verdict for every
+  // lattice point, from the bounded first pass where it finds a violation
+  // and from the unbounded run otherwise. Each must be the verdict of a
+  // plain cold exploration, and each cached counterexample a schedule of
+  // the unbounded machine that ends in a state the explorer's checks flag.
+  std::vector<std::pair<std::string, InferProblem>> problems;
+  for (const char* name :
+       {"dekker_holes.lit", "peterson_holes.lit", "store_buffer_holes.lit"}) {
+    problems.emplace_back(
+        name, parse(slurp(std::string(LBMF_LITMUS_DIR) + "/" + name)));
+  }
+  problems.emplace_back("two-pending SB", parse(kTwoPendingSb));
+  std::uint64_t bounded = 0, violating = 0;
+  for (const auto& [name, p] : problems) {
+    VerdictCache cache;
+    InferenceEngine::Options o;
+    o.exhaustive = true;
+    o.verdict_cache = &cache;
+    const InferResult r = InferenceEngine(p, o).run();
+    ASSERT_EQ(r.status, InferStatus::kSat) << name;
+    EXPECT_EQ(cache.size(), r.lattice_size) << name;
+    bounded += r.bounded_refutations;
+
+    const sim::Explorer::Options eo =
+        InferenceEngine::explorer_options_for(p, o);
+    for (const Assignment& a : lattice_points(p)) {
+      const std::optional<sim::ExploreResult> cached = cache.lookup(a.kinds);
+      ASSERT_TRUE(cached.has_value()) << name << " " << to_string(a);
+      const Instantiation inst = instantiate(p, a);
+      const sim::ExploreResult cold =
+          sim::Explorer(problem_machine(p, inst.programs), eo).run();
+      ASSERT_FALSE(cold.hit_limit);
+      EXPECT_EQ(cached->violation.has_value(), cold.violation.has_value())
+          << name << " " << to_string(a);
+      if (!cached->violation) continue;
+      ++violating;
+      sim::Machine m = problem_machine(p, inst.programs);
+      for (const sim::Choice& c : cached->violation_trace) {
+        ASSERT_TRUE(m.action_enabled(c.cpu, c.action))
+            << name << " " << to_string(a);
+        m.step(c.cpu, c.action);
+      }
+      EXPECT_TRUE(sim::check_state(m, eo).has_value())
+          << name << " " << to_string(a);
+    }
+  }
+  // Both passes supplied cached counterexamples.
+  EXPECT_GT(bounded, 0u);
+  EXPECT_LT(bounded, violating);
+}
+
 // ------------------------------------------------------------------- sweep
 
 TEST(InferSweep, DequeFrontierMatchesHandCheckedGridPoints) {
@@ -727,8 +851,9 @@ constexpr const char* kProvenanceDekkerReport = R"({
   "lattice_size": 81,
   "candidates_generated": 36,
   "candidates_verified": 5,
+  "bounded_refutations": 4,
   "candidates_pruned": 12,
-  "states_total": 1828,
+  "states_total": 1908,
   "prefix_states": 1,
   "incremental_reuses": 5,
   "cache_hits": 0,

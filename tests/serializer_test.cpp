@@ -174,7 +174,9 @@ TEST(Serializer, CoalescedAckCoversEachRequestUnderStress) {
     handle = reg.register_self();
     registered.store(true, std::memory_order_release);
     int v = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
+    // Acquire pairs with the release store of `stop` below, so the main
+    // thread's reads of `handle` happen before unregister_self rewrites it.
+    while (!stop.load(std::memory_order_acquire)) {
       ++v;
       data.store(v, std::memory_order_relaxed);
       published.store(v, std::memory_order_relaxed);

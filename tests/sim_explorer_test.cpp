@@ -4,6 +4,13 @@
 // violate Dekker, and the explorer exhibits a schedule).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "lbmf/sim/assembler.hpp"
 #include "lbmf/sim/explorer.hpp"
 #include "lbmf/sim/litmus.hpp"
 
@@ -308,6 +315,124 @@ TEST(Explorer, ViolationTraceReplaysToViolation) {
     m.step(c.cpu, c.action);
   }
   EXPECT_GT(m.cpus_in_cs(), 1u);
+}
+
+// ----------------------------------------------------------- reorder bound
+
+// A committed litmus file as litmus_runner explores it: initial memory,
+// programs and thread symmetry; `opts.check` gets its final-state property.
+Machine litmus_machine(const std::string& name, Explorer::Options& opts) {
+  std::ifstream f(std::string(LBMF_LITMUS_DIR) + "/" + name);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  const AssembleResult a = assemble(ss.str());
+  EXPECT_TRUE(a.ok()) << name;
+  SimConfig cfg;
+  cfg.num_cpus = a.programs.size();
+  cfg.sb_capacity = 4;
+  cfg.cache_capacity = 8;
+  Machine m(cfg);
+  for (const auto& [addr, v] : a.initial_memory) m.set_memory(addr, v);
+  for (std::size_t i = 0; i < a.programs.size(); ++i) {
+    m.load_program(i, a.programs[i]);
+  }
+  m.auto_symmetry();
+  opts.check = final_state_check(a.final_allowed);
+  return m;
+}
+
+// Flags any state in which one CPU holds two or more buffered stores.
+std::optional<std::string> two_buffered(const Machine& m) {
+  for (std::size_t cpu = 0; cpu < m.num_cpus(); ++cpu) {
+    if (m.cpu(cpu).sb.size() >= 2) {
+      return "cpu" + std::to_string(cpu) + " buffers two stores";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ReorderBound, NoExploredStateBuffersTwoStoresOnOneCpu) {
+  // Options::check sees every state the run discovers. Unbounded, bakery's
+  // contenders buffer several stores at once; under max_pending_stores = 1
+  // no explored state holds two entries on one CPU.
+  Explorer::Options opts;
+  const Machine m = litmus_machine("bakery.lit", opts);
+  opts.check = two_buffered;
+  const ExploreResult unbounded = Explorer(m, opts).run();
+  ASSERT_TRUE(unbounded.violation.has_value());
+
+  opts.max_pending_stores = 1;
+  const ExploreResult bounded = Explorer(m, opts).run();
+  EXPECT_FALSE(bounded.violation.has_value()) << *bounded.violation;
+  EXPECT_FALSE(bounded.hit_limit);
+  EXPECT_GT(bounded.states_explored, 0u);
+}
+
+TEST(ReorderBound, StoreBufferStillViolatesAndBakeryStaysSafe) {
+  // One buffered store per CPU is all the store-buffering reordering needs:
+  // under the bound, both loads can still read 0.
+  Explorer::Options sb_opts;
+  const Machine sb = litmus_machine("store_buffer.lit", sb_opts);
+  sb_opts.check = [](const Machine& m) -> std::optional<std::string> {
+    if (!m.finished() || m.cpu(0).regs[0] != 0 || m.cpu(1).regs[0] != 0) {
+      return std::nullopt;
+    }
+    return "both loads read 0";
+  };
+  sb_opts.max_pending_stores = 1;
+  const ExploreResult r = Explorer(sb, sb_opts).run();
+  ASSERT_TRUE(r.violation.has_value());
+
+  // The bounded schedule replays step for step on the unbounded machine.
+  Machine replay = sb;
+  for (const Choice& c : r.violation_trace) {
+    ASSERT_TRUE(replay.action_enabled(c.cpu, c.action));
+    replay.step(c.cpu, c.action);
+  }
+  EXPECT_TRUE(check_state(replay, sb_opts).has_value());
+
+  // The bounded graph is a subgraph of the machine's: the repaired bakery
+  // stays SAFE under the bound, in fewer states than the 83,193 of the
+  // unbounded run.
+  Explorer::Options bk_opts;
+  const Machine bk = litmus_machine("bakery.lit", bk_opts);
+  bk_opts.max_pending_stores = 1;
+  const ExploreResult safe = Explorer(bk, bk_opts).run();
+  EXPECT_TRUE(safe.ok());
+  EXPECT_LT(safe.states_explored, 83'193u);
+}
+
+TEST(ReorderBound, SeededRunSkipsSeedsAndEdgesBeyondTheBound) {
+  // explore_seeded honours the bound at its seeds too: a seed already
+  // buffering more stores than the bound is skipped, and a deferred store
+  // the bound withholds is dropped from its seed's agenda.
+  SimConfig cfg = cfg2();
+  cfg.num_cpus = 1;
+  Machine root(cfg);
+  root.load_program(
+      0, ProgramBuilder("stores").store(0, 1).store(1, 1).store(2, 1).halt()
+             .build());
+  const Choice exec{0, Action::Execute};
+  const Choice drain{0, Action::Drain};
+  const auto seeds = [&] {
+    Machine one = root;  // one store buffered, the next deferred
+    one.step(0, Action::Execute);
+    Machine two = one;  // two stores buffered, a drain deferred
+    two.step(0, Action::Execute);
+    return std::vector<SeedState>{{one, {exec}, {exec}},
+                                  {two, {exec, exec}, {drain}}};
+  };
+  ExploreResult base;
+  base.states_explored = 3;
+  Explorer::Options opts;
+  opts.check = two_buffered;
+  opts.max_pending_stores = 1;
+  const ExploreResult bounded = explore_seeded(seeds(), {}, base, opts);
+  EXPECT_FALSE(bounded.violation.has_value());
+  EXPECT_EQ(bounded.states_explored, base.states_explored);
+
+  opts.max_pending_stores = 0;
+  EXPECT_TRUE(explore_seeded(seeds(), {}, base, opts).violation.has_value());
 }
 
 }  // namespace
