@@ -18,7 +18,7 @@
 // legitimately occupy their critical sections concurrently); coherence
 // checking stays on in both.
 //
-// E20 — explorer scale-up: the same binary also measures the three
+// E20 — explorer scale-up: the same binary also measures the two
 // reductions that make the big-protocol inferences tractable.
 //   symmetry    — three byte-identical Dekker sides; the canonical graph
 //                 (states modulo CPU permutation) vs the exact graph, with
@@ -27,19 +27,13 @@
 //                 identical state/transition counts, but the cold
 //                 fingerprints frozen into mmap'd segments (gate: >= 1
 //                 segment, counters unchanged).
-//   incremental — a holey Dekker swept over a freq x roundtrip grid, cold
-//                 (every verification from the initial state) vs warm
-//                 (verifications resume from the persisted hole-independent
-//                 prefix region), with bit-identical optima (gate: warm
-//                 total explorer work, prefix included, strictly below
-//                 cold).
 //
 //   bench_explorer            # full measurement (120k-state budget)
 //   bench_explorer --quick    # CI smoke mode (60k-state budget)
 //
 // Emits BENCH_explorer.json (states/sec and peak RSS of the default engine,
 // the speedup and memory ratios vs the seed baseline, plus the E20
-// symmetry/spill/incremental section) in the working directory.
+// symmetry/spill section) in the working directory.
 
 #include <algorithm>
 #include <chrono>
@@ -55,7 +49,6 @@
 #define LBMF_BENCH_HAVE_RUSAGE 1
 #endif
 
-#include "lbmf/infer/infer.hpp"
 #include "lbmf/sim/explorer.hpp"
 #include "lbmf/sim/litmus.hpp"
 #include "lbmf/util/json.hpp"
@@ -234,39 +227,6 @@ Machine symmetric_workload() {
   return m;
 }
 
-// E20 incremental workload: a holey Dekker behind a hole-independent
-// warm-up prefix (the private [V]/[W] traffic), so the persisted prefix
-// region — which every verification of every candidate re-explores when
-// run cold — is a substantial share of each check.
-constexpr const char* kHoleyDekker = R"(cpu 0:
-  freq 1000
-  store [V], 1
-  store [V], 2
-  load r2, [V]
-  store [V], 3
-  ?fence [A], 1
-  load r0, [B]
-  bne r0, 0, skip
-  cs_enter
-  cs_exit
-skip:
-  store [A], 0
-  halt
-cpu 1:
-  store [W], 1
-  store [W], 2
-  load r2, [W]
-  store [W], 3
-  ?fence [B], 1
-  load r0, [A]
-  bne r0, 0, skip
-  cs_enter
-  cs_exit
-skip:
-  store [B], 0
-  halt
-)";
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -333,7 +293,7 @@ int main(int argc, char** argv) {
               "(%llu states)\n",
               static_cast<unsigned long long>(def.states));
 
-  // ---- E20: symmetry reduction, spillable visited set, incremental ----
+  // ---- E20: symmetry reduction, spillable visited set ----
 
   // Symmetry: the exact graph vs the canonical (mod CPU permutation) graph
   // of four byte-identical Dekker sides. Equal verdicts, fewer states.
@@ -382,47 +342,6 @@ int main(int argc, char** argv) {
               spilled.spill_segments,
               static_cast<double>(spilled.visited_bytes) / 1024.0);
 
-  // Incremental: sweep the holey Dekker over a freq x roundtrip grid, cold
-  // vs warm. Warm verifications resume from the one-time prefix region;
-  // the optima must be bit-identical.
-  namespace infer = lbmf::infer;
-  const infer::ProblemParse parsed = infer::problem_from_source(kHoleyDekker);
-  std::uint64_t inc_cold = 0, inc_warm = 0;
-  bool inc_ok = false;
-  double inc_ratio = 0.0;
-  if (parsed.ok()) {
-    infer::SweepOptions so;
-    so.victim_freqs = {1, 1'000, 100'000};
-    so.roundtrips = {150, 1'500};
-    so.engine.incremental = false;
-    const infer::SweepResult cold = infer::run_sweep(*parsed.problem, so);
-    so.engine.incremental = true;
-    const infer::SweepResult warm = infer::run_sweep(*parsed.problem, so);
-    inc_cold = cold.states_total;
-    // Total explorer work including the one-time prefix build, so the
-    // comparison cannot hide the region cost.
-    inc_warm = warm.states_total + warm.prefix_states;
-    bool same_optima = cold.points.size() == warm.points.size();
-    for (std::size_t i = 0; same_optima && i < cold.points.size(); ++i) {
-      same_optima = cold.points[i].status == warm.points[i].status &&
-                    cold.points[i].best.kinds == warm.points[i].best.kinds &&
-                    cold.points[i].best_cost == warm.points[i].best_cost;
-    }
-    inc_ratio = inc_warm == 0 ? 0.0
-                              : static_cast<double>(inc_cold) /
-                                    static_cast<double>(inc_warm);
-    inc_ok = same_optima && warm.incremental_reuses > 0 && inc_warm < inc_cold;
-    std::printf("E20 incremental (6-point sweep): cold %llu states vs warm "
-                "%llu (+%llu-state prefix, %llu reuses): %.2fx less work, "
-                "optima %s\n",
-                static_cast<unsigned long long>(inc_cold),
-                static_cast<unsigned long long>(warm.states_total),
-                static_cast<unsigned long long>(warm.prefix_states),
-                static_cast<unsigned long long>(warm.incremental_reuses),
-                inc_ratio, same_optima ? "bit-identical" : "DIFFER");
-  } else {
-    std::printf("E20 incremental: holey workload failed to parse\n");
-  }
   const std::uint64_t rss_kib = peak_rss_kib();
 
   lbmf::JsonWriter json;
@@ -445,12 +364,6 @@ int main(int argc, char** argv) {
   json.key("spill_bytes").integer(spilled.spill_bytes);
   json.key("counters_unchanged").boolean(spill_ok);
   json.end_object();
-  json.key("incremental").begin_object();
-  json.key("states_cold").integer(inc_cold);
-  json.key("states_warm").integer(inc_warm);
-  json.key("ratio").fixed(inc_ratio, 2);
-  json.key("optima_equal").boolean(inc_ok);
-  json.end_object();
   json.key("quick").boolean(quick);
   json.end_object();
   if (std::FILE* f = std::fopen("BENCH_explorer.json", "w")) {
@@ -458,13 +371,11 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("\nwrote BENCH_explorer.json\n");
   }
-  const bool pass =
-      speedup >= 5.0 && mem_ratio >= 4.0 && sym_ok && spill_ok && inc_ok;
+  const bool pass = speedup >= 5.0 && mem_ratio >= 4.0 && sym_ok && spill_ok;
   if (!pass) {
-    std::printf("FAIL:%s%s%s%s\n",
+    std::printf("FAIL:%s%s%s\n",
                 speedup >= 5.0 && mem_ratio >= 4.0 ? "" : " seed-ratios",
-                sym_ok ? "" : " symmetry", spill_ok ? "" : " spill",
-                inc_ok ? "" : " incremental");
+                sym_ok ? "" : " symmetry", spill_ok ? "" : " spill");
   } else {
     std::printf("PASS\n");
   }

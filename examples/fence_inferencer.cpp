@@ -15,12 +15,6 @@
 //   fence_inferencer test.lit --no-minimality # skip the minimality sweep
 //   fence_inferencer test.lit --no-symmetry   # no orbit canonicalization /
 //                                             # machine state symmetry
-//   fence_inferencer test.lit --no-incremental # cold explorer run per
-//                                             # candidate (no prefix reuse)
-//   fence_inferencer test.lit --graph-cache=g.bin # persist the reached-state
-//                                             # prefix graph: loaded when the
-//                                             # key matches, rebuilt + saved
-//                                             # otherwise
 //   fence_inferencer test.lit --max-states=N --batch=K # K candidates
 //                                             # verified at once, each by
 //                                             # its own explorer
@@ -67,7 +61,6 @@ struct CliOptions {
   infer::InferenceEngine::Options engine;
   std::string json_path;
   std::string policy_json_path;
-  std::string graph_cache_path;
   std::vector<infer::SweepBackend> backends;
   bool sweep = false;
 };
@@ -84,9 +77,6 @@ CliOptions parse_flags(int argc, char** argv) {
     } else if (a.rfind("--policy-json=", 0) == 0) {
       cli.policy_json_path = a.substr(14);
       if (cli.policy_json_path.empty()) bad_flag(a);
-    } else if (a.rfind("--graph-cache=", 0) == 0) {
-      cli.graph_cache_path = a.substr(14);
-      if (cli.graph_cache_path.empty()) bad_flag(a);
     } else if (a.rfind("--backends=", 0) == 0) {
       // Comma-separated serialization-backend planes for --sweep. The
       // role-inversion capability is fixed per name rather than probed on
@@ -120,8 +110,6 @@ CliOptions parse_flags(int argc, char** argv) {
       cli.engine.minimality_pass = false;
     } else if (a == "--no-symmetry") {
       cli.engine.symmetry = false;
-    } else if (a == "--no-incremental") {
-      cli.engine.incremental = false;
     } else if (a == "--no-por") {
       cli.engine.por = false;
     } else {
@@ -217,13 +205,10 @@ int run_sweep_mode(const infer::InferProblem& p, const CliOptions& cli) {
                 x.lest_roundtrip, x.from.c_str(), x.to.c_str(), x.freq_before,
                 x.freq_after);
   }
-  std::printf("explorer runs %llu, verdict-cache hits %llu, states %llu, "
-              "prefix region %llu states reused %llu times\n",
+  std::printf("explorer runs %llu, verdict-cache hits %llu, states %llu\n",
               static_cast<unsigned long long>(sr.explorer_runs),
               static_cast<unsigned long long>(sr.cache_hits),
-              static_cast<unsigned long long>(sr.states_total),
-              static_cast<unsigned long long>(sr.prefix_states),
-              static_cast<unsigned long long>(sr.incremental_reuses));
+              static_cast<unsigned long long>(sr.states_total));
 
   if (!cli.json_path.empty()) {
     std::ofstream jf(cli.json_path);
@@ -290,10 +275,6 @@ int main(int argc, char** argv) {
     std::printf(" — searching per placement orbit\n");
   }
 
-  infer::PrefixGraph cached_graph;
-  infer_cli::use_prefix_cache(p, cli.graph_cache_path, cli.engine,
-                              cached_graph);
-
   if (cli.sweep) return run_sweep_mode(p, cli);
 
   infer::InferenceEngine engine(p, cli.engine);
@@ -309,12 +290,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.candidates_pruned),
               r.clauses.size(),
               static_cast<unsigned long long>(r.states_total));
-  if (r.incremental_reuses > 0) {
-    std::printf("incremental: %llu checks resumed from a %llu-state prefix "
-                "region\n",
-                static_cast<unsigned long long>(r.incremental_reuses),
-                static_cast<unsigned long long>(r.prefix_states));
-  }
   for (const std::string& c : r.clauses) {
     std::printf("  clause: %s\n", c.c_str());
   }

@@ -16,7 +16,7 @@
 //   lbmf_extract the-deque --check=examples/litmus/the_deque_holes.lit
 //                                           # semantic drift diff (CI gate)
 //   lbmf_extract the-deque --infer          # infer over the generated litmus
-//   lbmf_extract the-deque --infer --json=report.json --graph-cache=g.bin
+//   lbmf_extract the-deque --infer --json=report.json
 //   lbmf_extract the-deque --no-provenance  # drop the #@ comments
 //   lbmf_extract the-deque --infer --max-states=N --batch=K
 //
@@ -46,7 +46,6 @@ struct CliOptions {
   std::string emit_path;
   std::string check_path;
   std::string json_path;
-  std::string graph_cache_path;
   infer::InferenceEngine::Options engine;
   bool list = false;
   bool run_infer = false;
@@ -75,9 +74,6 @@ CliOptions parse_flags(int argc, char** argv) {
     } else if (a.rfind("--json=", 0) == 0) {
       cli.json_path = a.substr(7);
       if (cli.json_path.empty()) bad_flag(a);
-    } else if (a.rfind("--graph-cache=", 0) == 0) {
-      cli.graph_cache_path = a.substr(14);
-      if (cli.graph_cache_path.empty()) bad_flag(a);
     } else if (!infer_cli::parse_engine_flag(a, cli.engine)) {
       bad_flag(a);
     }
@@ -96,8 +92,7 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-int run_inference(const CliOptions& cli_in, const std::string& lit) {
-  CliOptions cli = cli_in;
+int run_inference(const CliOptions& cli, const std::string& lit) {
   infer::ProblemParse parsed = infer::problem_from_source(lit);
   if (!parsed.ok()) {
     std::fprintf(stderr, "generated litmus does not assemble — %s\n",
@@ -107,13 +102,6 @@ int run_inference(const CliOptions& cli_in, const std::string& lit) {
   infer::InferProblem& p = *parsed.problem;
   std::printf("inference: %zu cpu(s), %zu hole(s)\n", p.programs.size(),
               p.sites.size());
-
-  // The cache key covers programs/sites/config (not source text), so a
-  // cache built over the committed litmus answers for the generated one —
-  // that identity is itself a consequence of a clean drift gate.
-  infer::PrefixGraph cached_graph;
-  infer_cli::use_prefix_cache(p, cli.graph_cache_path, cli.engine,
-                              cached_graph);
 
   infer::InferenceEngine engine(p, cli.engine);
   const infer::InferResult r = engine.run();
@@ -164,7 +152,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: lbmf_extract <protocol | --list> [--emit=FILE] "
                  "[--check=COMMITTED.lit] [--infer] [--json=FILE] "
-                 "[--graph-cache=FILE] [--no-provenance]\n");
+                 "[--no-provenance]\n");
     return 2;
   }
 

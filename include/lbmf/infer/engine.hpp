@@ -14,8 +14,6 @@
 
 namespace lbmf::infer {
 
-struct PrefixGraph;
-
 enum class InferStatus : std::uint8_t {
   kSat,    // a SAFE placement exists; `best` holds the cheapest one found
   kUnsat,  // no placement makes the program safe (fence-independent bug)
@@ -100,15 +98,12 @@ struct InferResult {
   /// option at register-store sites) — what naive enumeration verifies.
   std::uint64_t lattice_size = 0;
   /// Σ states_explored over every explorer invocation, both passes of a
-  /// check included. Runs that resumed from the prefix graph contribute
-  /// only their *new* suffix states here; the shared region is counted once
-  /// in prefix_states.
+  /// check and the final recheck included.
   std::uint64_t states_total = 0;
-  /// States in the hole-independent prefix region (0 when incremental mode
-  /// is off or the region alone blew the per-check budget).
+  /// Always 0: every check explores from the root, so no prefix region is
+  /// shared and no check resumes from one. Kept because the layered
+  /// benchmark (lbmfbench/src/infer.cpp) still reports both fields.
   std::uint64_t prefix_states = 0;
-  /// Candidate checks that resumed from the prefix graph instead of
-  /// re-exploring from the root.
   std::uint64_t incremental_reuses = 0;
 
   /// Final fresh explorer run over `best` (not counted above): the
@@ -140,8 +135,8 @@ struct InferResult {
 /// (sim::Explorer::Options::max_pending_stores): counterexamples with few
 /// reorderings name few culprits, so their clauses prune more. Only a
 /// candidate that pass finds no violation for gets the unbounded run, and
-/// only unbounded runs answer SAFE; the final recheck is one cold,
-/// unbounded run.
+/// only unbounded runs answer SAFE; the final recheck is one more
+/// unbounded run. Every run explores from the root.
 /// A final minimality pass weakens/swaps each fence of the winner and
 /// re-verifies, emitting a per-site certificate. See docs/ARCHITECTURE.md
 /// "Fence inference".
@@ -177,18 +172,6 @@ class InferenceEngine {
     /// Machine-level state symmetry via auto_symmetry(). Off = the exact
     /// search, one run per lattice point reached.
     bool symmetry = true;
-    /// Incremental re-exploration: explore the hole-independent prefix
-    /// region once (see infer/reach.hpp) and resume both passes of every
-    /// candidate check from its frontier instead of from the root.
-    /// Verdict-equivalent to cold checks; falls back to cold runs when the
-    /// region alone exceeds max_states_per_check.
-    bool incremental = true;
-    /// Externally built or loaded prefix graph (not owned; must outlive
-    /// the engine). Used only when valid and its key matches this
-    /// problem's problem_graph_key; otherwise the engine builds its own
-    /// when `incremental` is set. run_sweep shares one graph this way
-    /// across a whole cost grid.
-    const PrefixGraph* prefix_graph = nullptr;
   };
 
   InferenceEngine(InferProblem problem, Options opts);
@@ -197,10 +180,9 @@ class InferenceEngine {
 
   /// The explorer configuration `o` implies for checking candidates of `p`
   /// (coherence + mutual-exclusion checks, the problem's final-state
-  /// property, state budget, POR). Shared by the engine itself,
-  /// run_sweep's grid-wide prefix-graph build and the CLI's --graph-cache
-  /// path, so every prefix graph is built under the exact checks it will
-  /// later answer for.
+  /// property, state budget, POR): what every candidate check and the
+  /// final recheck explore under, and what callers that explore a
+  /// problem's programs themselves reuse.
   static sim::Explorer::Options explorer_options_for(const InferProblem& p,
                                                      const Options& o);
 

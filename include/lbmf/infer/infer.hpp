@@ -6,6 +6,5 @@
 /// minimum-cost placement of {none, mfence, l-mfence} per site.
 
 #include "lbmf/infer/engine.hpp"
-#include "lbmf/infer/reach.hpp"
 #include "lbmf/infer/sites.hpp"
 #include "lbmf/infer/sweep.hpp"

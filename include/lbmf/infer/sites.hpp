@@ -36,16 +36,15 @@ struct FenceSite {
   /// backend this sweep plane models cannot run the light path on this
   /// side (e.g. the signal backend only inverts in the primary's favor),
   /// so l-mfence is excluded from the site's lattice. Part of the
-  /// *assignment* space, never of the safety verdict — problem_graph_key
-  /// ignores it, so VerdictCache/PrefixGraph entries stay shared across
-  /// backend planes.
+  /// *assignment* space, never of the safety verdict, so VerdictCache
+  /// entries stay shared across backend planes.
   bool no_lmfence = false;
   std::size_t src_line = 0;  // 1-based .lit line; 0 for programmatic sites
   /// Runtime-source location ("lbmf/ws/deque.hpp:84") carried over from
   /// the hole's `#@` provenance comment when the litmus text was
   /// machine-extracted (lbmf::extract); empty otherwise. Reported by the
-  /// JSON source_map and the extract map-back pass; never part of the
-  /// problem identity (problem_graph_key ignores it).
+  /// JSON source_map and the extract map-back pass; it never changes a
+  /// verdict.
   std::string provenance;
 };
 
@@ -135,10 +134,6 @@ std::vector<FenceSite> discover_sites(
 struct Instantiation {
   std::vector<sim::Program> programs;
   std::vector<std::size_t> site_pos;
-  /// Per CPU: old instruction index -> instantiated index (one extra entry
-  /// mapping old end to new end). The incremental explorer uses this to
-  /// remap saved prefix-state pcs into candidate coordinates.
-  std::vector<std::vector<std::uint32_t>> pc_map;
 };
 
 /// Materialize an assignment: per site, nothing (kNone), an mfence

@@ -44,8 +44,8 @@ struct SweepOptions {
   /// plane copies the base grid without re-solving; a non-inverting one
   /// re-solves with l-mfence excluded on every non-victim CPU's sites
   /// (FenceSite::no_lmfence). All planes share the base grid's
-  /// VerdictCache and PrefixGraph — the constraint prunes assignments,
-  /// never changes a verdict. Empty = no backend dimension.
+  /// VerdictCache — the constraint prunes assignments, never changes a
+  /// verdict. Empty = no backend dimension.
   std::vector<SweepBackend> backends;
   /// Base engine options. costs.lest_roundtrip_cycles and any attached
   /// verdict_cache are overridden per grid point / per sweep.
@@ -92,13 +92,6 @@ struct SweepResult {
   std::uint64_t explorer_runs = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t states_total = 0;
-  /// Incremental re-exploration across the grid: the hole-independent
-  /// prefix region is built once (its key excludes freqs and costs, so one
-  /// graph serves every grid point) and each fresh verification resumes
-  /// from it. prefix_states is that one-time region size;
-  /// incremental_reuses counts the verifications that resumed from it.
-  std::uint64_t prefix_states = 0;
-  std::uint64_t incremental_reuses = 0;
 
   /// All grid points — backend planes included — solved to kSat with a
   /// SAFE recheck.

@@ -96,12 +96,6 @@ class Cache {
   /// order) — canonical state encodings depend on this invariant.
   const std::vector<CacheLine>& lines() const noexcept { return lines_; }
 
-  /// Replace the resident lines wholesale (the Machine state-restore path).
-  /// `lines` must be sorted by base with `lru` fields holding eviction
-  /// *ranks* (any strictly-ordered stamps work); the internal LRU clock
-  /// resumes above the largest of them so subsequent touches stay newest.
-  void restore_lines(std::vector<CacheLine> lines);
-
  private:
   std::size_t capacity_;
   std::uint64_t clock_ = 0;
@@ -137,10 +131,6 @@ class StoreBuffer {
   std::optional<Word> forwarded_value(Addr a) const noexcept;
 
   const std::vector<StoreEntry>& entries() const noexcept { return entries_; }
-
-  /// Drop all entries (the Machine state-restore path rebuilds the buffer
-  /// entry by entry with push()).
-  void clear() noexcept { entries_.clear(); }
 
  private:
   std::size_t capacity_;

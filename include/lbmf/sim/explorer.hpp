@@ -124,8 +124,8 @@ class Explorer {
 
 /// The explorer's verdict on one state: coherence (check_coherence), then
 /// mutual exclusion (check_mutual_exclusion), then `opts.check`; the first
-/// violation found, or nullopt. lbmf::infer judges its prefix-region
-/// states with it, so they are judged as a cold run would judge them.
+/// violation found, or nullopt. Every state a run discovers is judged by
+/// it, so a replayed schedule's last state can be judged the same way.
 std::optional<std::string> check_state(const Machine& m,
                                        const Explorer::Options& opts);
 
@@ -142,33 +142,5 @@ ExploreResult explore_all(Machine machine, Explorer::Options opts);
 /// view of a counterexample.
 std::string annotate_schedule(Machine initial,
                               const std::vector<Choice>& schedule);
-
-/// One start state for a seeded (incremental) run: a machine inside the
-/// frontier of a pre-explored prefix region, the schedule that reaches it
-/// from the true root, and the subset of its enabled choices still to take
-/// (its remaining edges were already explored inside the prefix region, so
-/// the seed frame counts as fully expanded for the POR cycle proviso).
-struct SeedState {
-  Machine m;
-  std::vector<Choice> prefix;
-  std::vector<Choice> agenda;
-};
-
-/// Resume an exploration from pre-explored seeds instead of a root:
-/// `visited` preloads the dedup set with the prefix region's fingerprints
-/// (so suffix paths re-entering the region dedup exactly as a cold run
-/// would) and `base` carries the region's counters/outcomes, which the
-/// returned result includes. Seeds must already be deduped, counted (in
-/// `base.states_explored`) and safety-checked. If `base` already holds a
-/// violation or hit its limit, it is returned unchanged. Under a reorder
-/// bound (opts.max_pending_stores), a seed holding more buffered stores
-/// than the bound lies outside the bounded graph and is skipped, and each
-/// agenda keeps only the choices the bound offers. This is the engine
-/// behind lbmf::infer's incremental re-exploration: the hole-free prefix
-/// region is explored once and reused across candidate placements.
-ExploreResult explore_seeded(std::vector<SeedState> seeds,
-                             const std::vector<Fingerprint>& visited,
-                             const ExploreResult& base,
-                             const Explorer::Options& opts);
 
 }  // namespace lbmf::sim

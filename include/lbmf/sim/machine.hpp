@@ -47,7 +47,6 @@ class FlatMemory {
   std::size_t size() const noexcept { return v_.size(); }
   auto begin() const noexcept { return v_.begin(); }
   auto end() const noexcept { return v_.end(); }
-  void clear() noexcept { v_.clear(); }  // Machine::restore_arch rebuilds
 
  private:
   std::vector<std::pair<Addr, Word>>::iterator find(Addr a) noexcept {
@@ -256,26 +255,6 @@ class Machine {
   /// Product of |g|! over the active groups: the (maximum) number of raw
   /// states each canonical representative stands for.
   std::uint64_t symmetry_orbit() const noexcept;
-
-  // --- Architectural state persistence ------------------------------------
-
-  /// Append a byte-serialization of the full architectural state (pcs,
-  /// registers, store buffers, cache lines with LRU ranks, LE links,
-  /// cs/halt flags, shared memory) to `out`. Counters, programs and config
-  /// are NOT serialized: restore_arch() requires a machine already carrying
-  /// the same config and (equivalent) programs. Used by the incremental
-  /// explorer to persist reached-state-graph seeds across runs.
-  void save_arch(std::string& out) const;
-
-  /// Restore state saved by save_arch(). Returns false (machine
-  /// unspecified) on a malformed or truncated buffer.
-  bool restore_arch(std::string_view in);
-
-  /// Overwrite one CPU's program counter. Restore-path helper: a saved
-  /// state resumed into a program whose instruction indices shifted (fence
-  /// holes instantiated) needs its pcs remapped. The new pc must be in
-  /// range for the loaded program.
-  void set_pc(std::size_t cpu, std::int32_t pc);
 
  private:
   CpuState& mut_cpu(std::size_t i) { return cpus_[i]; }

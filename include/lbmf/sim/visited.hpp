@@ -107,10 +107,6 @@ class VisitedSet {
   /// the serialized state `fp` was computed from (used in exact mode).
   bool insert(Fingerprint fp, const std::string& canonical);
 
-  /// Pre-mark states as visited (the incremental explorer re-seeds the set
-  /// with a persisted prefix region). Fingerprint mode only.
-  void preload(const std::vector<Fingerprint>& fps);
-
   /// Approximate resident (RAM) footprint: live fingerprint slots, exact
   /// keys + node overhead, plus any segments that fell back to RAM.
   std::uint64_t bytes() const;

@@ -30,9 +30,8 @@ fi
 "$BUILD_DIR"/bench/bench_roundtrip --quick
 # Gates on the E14 acceptance ratios (exit 1 below 5x/4x) and the E20
 # scale-up section (symmetry >= 1.3x fewer states with equal verdicts,
-# spill segments >= 1 with unchanged counters, incremental sweep strictly
-# cheaper than cold with bit-identical optima); leaves BENCH_explorer.json
-# with the symmetry/spill/incremental section and peak RSS.
+# spill segments >= 1 with unchanged counters); leaves BENCH_explorer.json
+# with the symmetry/spill section and peak RSS.
 "$BUILD_DIR"/bench/bench_explorer --quick
 # Gates on the E17 acceptance (every grid point SAT+SAFE, >= 2 distinct
 # optima along the freq axis at the paper's 150-cycle round trip, three

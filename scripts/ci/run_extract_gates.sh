@@ -11,8 +11,7 @@
 # Usage: scripts/ci/run_extract_gates.sh [build-dir]
 # Run from the repository root (litmus paths are repo-relative); artifacts
 # (EXTRACT_*.lit generated litmus, EXTRACT_INFER_*.json source-mapped
-# reports, GRAPH_extract_*.bin prefix-region caches) land in the current
-# working directory.
+# reports) land in the current working directory.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -53,16 +52,11 @@ expect_in() {
     --check="$LITMUS"/bakery_holes.lit
 
 # ---------------------------------------------------------- inference gates
-# Fence inference end-to-end over the GENERATED litmus text. Because
-# provenance is excluded from problem identity, the generated problems
-# share prefix-region graph-cache keys with the committed ones.
+# Fence inference end-to-end over the GENERATED litmus text.
 "$EXTRACT" the-deque --infer --json=EXTRACT_INFER_the_deque.json
-"$EXTRACT" chase-lev --infer --json=EXTRACT_INFER_chase_lev.json \
-    --graph-cache=GRAPH_extract_chase_lev.bin
-"$EXTRACT" biased-rwlock --infer --json=EXTRACT_INFER_biased_rwlock.json \
-    --graph-cache=GRAPH_extract_rwlock.bin
-"$EXTRACT" bakery --infer --json=EXTRACT_INFER_bakery.json \
-    --graph-cache=GRAPH_extract_bakery.bin
+"$EXTRACT" chase-lev --infer --json=EXTRACT_INFER_chase_lev.json
+"$EXTRACT" biased-rwlock --infer --json=EXTRACT_INFER_biased_rwlock.json
+"$EXTRACT" bakery --infer --json=EXTRACT_INFER_bakery.json
 
 # THE-deque: the paper's placement, recovered from annotations alone, with
 # every hole mapped back to its announce/claim site in ws/deque.hpp.
@@ -128,9 +122,7 @@ missing=0
 for f in EXTRACT_the_deque.lit EXTRACT_chase_lev.lit \
          EXTRACT_biased_rwlock.lit EXTRACT_bakery.lit \
          EXTRACT_INFER_the_deque.json EXTRACT_INFER_chase_lev.json \
-         EXTRACT_INFER_biased_rwlock.json EXTRACT_INFER_bakery.json \
-         GRAPH_extract_chase_lev.bin GRAPH_extract_rwlock.bin \
-         GRAPH_extract_bakery.bin; do
+         EXTRACT_INFER_biased_rwlock.json EXTRACT_INFER_bakery.json; do
   if ! test -s "$f"; then
     echo "::error::gated artifact $f is missing or empty"
     missing=1

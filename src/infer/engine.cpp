@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "lbmf/infer/reach.hpp"
 #include "lbmf/util/check.hpp"
 
 namespace lbmf::infer {
@@ -133,20 +132,15 @@ std::set<std::size_t> find_culprits(const InferProblem& p,
 struct Checked {
   Instantiation inst;
   sim::ExploreResult r;
-  /// States this check explored over both passes, less the prefix region
-  /// a resumed run carries in its counters (paid once, in prefix_states).
-  std::uint64_t states = 0;
+  std::uint64_t states = 0;  // explored over both passes
   bool cached = false;   // answered from Options::verdict_cache
   bool bounded = false;  // refuted by the bounded first pass
-  bool reused = false;   // resumed from the prefix graph
 };
 
-/// Everything one candidate check needs: the problem, the options and —
-/// when incremental mode has a trusted reached-state graph — the graph.
+/// Everything one candidate check needs: the problem and the options.
 struct CheckCtx {
   const InferProblem& p;
   const InferenceEngine::Options& o;
-  const PrefixGraph* graph = nullptr;  // null => cold exploration
 };
 
 /// Stores a CPU may hold buffered in a check's first pass. Schedules with
@@ -155,9 +149,10 @@ struct CheckCtx {
 /// prune more of the lattice (Joshi & Kroening's reorder bound).
 constexpr std::uint32_t kFirstPassPendingStores = 1;
 
-/// One cold exploration of an instantiated candidate.
-sim::ExploreResult explore_cold(const CheckCtx& x, const Instantiation& inst,
-                                const sim::Explorer::Options& eo) {
+/// One exploration of an instantiated candidate, from the root.
+sim::ExploreResult explore_candidate(const CheckCtx& x,
+                                     const Instantiation& inst,
+                                     const sim::Explorer::Options& eo) {
   sim::Machine m = problem_machine(x.p, inst.programs);
   // State symmetry is per *instantiated* candidate: auto_symmetry groups
   // only byte-identical programs, so a candidate that fences the group
@@ -170,8 +165,8 @@ sim::ExploreResult explore_cold(const CheckCtx& x, const Instantiation& inst,
 /// pass under the reorder bound runs first, and its violation (a schedule
 /// of the unbounded machine) is the counterexample. Only a candidate that
 /// pass finds no violation for gets the unbounded run, which alone can
-/// answer SAFE. Both passes resume from the prefix graph when there is one,
-/// and both passes' verdicts are cached alike.
+/// answer SAFE. Both passes explore from the root, and both passes'
+/// verdicts are cached alike.
 Checked check_one(const CheckCtx& x, const Assignment& a) {
   Checked c;
   c.inst = instantiate(x.p, a);
@@ -183,24 +178,15 @@ Checked check_one(const CheckCtx& x, const Assignment& a) {
       return c;
     }
   }
-  const auto explore = [&](const sim::Explorer::Options& eo) {
-    if (x.graph == nullptr) {
-      c.r = explore_cold(x, c.inst, eo);
-      c.states += c.r.states_explored;
-      return;
-    }
-    c.r = explore_with_prefix(x.p, c.inst, *x.graph, eo, x.o.symmetry);
-    c.states += c.r.states_explored -
-                std::min(c.r.states_explored, x.graph->base.states_explored);
-    c.reused = true;
-  };
   sim::Explorer::Options eo = InferenceEngine::explorer_options_for(x.p, x.o);
   eo.max_pending_stores = kFirstPassPendingStores;
-  explore(eo);
+  c.r = explore_candidate(x, c.inst, eo);
+  c.states = c.r.states_explored;
   c.bounded = c.r.violation.has_value();
   if (!c.bounded) {
     eo.max_pending_stores = 0;
-    explore(eo);
+    c.r = explore_candidate(x, c.inst, eo);
+    c.states += c.r.states_explored;
   }
   if (cache != nullptr && !c.r.hit_limit) cache->store(a.kinds, c.r);
   return c;
@@ -313,24 +299,7 @@ InferResult InferenceEngine::run() {
     return images;
   };
 
-  // --- Incremental setup. Build (or adopt) the hole-independent prefix
-  // graph; every candidate check then resumes from its frontier. A region
-  // that alone blows the state budget leaves `graph` null and the engine
-  // degrades to cold per-candidate runs.
-  PrefixGraph local_graph;
-  const PrefixGraph* graph = nullptr;
-  if (o_.incremental && nsites > 0) {
-    const Hash128 key = problem_graph_key(p_);
-    if (o_.prefix_graph != nullptr && o_.prefix_graph->valid &&
-        o_.prefix_graph->key == key) {
-      graph = o_.prefix_graph;
-    } else {
-      local_graph = build_prefix_graph(p_, explorer_options_for(p_, o_));
-      if (local_graph.valid) graph = &local_graph;
-    }
-    if (graph != nullptr) res.prefix_states = graph->base.states_explored;
-  }
-  const CheckCtx ctx{p_, o_, graph};
+  const CheckCtx ctx{p_, o_};
 
   struct Node {
     double bound;
@@ -385,7 +354,6 @@ InferResult InferenceEngine::run() {
     }
     ++res.candidates_verified;
     if (c.bounded) ++res.bounded_refutations;
-    if (c.reused) ++res.incremental_reuses;
     res.states_total += c.states;
   };
   // A candidate is refuted by a learned clause if the clause covers any of
@@ -606,12 +574,10 @@ InferResult InferenceEngine::run() {
   res.best = *best;
   res.best_cost = best_cost;
 
-  // End-to-end certificate: one fresh *cold*, unbounded exploration of the
-  // emitted placement — never served from the verdict cache and never
-  // resumed from the prefix graph, so on incremental runs it independently
-  // cross-checks the resumed verdict for the winner.
+  // End-to-end certificate: one fresh, unbounded exploration of the
+  // emitted placement, never served from the verdict cache.
   {
-    const sim::ExploreResult r = explore_cold(
+    const sim::ExploreResult r = explore_candidate(
         ctx, instantiate(p_, res.best), explorer_options_for(p_, o_));
     res.states_total += r.states_explored;
     res.recheck_safe = !r.violation && !r.hit_limit;

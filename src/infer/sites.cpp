@@ -290,7 +290,6 @@ Instantiation instantiate(const InferProblem& p, const Assignment& a) {
     prog.code = std::move(code);
     prog.name = p.programs[cpu].name;
     out.programs.push_back(std::move(prog));
-    out.pc_map.emplace_back(new_start.begin(), new_start.end());
   }
   return out;
 }

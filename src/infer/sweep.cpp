@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lbmf/infer/reach.hpp"
 #include "lbmf/util/check.hpp"
 #include "lbmf/util/json.hpp"
 
@@ -60,21 +59,6 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts) {
                             ? opts.engine.verdict_cache
                             : &local_cache;
 
-  // One prefix graph for the whole grid: problem_graph_key excludes freqs
-  // and costs, so the hole-independent region built here matches every
-  // grid point's problem and each engine adopts it instead of rebuilding.
-  PrefixGraph grid_graph;
-  const PrefixGraph* grid_graph_ptr = opts.engine.prefix_graph;
-  if (opts.engine.incremental && grid_graph_ptr == nullptr &&
-      !problem.sites.empty()) {
-    grid_graph = build_prefix_graph(
-        problem, InferenceEngine::explorer_options_for(problem, opts.engine));
-    if (grid_graph.valid) grid_graph_ptr = &grid_graph;
-  }
-  if (grid_graph_ptr != nullptr) {
-    out.prefix_states = grid_graph_ptr->base.states_explored;
-  }
-
   const auto solve_grid = [&](const InferProblem& base,
                               std::vector<SweepPoint>& pts,
                               std::vector<Crossover>* crossovers) {
@@ -86,7 +70,6 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts) {
         InferenceEngine::Options eo = opts.engine;
         eo.costs.lest_roundtrip_cycles = rt;
         eo.verdict_cache = cache;
-        eo.prefix_graph = grid_graph_ptr;
         InferenceEngine engine(std::move(p), eo);
         const InferResult r = engine.run();
 
@@ -100,7 +83,6 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts) {
         out.explorer_runs += r.candidates_verified;
         out.cache_hits += r.cache_hits;
         out.states_total += r.states_total;
-        out.incremental_reuses += r.incremental_reuses;
 
         if (crossovers != nullptr && prev != nullptr &&
             prev->status == InferStatus::kSat &&
@@ -133,9 +115,8 @@ SweepResult run_sweep(InferProblem problem, const SweepOptions& opts) {
     } else {
       // The backend can only run the light path on the victim's side:
       // exclude l-mfence everywhere else and re-solve. The shared verdict
-      // cache and prefix graph still apply (the constraint prunes
-      // assignments; it never changes a safety verdict, and
-      // problem_graph_key ignores it).
+      // cache still applies (the constraint prunes assignments; it never
+      // changes a safety verdict).
       InferProblem constrained = problem;
       for (FenceSite& s : constrained.sites) {
         if (s.cpu != opts.victim_cpu) s.no_lmfence = true;
@@ -202,8 +183,6 @@ std::string sweep_to_json(const SweepResult& r, const std::string& workload) {
   w.key("explorer_runs").integer(r.explorer_runs);
   w.key("cache_hits").integer(r.cache_hits);
   w.key("states_total").integer(r.states_total);
-  w.key("prefix_states").integer(r.prefix_states);
-  w.key("incremental_reuses").integer(r.incremental_reuses);
   // The backend dimension rides after every base section so consumers that
   // stop at the first "points" array are unaffected.
   if (!r.backend_planes.empty()) {
@@ -234,8 +213,6 @@ std::string result_to_json(const InferProblem& p, const InferResult& r,
   w.key("bounded_refutations").integer(r.bounded_refutations);
   w.key("candidates_pruned").integer(r.candidates_pruned);
   w.key("states_total").integer(r.states_total);
-  w.key("prefix_states").integer(r.prefix_states);
-  w.key("incremental_reuses").integer(r.incremental_reuses);
   w.key("cache_hits").integer(r.cache_hits);
   if (r.status == InferStatus::kSat) {
     w.key("best_cost").general(r.best_cost);

@@ -67,17 +67,6 @@ std::optional<CacheLine> Cache::erase(Addr base) noexcept {
   return std::nullopt;
 }
 
-void Cache::restore_lines(std::vector<CacheLine> lines) {
-  LBMF_CHECK(lines.size() <= capacity_);
-  LBMF_CHECK(std::is_sorted(
-      lines.begin(), lines.end(),
-      [](const CacheLine& a, const CacheLine& b) { return a.base < b.base; }));
-  std::uint64_t max_lru = 0;
-  for (const CacheLine& l : lines) max_lru = std::max(max_lru, l.lru);
-  lines_ = std::move(lines);
-  clock_ = max_lru + 1;
-}
-
 StoreEntry StoreBuffer::pop_oldest() {
   LBMF_CHECK(!entries_.empty());
   StoreEntry e = entries_.front();

@@ -7,7 +7,6 @@
 
 #include "lbmf/sim/trace.hpp"
 #include "lbmf/sim/visited.hpp"
-#include "lbmf/util/check.hpp"
 
 namespace lbmf::sim {
 namespace {
@@ -46,15 +45,6 @@ bool offered(const Machine& m, std::size_t cpu, Action a,
   if (c.sb.size() < max_pending) return true;
   const Op op = c.program->code[c.pc].op;
   return op != Op::kStore && op != Op::kStoreReg;
-}
-
-/// Whether every CPU holds at most `max_pending` buffered entries (always
-/// true when unbounded).
-bool within_bound(const Machine& m, std::uint32_t max_pending) {
-  for (std::size_t cpu = 0; max_pending != 0 && cpu < m.num_cpus(); ++cpu) {
-    if (m.cpu(cpu).sb.size() > max_pending) return false;
-  }
-  return true;
 }
 
 void enabled_choices(const Machine& m, std::uint32_t max_pending,
@@ -168,26 +158,42 @@ class PathSet {
 
 /// One exploration: an iterative DFS with an explicit frame stack, plus
 /// everything the run accumulates (the visited set, the state budget and
-/// the result). Explorer::run() explores from the root, explore_seeded()
-/// from each seed in turn, on the calling thread. A batched inference
-/// check builds its own Explorer per thread, so nothing here is shared.
+/// the result). Explorer::run() explores from the root on the calling
+/// thread. A batched inference check builds its own Explorer per thread,
+/// so nothing here is shared.
 class Search {
  public:
   explicit Search(const Explorer::Options& o)
       : opts_(o), visited_(o.exact_dedup, o.visited_budget_bytes) {}
 
-  /// Start from a pre-explored region: its fingerprints are marked visited
-  /// and its counters and outcomes carried into the result.
-  void resume(const std::vector<Fingerprint>& visited,
-              const ExploreResult& base) {
-    visited_.preload(visited);
-    result_.states_explored = base.states_explored;
-    result_.transitions = base.transitions;
-    result_.terminal_states = base.terminal_states;
-    result_.dedup_hits = base.dedup_hits;
-    result_.outcomes = base.outcomes;
+  /// Explore every state reachable from `root`. The root counts as a
+  /// state but is never safety-checked: properties are evaluated after
+  /// transitions.
+  void explore(Machine root) {
+    const Fingerprint root_fp = root.fingerprint();
+    visit(root, root_fp);
+    if (!count_state()) return;
+    ChoiceList cl;
+    choose_actions(root, opts_, cl);
+    if (cl.n == 0) {
+      note_terminal(root);
+      return;
+    }
+    scratch_m_.emplace(std::move(root));
+    push_scratch(root_fp.lo, cl);
+    loop();
   }
 
+  ExploreResult finish(std::uint64_t symmetry_orbit) {
+    ExploreResult r = std::move(result_);
+    r.visited_bytes = visited_.bytes();
+    r.spill_bytes = visited_.spill_bytes();
+    r.spill_segments = visited_.spill_segments();
+    r.symmetry_orbit = symmetry_orbit;
+    return r;
+  }
+
+ private:
   /// Record `m` (fingerprint `fp`) as visited; true if it is new. Only the
   /// exact-dedup audit mode serializes the canonical key.
   bool visit(const Machine& m, const Fingerprint& fp) {
@@ -209,46 +215,6 @@ class Search {
     return true;
   }
 
-  /// True once the run must stop: the budget is spent, or a violation was
-  /// found under stop_at_violation.
-  bool done() const noexcept {
-    return result_.hit_limit || (result_.violation && opts_.stop_at_violation);
-  }
-
-  /// Explore from `start`, which the caller has already deduped, counted,
-  /// and safety-checked. `prefix` is the schedule from the true root to
-  /// `start` (empty when `start` is the root). A non-null `agenda`
-  /// restricts the root frame to those choices (the incremental path: the
-  /// omitted edges were already explored in the prefix region, so the
-  /// frame still counts as fully expanded for the cycle proviso).
-  void explore(Machine&& start, Fingerprint start_fp,
-               std::vector<Choice> prefix, const ChoiceList* agenda = nullptr) {
-    trace_ = std::move(prefix);
-    ChoiceList cl;
-    if (agenda != nullptr) {
-      cl = *agenda;
-    } else {
-      choose_actions(start, opts_, cl);
-    }
-    if (cl.n == 0) {
-      note_terminal(start);
-      return;
-    }
-    scratch_m_.emplace(std::move(start));
-    push_scratch(start_fp.lo, cl);
-    loop();
-  }
-
-  ExploreResult finish(std::uint64_t symmetry_orbit) {
-    ExploreResult r = std::move(result_);
-    r.visited_bytes = visited_.bytes();
-    r.spill_bytes = visited_.spill_bytes();
-    r.spill_segments = visited_.spill_segments();
-    r.symmetry_orbit = symmetry_orbit;
-    return r;
-  }
-
- private:
   struct Frame {
     Machine m;
     std::uint64_t path_key;
@@ -389,43 +355,8 @@ Explorer::Explorer(Machine initial, Options opts)
 
 ExploreResult Explorer::run() {
   Search s(opts_);
-
-  // Root accounting (the root is never safety-checked, matching the
-  // original explorer: properties are evaluated after transitions).
-  Machine root = initial_;
-  const Fingerprint root_fp = root.fingerprint();
-  s.visit(root, root_fp);
-  if (s.count_state()) s.explore(std::move(root), root_fp, {});
+  s.explore(initial_);
   return s.finish(initial_.symmetry_orbit());
-}
-
-ExploreResult explore_seeded(std::vector<SeedState> seeds,
-                             const std::vector<Fingerprint>& visited,
-                             const ExploreResult& base,
-                             const Explorer::Options& opts) {
-  if (base.violation || base.hit_limit) return base;
-
-  Search s(opts);
-  s.resume(visited, base);
-  const std::uint64_t orbit =
-      seeds.empty() ? 1 : seeds.front().m.symmetry_orbit();
-  for (SeedState& seed : seeds) {
-    if (s.done()) break;
-    LBMF_CHECK(!seed.agenda.empty() && seed.agenda.size() <= kMaxChoices);
-    if (!within_bound(seed.m, opts.max_pending_stores)) continue;
-    ChoiceList cl;
-    for (const Choice& c : seed.agenda) {
-      if (offered(seed.m, c.cpu, c.action, opts.max_pending_stores)) {
-        cl.add(c.cpu, c.action);
-      }
-    }
-    // The bound holds back every deferred edge, and the seed's other
-    // edges lie inside the pre-explored region.
-    if (cl.n == 0) continue;
-    const Fingerprint fp = seed.m.fingerprint();
-    s.explore(std::move(seed.m), fp, std::move(seed.prefix), &cl);
-  }
-  return s.finish(orbit);
 }
 
 std::string annotate_schedule(Machine initial,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "lbmf/sim/trace.hpp"
 
@@ -1015,149 +1014,6 @@ std::uint64_t Machine::symmetry_orbit() const noexcept {
     for (std::uint64_t k = 2; k <= g.size(); ++k) orbit *= k;
   }
   return orbit;
-}
-
-namespace {
-constexpr std::uint32_t kArchMagic = 0x4C42'4152u;  // "LBAR"
-}  // namespace
-
-void Machine::save_arch(std::string& out) const {
-  auto put32 = [&out](std::uint32_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto put64 = [&out](std::uint64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put32(kArchMagic);
-  put32(static_cast<std::uint32_t>(cpus_.size()));
-  for (const CpuState& c : cpus_) {
-    put32(static_cast<std::uint32_t>(c.pc));
-    for (const Word r : c.regs) put64(static_cast<std::uint64_t>(r));
-    out.push_back(static_cast<char>((c.halted ? 1 : 0) | (c.in_cs ? 2 : 0) |
-                                    (c.le_bit ? 4 : 0) |
-                                    (c.flushing ? 8 : 0)));
-    put32(c.le_addr);
-    put32(static_cast<std::uint32_t>(c.sb.size()));
-    for (const StoreEntry& e : c.sb.entries()) {
-      put32(e.addr);
-      put64(static_cast<std::uint64_t>(e.value));
-      out.push_back(e.guarded ? 1 : 0);
-    }
-    const std::vector<CacheLine>& lines = c.cache.lines();
-    put32(static_cast<std::uint32_t>(lines.size()));
-    for (const CacheLine& l : lines) {
-      put32(l.base);
-      out.push_back(static_cast<char>(l.state));
-      put32(static_cast<std::uint32_t>(l.data.size()));
-      for (std::size_t w = 0; w < l.data.size(); ++w) {
-        put64(static_cast<std::uint64_t>(l.data[w]));
-      }
-      put64(l.lru);
-    }
-  }
-  put32(static_cast<std::uint32_t>(mem_.size()));
-  for (const auto& [a, v] : mem_) {
-    put32(a);
-    put64(static_cast<std::uint64_t>(v));
-  }
-}
-
-bool Machine::restore_arch(std::string_view in) {
-  std::size_t pos = 0;
-  auto get32 = [&in, &pos](std::uint32_t* v) {
-    if (pos + sizeof(*v) > in.size()) return false;
-    std::memcpy(v, in.data() + pos, sizeof(*v));
-    pos += sizeof(*v);
-    return true;
-  };
-  auto get64 = [&in, &pos](std::uint64_t* v) {
-    if (pos + sizeof(*v) > in.size()) return false;
-    std::memcpy(v, in.data() + pos, sizeof(*v));
-    pos += sizeof(*v);
-    return true;
-  };
-  auto get8 = [&in, &pos](std::uint8_t* v) {
-    if (pos >= in.size()) return false;
-    *v = static_cast<std::uint8_t>(in[pos++]);
-    return true;
-  };
-  std::uint32_t magic = 0, ncpus = 0;
-  if (!get32(&magic) || magic != kArchMagic) return false;
-  if (!get32(&ncpus) || ncpus != cpus_.size()) return false;
-  for (CpuState& c : cpus_) {
-    c.hash_valid = false;
-    std::uint32_t pc = 0;
-    if (!get32(&pc)) return false;
-    c.pc = static_cast<std::int32_t>(pc);
-    for (Word& r : c.regs) {
-      std::uint64_t v = 0;
-      if (!get64(&v)) return false;
-      r = static_cast<Word>(v);
-    }
-    std::uint8_t flags = 0;
-    if (!get8(&flags)) return false;
-    c.halted = (flags & 1) != 0;
-    c.in_cs = (flags & 2) != 0;
-    c.le_bit = (flags & 4) != 0;
-    c.flushing = (flags & 8) != 0;
-    if (!get32(&c.le_addr)) return false;
-    std::uint32_t nsb = 0;
-    if (!get32(&nsb)) return false;
-    c.sb.clear();
-    for (std::uint32_t i = 0; i < nsb; ++i) {
-      StoreEntry e;
-      std::uint64_t v = 0;
-      std::uint8_t g = 0;
-      if (!get32(&e.addr) || !get64(&v) || !get8(&g)) return false;
-      e.value = static_cast<Word>(v);
-      e.guarded = g != 0;
-      if (c.sb.full()) return false;
-      c.sb.push(e);
-    }
-    std::uint32_t nlines = 0;
-    if (!get32(&nlines)) return false;
-    if (nlines > c.cache.capacity()) return false;
-    std::vector<CacheLine> lines(nlines);
-    for (CacheLine& l : lines) {
-      std::uint8_t state = 0;
-      std::uint32_t nwords = 0;
-      if (!get32(&l.base) || !get8(&state) || !get32(&nwords)) return false;
-      if (nwords != cfg_.line_words) return false;
-      l.state = static_cast<Mesi>(state);
-      l.data = LineData(nwords);
-      for (std::uint32_t w = 0; w < nwords; ++w) {
-        std::uint64_t v = 0;
-        if (!get64(&v)) return false;
-        l.data[w] = static_cast<Word>(v);
-      }
-      if (!get64(&l.lru)) return false;
-    }
-    if (!std::is_sorted(lines.begin(), lines.end(),
-                        [](const CacheLine& a, const CacheLine& b) {
-                          return a.base < b.base;
-                        })) {
-      return false;
-    }
-    c.cache.restore_lines(std::move(lines));
-  }
-  std::uint32_t nmem = 0;
-  if (!get32(&nmem)) return false;
-  mem_.clear();
-  for (std::uint32_t i = 0; i < nmem; ++i) {
-    std::uint32_t a = 0;
-    std::uint64_t v = 0;
-    if (!get32(&a) || !get64(&v)) return false;
-    mem_.set(a, static_cast<Word>(v));
-  }
-  return pos == in.size();
-}
-
-void Machine::set_pc(std::size_t cpu, std::int32_t pc) {
-  LBMF_CHECK(cpu < cpus_.size());
-  LBMF_CHECK(cpus_[cpu].program != nullptr && pc >= 0 &&
-             static_cast<std::size_t>(pc) <= cpus_[cpu].program->code.size());
-  cpus_[cpu].pc = pc;
-  cpus_[cpu].hash_valid = false;
 }
 
 }  // namespace lbmf::sim

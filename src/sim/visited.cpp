@@ -89,12 +89,6 @@ bool VisitedSet::insert(Fingerprint fp, const std::string& canonical) {
   return true;
 }
 
-void VisitedSet::preload(const std::vector<Fingerprint>& fps) {
-  LBMF_CHECK_MSG(!exact_, "preload requires fingerprint mode");
-  static const std::string kNoCanonical;
-  for (const Fingerprint& fp : fps) insert(fp, kNoCanonical);
-}
-
 std::uint64_t VisitedSet::bytes() const {
   std::uint64_t total = 0;
   if (exact_) {

@@ -476,6 +476,45 @@ TEST(InferExamples, BakeryHolesSolvesToTheCommittedRepair) {
   EXPECT_EQ(r.clauses.size(), 8u);
 }
 
+// ------------------------------------------------------------ symmetry
+
+// Orbit canonicalization must be invisible in every verdict: on each big
+// symmetric protocol the reduced search lands on the exact search's
+// optimum at the same cost, with a SAFE recheck, in no more explorer
+// checks.
+TEST(InferSymmetry, SameOptimumWithAndWithoutSymmetry) {
+  for (const char* name :
+       {"the_deque_two_thieves.lit", "chase_lev.lit", "biased_rwlock.lit"}) {
+    const std::string src = slurp(std::string(LBMF_LITMUS_DIR) + "/" + name);
+    InferenceEngine::Options exact_opts;
+    exact_opts.symmetry = false;
+    const InferResult exact = run_engine(src, exact_opts);
+    ASSERT_EQ(exact.status, InferStatus::kSat) << name;
+    const InferResult r = run_engine(src);
+    ASSERT_EQ(r.status, InferStatus::kSat) << name;
+    EXPECT_EQ(r.best.kinds, exact.best.kinds) << name;
+    EXPECT_EQ(r.best_cost, exact.best_cost) << name;
+    EXPECT_TRUE(r.recheck_safe) << name;
+    EXPECT_LE(r.candidates_verified, exact.candidates_verified) << name;
+  }
+}
+
+// An engine without the symmetry reduction needed 12 explorer runs for the
+// two-thief lattice; symmetry and clause learning solve it in at most 4, at
+// the same cost-3520 placement.
+TEST(InferSymmetry, TwoThievesSolvedInAtMostFourRuns) {
+  const InferResult r = run_engine(
+      slurp(std::string(LBMF_LITMUS_DIR) + "/the_deque_two_thieves.lit"));
+  ASSERT_EQ(r.status, InferStatus::kSat);
+  EXPECT_LE(r.candidates_verified, 4u);
+  EXPECT_EQ(r.best_cost, 3520.0);
+  EXPECT_TRUE(r.recheck_safe);
+  const std::vector<FenceKind> want = {
+      FenceKind::kLmfence, FenceKind::kNone, FenceKind::kMfence,
+      FenceKind::kNone,    FenceKind::kMfence, FenceKind::kNone};
+  EXPECT_EQ(r.best.kinds, want);
+}
+
 // Every point of `p`'s fence lattice.
 std::vector<Assignment> lattice_points(const InferProblem& p) {
   std::vector<Assignment> points{p.uniform(FenceKind::kNone)};
@@ -729,8 +768,6 @@ TEST(InferSweep, JsonIsByteStableOnAHandBuiltSweep) {
   r.explorer_runs = 3;
   r.cache_hits = 5;
   r.states_total = 1234;
-  r.prefix_states = 56;
-  r.incremental_reuses = 2;
   SweepBackendPlane signal{"signal", false, r.points};
   SweepBackendPlane inverting{"membarrier-pair", true, r.points};
   inverting.points[0].best = Assignment{{kL, kN, kL, kN}};
@@ -753,8 +790,7 @@ TEST(InferSweep, JsonIsByteStableOnAHandBuiltSweep) {
           R"(],"crossovers":[{"roundtrip":150,"freq_before":1,)"
           R"("freq_after":10,"from":"{mfence, none, mfence, none}",)"
           R"("to":"{l-mfence, none, mfence, none}"}],"explorer_runs":3,)"
-          R"("cache_hits":5,"states_total":1234,"prefix_states":56,)"
-          R"("incremental_reuses":2,"backend_planes":[)"
+          R"("cache_hits":5,"states_total":1234,"backend_planes":[)"
           R"({"backend":"signal","inverts_roles":false,"points":[)" +
           point_1 + "," + point_10 +
           R"(]},{"backend":"membarrier-pair","inverts_roles":true,)"
@@ -853,9 +889,7 @@ constexpr const char* kProvenanceDekkerReport = R"({
   "candidates_verified": 5,
   "bounded_refutations": 4,
   "candidates_pruned": 12,
-  "states_total": 1908,
-  "prefix_states": 1,
-  "incremental_reuses": 5,
+  "states_total": 1912,
   "cache_hits": 0,
   "best_cost": 3260,
   "recheck_safe": true,

@@ -402,38 +402,5 @@ TEST(ReorderBound, StoreBufferStillViolatesAndBakeryStaysSafe) {
   EXPECT_LT(safe.states_explored, 83'193u);
 }
 
-TEST(ReorderBound, SeededRunSkipsSeedsAndEdgesBeyondTheBound) {
-  // explore_seeded honours the bound at its seeds too: a seed already
-  // buffering more stores than the bound is skipped, and a deferred store
-  // the bound withholds is dropped from its seed's agenda.
-  SimConfig cfg = cfg2();
-  cfg.num_cpus = 1;
-  Machine root(cfg);
-  root.load_program(
-      0, ProgramBuilder("stores").store(0, 1).store(1, 1).store(2, 1).halt()
-             .build());
-  const Choice exec{0, Action::Execute};
-  const Choice drain{0, Action::Drain};
-  const auto seeds = [&] {
-    Machine one = root;  // one store buffered, the next deferred
-    one.step(0, Action::Execute);
-    Machine two = one;  // two stores buffered, a drain deferred
-    two.step(0, Action::Execute);
-    return std::vector<SeedState>{{one, {exec}, {exec}},
-                                  {two, {exec, exec}, {drain}}};
-  };
-  ExploreResult base;
-  base.states_explored = 3;
-  Explorer::Options opts;
-  opts.check = two_buffered;
-  opts.max_pending_stores = 1;
-  const ExploreResult bounded = explore_seeded(seeds(), {}, base, opts);
-  EXPECT_FALSE(bounded.violation.has_value());
-  EXPECT_EQ(bounded.states_explored, base.states_explored);
-
-  opts.max_pending_stores = 0;
-  EXPECT_TRUE(explore_seeded(seeds(), {}, base, opts).violation.has_value());
-}
-
 }  // namespace
 }  // namespace lbmf::sim

@@ -90,17 +90,21 @@ TEST_F(WsAlgorithms, ParallelTransformWritesAllSlots) {
 TEST_F(WsAlgorithms, NestedParallelForInsideReduce) {
   // 2D traversal: reduce over rows, each row processed by a nested
   // parallel_for. Exercises nested task groups through the algorithms API.
+  // Chunks of one row run on different workers, so each writes only its
+  // own cells; the row is summed after parallel_for returns, whose sync()
+  // orders those writes before the reads.
   constexpr std::size_t kRows = 64, kCols = 64;
-  std::vector<long> row_sums(kRows, 0);
+  std::vector<long> cells(kRows * kCols, 0);
   long total = 0;
   sched.run([&] {
     total = parallel_reduce<P, long>(
         0, kRows, 4, 0L,
         [&](std::size_t r) {
-          parallel_for<P>(0, kCols, 16, [&, r](std::size_t c) {
-            row_sums[r] += static_cast<long>(c);
+          long* row = cells.data() + r * kCols;
+          parallel_for<P>(0, kCols, 16, [row](std::size_t c) {
+            row[c] = static_cast<long>(c);
           });
-          return row_sums[r];
+          return std::accumulate(row, row + kCols, 0L);
         },
         [](long a, long b) { return a + b; });
   });
