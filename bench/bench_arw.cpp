@@ -7,9 +7,10 @@
 // >= 1 essentially everywhere except the 300:1 row, with an outlier spike
 // at (300:1, 2 threads) where the writer's ack usually arrives in time.
 //
-// This host is single-core: the measured sweep is oversubscribed, so the
-// cost-model columns (signal / signal+ack / LE/ST at each P) regenerate
-// the figure's shape; measured numbers are reported alongside.
+// The measurement host has 4 vCPUs, so the 8- and 16-thread columns of the
+// measured sweep are oversubscribed; the cost-model columns (signal /
+// signal+ack / LE/ST at each P) regenerate the figure's shape, and the
+// measured numbers are reported alongside.
 //
 // E15 rider: writer-acquire latency with 8 registered idle readers, for
 // both ARW and ARW+ (EXPERIMENTS.md E15 records it against the paper's

@@ -1,12 +1,13 @@
 // E14 — explorer engine throughput: the rebuilt explorer (fingerprint
 // dedup, iterative DFS with reusable frame slots, partial-order reduction,
 // plus the Machine snapshot/fingerprint optimizations that came with it)
-// against the seed engine it replaced, at equal max_states. The baseline
-// is the *complete* seed stack — the seed-commit Machine (std::map memory,
-// heap-vector cache lines, allocating canonical_state()/check_coherence())
-// compiled verbatim from seed_baseline.{hpp,cpp}, driven by the seed's
-// recursive DFS over a std::set of full canonical keys with one Machine
-// copy per transition.
+// against the seed engine it replaced, at equal max_states. The seed engine
+// (the seed-commit Machine driven by a recursive DFS over a std::set of
+// full canonical keys, one Machine copy per transition) is not built here:
+// its numbers on this workload are recorded below (kSeedRuns). Its
+// visited-set bytes are deterministic; its states/sec is a median over
+// runs on one named host, so elsewhere the speed gate is a fixed minimum
+// rate (5x the recorded seed's).
 //
 // Workload: two independent instances of the bundled asymmetric-Dekker
 // protocol (l-mfence vs mfence) on one 4-CPU machine. A single pair's
@@ -14,9 +15,9 @@
 // set's asymptotics to matter — so the bench composes two pairs on disjoint
 // flag addresses, giving the ~product graph (~310k states) where per-state
 // costs dominate, exactly as they would on any non-toy model.
-// Mutual-exclusion checking is off in BOTH engines (the two pairs
-// legitimately occupy their critical sections concurrently); coherence
-// checking stays on in both.
+// Mutual-exclusion checking is off (the two pairs legitimately occupy their
+// critical sections concurrently); coherence checking stays on, as it was
+// in the recorded seed runs.
 //
 // E20 — explorer scale-up: the same binary also measures the two
 // reductions that make the big-protocol inferences tractable.
@@ -32,17 +33,13 @@
 //   bench_explorer --quick    # CI smoke mode (60k-state budget)
 //
 // Emits BENCH_explorer.json (states/sec and peak RSS of the default engine,
-// the speedup and memory ratios vs the seed baseline, plus the E20
+// the speedup and memory ratios vs the recorded seed, plus the E20
 // symmetry/spill section) in the working directory.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <optional>
-#include <set>
-#include <string>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -52,90 +49,26 @@
 #include "lbmf/sim/explorer.hpp"
 #include "lbmf/sim/litmus.hpp"
 #include "lbmf/util/json.hpp"
-#include "seed_baseline.hpp"
 
 using namespace lbmf::sim;
-namespace seedsim = lbmf::seedsim;
-
-namespace seed {
-
-struct Result {
-  std::uint64_t states = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t terminals = 0;
-  std::uint64_t visited_bytes = 0;  // keys + per-node tree overhead
-  bool violation = false;
-  bool hit_limit = false;
-};
-
-// The seed driver, verbatim in structure: recursion per transition, a
-// std::set of full canonical-state strings for dedup, a value-semantic
-// Machine snapshot copied for every explored edge, and coherence checked on
-// every transition (not once per state), as the seed did.
-class Explorer {
- public:
-  Explorer(std::uint64_t max_states, bool check_mutex)
-      : max_states_(max_states), check_mutex_(check_mutex) {}
-
-  Result run(const seedsim::Machine& m) {
-    result_ = Result{};
-    visited_.clear();
-    done_ = false;
-    dfs(m);
-    for (const std::string& key : visited_) {
-      // string payload + red-black node overhead (3 pointers + color,
-      // rounded) + the string header itself.
-      result_.visited_bytes +=
-          key.size() + 4 * sizeof(void*) + sizeof(std::string);
-    }
-    return result_;
-  }
-
- private:
-  void dfs(const seedsim::Machine& m) {
-    if (done_) return;
-    if (result_.states >= max_states_) {
-      result_.hit_limit = true;
-      done_ = true;
-      return;
-    }
-    if (!visited_.insert(m.canonical_state()).second) return;
-    ++result_.states;
-
-    bool any_transition = false;
-    for (std::size_t cpu = 0; cpu < m.num_cpus(); ++cpu) {
-      for (Action a : {Action::Execute, Action::Drain}) {
-        if (!m.action_enabled(cpu, a)) continue;
-        any_transition = true;
-        seedsim::Machine next = m;  // snapshot per transition
-        next.step(cpu, a);
-        ++result_.transitions;
-        std::optional<std::string> violation = next.check_coherence();
-        if (!violation && check_mutex_ && next.cpus_in_cs() > 1) {
-          violation = "mutex";
-        }
-        if (violation) {
-          result_.violation = true;
-          done_ = true;
-          return;
-        }
-        dfs(next);
-        if (done_) return;
-      }
-    }
-    if (!any_transition) ++result_.terminals;
-  }
-
-  std::uint64_t max_states_;
-  bool check_mutex_;
-  std::set<std::string> visited_;
-  Result result_;
-  bool done_ = false;
-};
-
-}  // namespace seed
 
 namespace {
+
+// The seed engine on this workload, recorded with the bench_explorer of
+// commit 888ab8c (the last to build it) on a 4-vCPU Intel Xeon KVM guest,
+// gcc 12.2, Release. Both budgets explored exactly max_states states.
+// visited_bytes (keys plus std::set node overhead) was the same in all
+// 15 runs per budget; states_per_sec is the median of those 15 runs
+// (quick: 60,345-122,055, full: 58,207-110,913).
+struct SeedRun {
+  std::uint64_t max_states;
+  double states_per_sec;
+  std::uint64_t visited_bytes;
+};
+constexpr SeedRun kSeedRuns[] = {
+    {60'000, 93'344, 30'853'689},
+    {120'000, 96'615, 62'806'737},
+};
 
 // Disjoint flag pair for the second Dekker instance.
 constexpr Addr kPairBFlag0 = 4;
@@ -174,12 +107,9 @@ SimConfig workload_config() {
   return cfg;
 }
 
-// The four dekker_side programs of the two independent pairs, loaded into
-// either engine's Machine (the program/ISA layer is shared between the
-// seed snapshot and the live simulator).
-template <typename MachineT>
-MachineT workload() {
-  MachineT m(workload_config());
+// The four dekker_side programs of the two independent pairs.
+Machine workload() {
+  Machine m(workload_config());
   m.load_program(0,
                  dekker_side(addr::kFlag0, addr::kFlag1, FenceKind::kLmfence));
   m.load_program(1, dekker_side(addr::kFlag1, addr::kFlag0, FenceKind::kMfence));
@@ -234,35 +164,28 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  // Equal state budget for every engine; the full product graph (~310k
-  // states) exceeds both budgets, so each row explores exactly this many
-  // distinct states and states/sec compares like against like.
-  const std::uint64_t max_states = quick ? 60'000 : 120'000;
+  // The seed's budget; the full product graph (~310k states) exceeds it,
+  // so every row explores exactly this many distinct states and states/sec
+  // compares like against like.
+  const SeedRun& seed = kSeedRuns[quick ? 0 : 1];
+  const std::uint64_t max_states = seed.max_states;
   const double min_seconds = quick ? 0.5 : 1.0;
-  const seedsim::Machine seed_m = workload<seedsim::Machine>();
-  const Machine new_m = workload<Machine>();
+  const Machine m = workload();
 
-  std::vector<Row> rows;
-  rows.push_back(measure("seed (recursive, std::set, copy/edge)", min_seconds,
-                         [&](Row* r) {
-                           seed::Explorer ex(max_states, /*check_mutex=*/false);
-                           const seed::Result sr = ex.run(seed_m);
-                           r->states = sr.states;
-                           r->visited_bytes = sr.visited_bytes;
-                         }));
-  const auto new_engine = [&](bool por) {
+  const auto engine = [&](bool por) {
     return [&, por](Row* r) {
       Explorer::Options opts;
       opts.max_states = max_states;
       opts.por = por;
       opts.check_mutual_exclusion = false;  // two pairs share the machine
-      const ExploreResult er = explore_all(new_m, opts);
+      const ExploreResult er = explore_all(m, opts);
       r->states = er.states_explored;
       r->visited_bytes = er.visited_bytes;
     };
   };
-  rows.push_back(measure("fingerprint dedup", min_seconds, new_engine(false)));
-  rows.push_back(measure("fingerprint + POR", min_seconds, new_engine(true)));
+  // fp runs the seed's full graph; def is the default configuration.
+  const Row fp = measure("fingerprint dedup", min_seconds, engine(false));
+  const Row def = measure("fingerprint + POR", min_seconds, engine(true));
 
   std::printf(
       "two independent asymmetric-Dekker pairs (l-mfence/mfence), 4 CPUs,\n"
@@ -270,7 +193,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(max_states), quick ? "quick" : "full");
   std::printf("%-34s %8s %12s %14s %12s\n", "engine", "states", "visited-B",
               "states/sec", "peak-RSS-KiB");
-  for (const Row& r : rows) {
+  std::printf("%-34s %8llu %12llu %14.0f %12s\n", "seed (recorded at 888ab8c)",
+              static_cast<unsigned long long>(max_states),
+              static_cast<unsigned long long>(seed.visited_bytes),
+              seed.states_per_sec, "-");
+  for (const Row& r : {fp, def}) {
     std::printf("%-34s %8llu %12llu %14.0f %12llu\n", r.label,
                 static_cast<unsigned long long>(r.states),
                 static_cast<unsigned long long>(r.visited_bytes),
@@ -278,14 +205,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.peak_rss_kib));
   }
 
-  const Row& base = rows[0];
-  const Row& fp = rows[1];   // same full graph as the seed: apples-to-apples
-  const Row& def = rows[2];  // the default engine configuration
-  const double speedup = fp.states_per_sec / base.states_per_sec;
-  const double mem_ratio = static_cast<double>(base.visited_bytes) /
+  // The ratios describe equal budgets on one graph only if the gated row
+  // spent the whole budget, as the seed did.
+  const bool budget_ok = fp.states == max_states;
+  const double speedup = fp.states_per_sec / seed.states_per_sec;
+  const double mem_ratio = static_cast<double>(seed.visited_bytes) /
                            static_cast<double>(fp.visited_bytes);
-  std::printf("\nvs seed engine (equal %llu-state budget):\n",
-              static_cast<unsigned long long>(fp.states));
+  std::printf("\nvs the recorded seed engine (equal %llu-state budget):\n",
+              static_cast<unsigned long long>(max_states));
+  std::printf("  states explored    : %llu (%s)\n",
+              static_cast<unsigned long long>(fp.states),
+              budget_ok ? "whole budget" : "SHORT OF THE BUDGET");
   std::printf("  states/sec speedup : %.1fx   (target >= 5x)\n", speedup);
   std::printf("  visited-set memory : %.1fx smaller   (target >= 4x)\n",
               mem_ratio);
@@ -371,10 +301,10 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("\nwrote BENCH_explorer.json\n");
   }
-  const bool pass = speedup >= 5.0 && mem_ratio >= 4.0 && sym_ok && spill_ok;
+  const bool seed_ok = budget_ok && speedup >= 5.0 && mem_ratio >= 4.0;
+  const bool pass = seed_ok && sym_ok && spill_ok;
   if (!pass) {
-    std::printf("FAIL:%s%s%s\n",
-                speedup >= 5.0 && mem_ratio >= 4.0 ? "" : " seed-ratios",
+    std::printf("FAIL:%s%s%s\n", seed_ok ? "" : " seed-ratios",
                 sym_ok ? "" : " symmetry", spill_ok ? "" : " spill");
   } else {
     std::printf("PASS\n");

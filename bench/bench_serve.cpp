@@ -224,7 +224,7 @@ WaveResult run_wave(std::size_t rounds) {
     std::uint64_t t0 = rdtscp();
     srv.push_rules_wave(updates);
     std::uint64_t t1 = rdtscp();
-    srv.push_rules_sequential(updates);
+    for (const RuleUpdate& u : updates) srv.update_rule(u.key, u.rule);
     std::uint64_t t2 = rdtscp();
     if (round >= 5) {  // warmup discarded
       wave.push_back(t1 - t0);

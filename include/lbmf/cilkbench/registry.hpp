@@ -27,8 +27,8 @@ struct Benchmark {
   /// Analytic estimate of the spawn-tree span T_inf in *task units* at the
   /// kBench input (recursion depth x sequential phases). Used by the Fig.
   /// 5(b) cost model to estimate parallel steal volume (classic
-  /// work-stealing theory: expected steals = O(P * T_inf)), since a
-  /// single-core host cannot generate real steal concurrency.
+  /// work-stealing theory: expected steals = O(P * T_inf)) at the paper's
+  /// 16 cores, four times the vCPUs of the measurement host.
   double span_tasks = 50.0;
 
   /// Fraction of signals that became successful steals in the paper's own

@@ -221,17 +221,6 @@ class Server {
     return existed;
   }
 
-  /// Sequential baseline for the same batch: one full secondary
-  /// acquisition (fence + remote round trip) per update. This is the
-  /// E19 ablation's comparison leg, not a recommended path.
-  std::size_t push_rules_sequential(std::span<const RuleUpdate> updates) {
-    std::size_t existed = 0;
-    for (const RuleUpdate& u : updates) {
-      existed += update_rule(u.key, u.rule) ? 1 : 0;
-    }
-    return existed;
-  }
-
   /// Consistent table-wide packet total: every shard is held (via one
   /// wave) while the totals are read, so concurrent owner updates cannot
   /// tear the sum across shards.

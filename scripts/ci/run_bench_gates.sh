@@ -28,10 +28,12 @@ fi
 # is < 3x the sequential loop or coalesced throughput < 2x uncoalesced);
 # leaves BENCH_roundtrip.json.
 "$BUILD_DIR"/bench/bench_roundtrip --quick
-# Gates on the E14 acceptance ratios (exit 1 below 5x/4x) and the E20
+# Gates on the E14 acceptance ratios against the seed engine's recorded
+# numbers (exit 1 below 5x states/sec or 4x smaller visited set, or when
+# the gated row explores fewer than the whole state budget) and the E20
 # scale-up section (symmetry >= 1.3x fewer states with equal verdicts,
 # spill segments >= 1 with unchanged counters); leaves BENCH_explorer.json
-# with the symmetry/spill section and peak RSS.
+# with the symmetry/spill section and the live engine's peak RSS.
 "$BUILD_DIR"/bench/bench_explorer --quick
 # Gates on the E17 acceptance (every grid point SAT+SAFE, >= 2 distinct
 # optima along the freq axis at the paper's 150-cycle round trip, three

@@ -8,11 +8,17 @@
 // agree with the exact (ungrouped, exact-dedup) search on every verdict,
 // while visiting no more — and on genuinely symmetric workloads strictly
 // fewer — states. The spill tests check that freezing cold fingerprints
-// into mmap'd segments is invisible to every counter.
+// into mmap'd segments is invisible to every counter, and that segments
+// stay in RAM when no spill file can be made.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -306,21 +312,24 @@ TEST(VisitedSpill, SegmentsStillAnswerMembership) {
   }
 }
 
+// Three byte-identical hot Dekker sides: big enough to outgrow a 64 KiB
+// visited-set budget several times over.
+Machine three_hot_sides() {
+  Machine m(cfg_n(3));
+  for (std::size_t cpu = 0; cpu < 3; ++cpu) {
+    m.load_program(cpu, dekker_side(addr::kFlag0, addr::kFlag1,
+                                    FenceKind::kLmfence));
+  }
+  return m;
+}
+
 TEST(VisitedSpill, TinyBudgetLeavesExplorationCountersUnchanged) {
-  const auto build = [] {
-    Machine m(cfg_n(3));
-    for (std::size_t cpu = 0; cpu < 3; ++cpu) {
-      m.load_program(cpu, dekker_side(addr::kFlag0, addr::kFlag1,
-                                      FenceKind::kLmfence));
-    }
-    return m;
-  };
   Explorer::Options opts;
   opts.max_states = 2'000'000;
   opts.check_mutual_exclusion = false;  // three sides share one CS
-  const ExploreResult unbounded = explore_all(build(), opts);
+  const ExploreResult unbounded = explore_all(three_hot_sides(), opts);
   opts.visited_budget_bytes = 64 * 1024;
-  const ExploreResult spilled = explore_all(build(), opts);
+  const ExploreResult spilled = explore_all(three_hot_sides(), opts);
 
   ASSERT_FALSE(unbounded.hit_limit);
   EXPECT_EQ(spilled.states_explored, unbounded.states_explored);
@@ -331,6 +340,43 @@ TEST(VisitedSpill, TinyBudgetLeavesExplorationCountersUnchanged) {
   EXPECT_GT(spilled.spill_bytes, 0u);
   EXPECT_EQ(unbounded.spill_segments, 0u);
   EXPECT_LT(spilled.visited_bytes, unbounded.visited_bytes);
+}
+
+TEST(VisitedSpill, MkstempFailureKeepsSegmentsInRam) {
+  // Under a TMPDIR that does not exist, mkstemp fails and every frozen
+  // segment stays in anonymous memory: the counters are unchanged, nothing
+  // is on disk, and the resident bytes count the segments.
+  Explorer::Options opts;
+  opts.max_states = 2'000'000;
+  opts.check_mutual_exclusion = false;  // three sides share one CS
+  const ExploreResult unbounded = explore_all(three_hot_sides(), opts);
+  opts.visited_budget_bytes = 64 * 1024;
+  const ExploreResult spilled = explore_all(three_hot_sides(), opts);
+
+  const std::string missing =
+      testing::TempDir() + "lbmf-missing-" + std::to_string(::getpid());
+  ASSERT_FALSE(std::filesystem::exists(missing)) << missing;
+  const char* old = std::getenv("TMPDIR");
+  const std::optional<std::string> saved =
+      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
+  ::setenv("TMPDIR", missing.c_str(), 1);
+  const ExploreResult resident = explore_all(three_hot_sides(), opts);
+  if (saved) {
+    ::setenv("TMPDIR", saved->c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+
+  ASSERT_FALSE(unbounded.hit_limit);
+  EXPECT_EQ(resident.states_explored, unbounded.states_explored);
+  EXPECT_EQ(resident.transitions, unbounded.transitions);
+  EXPECT_EQ(resident.terminal_states, unbounded.terminal_states);
+  EXPECT_GE(resident.spill_segments, 1u);
+  EXPECT_EQ(resident.spill_bytes, 0u);
+  // The same segments as the spilled run, each counted as resident.
+  EXPECT_EQ(resident.spill_segments, spilled.spill_segments);
+  EXPECT_EQ(resident.visited_bytes,
+            spilled.visited_bytes + spilled.spill_bytes);
 }
 
 }  // namespace
