@@ -122,11 +122,11 @@ TrafficResult run_traffic(double window_s, std::uint32_t burst,
   ServeConfig cfg;
   cfg.shards = 2;
   cfg.max_clients = 1;
-  // Deep rings: on an oversubscribed box the owners and the client share
-  // cores, so each owner must find a full scheduling slice worth of queued
-  // requests every time it wakes — otherwise throughput is set by the
-  // context-switch rotation and the per-packet fence cost (the thing this
-  // leg measures) disappears into it. The in-flight bound (== ring size)
+  // Deep rings: an owner that loses its CPU (to the client, the updater or
+  // another process on the host) must find a full scheduling slice worth
+  // of queued requests when it runs again — otherwise throughput is set by
+  // the context-switch rotation and the per-packet fence cost (the thing
+  // this leg measures) disappears into it. The in-flight bound (== ring size)
   // also fixes the closed-loop population, so by Little's law the p99
   // sojourn tracks 1/throughput and both gates move together.
   cfg.ring_capacity = 8192;

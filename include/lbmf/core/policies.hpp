@@ -81,8 +81,12 @@ struct SymmetricFence {
 struct AsymmetricSignalFence {
   using Handle = SerializerRegistry::Handle;
   static constexpr bool kAsymmetric = true;
+  /// A full registry aborts: an invalid handle would leave the primary on
+  /// a compiler fence that no serialize() can drain.
   static Handle register_primary() {
-    return SerializerRegistry::instance().register_self();
+    Handle h = SerializerRegistry::instance().register_self();
+    LBMF_CHECK_MSG(h.valid(), "serializer registry full");
+    return h;
   }
   static void unregister_primary(Handle& h) {
     SerializerRegistry::instance().unregister_self(h);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "lbmf/serve/shard.hpp"
 #include "lbmf/util/histogram.hpp"
 #include "lbmf/util/timing.hpp"
-#include "lbmf/ws/scheduler.hpp"
 
 namespace lbmf::serve {
 
@@ -28,20 +26,14 @@ struct ServerStats {
 
 /// The serving tier: the paper's packet-processing application (Sec. 1)
 /// grown to server shape. The flow table is sharded per core by key hash;
-/// each shard's owner worker runs on the lbmf::ws scheduler and is the
-/// Dekker *primary* of its own table (data path = l-mfence announces only,
-/// scaled by sharding and kept live at millions of flows by owner-side
-/// incremental rehash). The control plane is the *secondary*: single-shard
-/// ops pay one gate + fence + remote serialization, and multi-shard ops
-/// (rule pushes spanning shards, table-wide stats export, eviction sweeps)
-/// acquire all their shards through ONE lock_secondary_wave — one fence,
-/// one overlapped serialize_many — instead of N sequential round trips.
-///
-/// Shard owners are hosted on a Scheduler<SymmetricFence> pool regardless
-/// of P: the per-thread serializer (and adaptive-fence) registration must
-/// belong to the shard's table, not to the host pool's own deques — the
-/// pool's deques are idle here anyway (one resident task per worker), so
-/// its fence policy is off the measured path.
+/// each shard's owner runs on its own thread and is the Dekker *primary* of
+/// its own table (data path = l-mfence announces only, scaled by sharding
+/// and kept live at millions of flows by owner-side incremental rehash).
+/// The control plane is the *secondary*: single-shard ops pay one gate +
+/// fence + remote serialization, and multi-shard ops (rule pushes spanning
+/// shards, table-wide stats export, eviction sweeps) acquire all their
+/// shards through ONE lock_secondary_wave — one fence, one overlapped
+/// serialize_many — instead of N sequential round trips.
 template <FencePolicy P>
 class Server {
  public:
@@ -70,44 +62,29 @@ class Server {
            (shards_.size() - 1);
   }
 
-  /// Launch one owner worker per shard; returns once every owner has
+  /// Launch one owner thread per shard; returns once every owner has
   /// registered as its table's primary.
   void start() {
-    LBMF_CHECK_MSG(!started_, "Server already started");
+    LBMF_CHECK_MSG(owners_.empty(), "Server already started");
     stop_.store(false, std::memory_order_relaxed);
     ready_.store(0, std::memory_order_relaxed);
-    sched_ = std::make_unique<ws::Scheduler<SymmetricFence>>(cfg_.shards);
-    runner_ = std::thread([this] {
-      sched_->run([this] {
-        using Sched = ws::Scheduler<SymmetricFence>;
-        typename Sched::TaskGroup tg;
-        auto body_of = [this](std::size_t i) {
-          return [this, i] { shards_[i]->owner_loop(cfg_, stop_, ready_); };
-        };
-        // Tasks are intrusive and must not relocate once spawned; a deque
-        // gives address-stable emplace_back.
-        std::deque<ws::ClosureTask<decltype(body_of(std::size_t{0}))>> tasks;
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-          tasks.emplace_back(tg, body_of(i));
-          tg.spawn(tasks.back());
-        }
-        tg.sync();  // returns only when every owner loop has exited
-      });
-    });
+    owners_.reserve(shards_.size());
+    for (auto& sh : shards_) {
+      owners_.emplace_back(
+          [this, s = sh.get()] { s->owner_loop(cfg_, stop_, ready_); });
+    }
     SpinWait sw;
     while (ready_.load(std::memory_order_acquire) < shards_.size()) sw.wait();
-    started_ = true;
   }
 
-  /// Stop the owner workers and tear down the pool. Callers must have
-  /// quiesced clients and control-plane threads first (owners unregister
-  /// their primaries on the way out).
+  /// Stop and join the owner threads. Callers must have quiesced clients
+  /// and control-plane threads first (owners unregister their primaries on
+  /// the way out).
   void stop() {
-    if (!started_) return;
+    if (owners_.empty()) return;
     stop_.store(true, std::memory_order_release);
-    runner_.join();
-    sched_.reset();
-    started_ = false;
+    for (std::thread& t : owners_) t.join();
+    owners_.clear();
   }
 
   // ------------------------------------------------------------ clients
@@ -283,11 +260,9 @@ class Server {
 
   ServeConfig cfg_;
   std::vector<std::unique_ptr<Shard<P>>> shards_;
-  std::unique_ptr<ws::Scheduler<SymmetricFence>> sched_;
-  std::thread runner_;
-  bool started_ = false;
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> ready_{0};
+  std::vector<std::thread> owners_;  // after every member the owners read
   std::atomic<std::size_t> next_lane_{0};
 };
 

@@ -41,7 +41,7 @@ struct RuleUpdate {
 };
 
 struct ServeConfig {
-  /// Power-of-two shard count; one owner worker per shard.
+  /// Power-of-two shard count; one owner thread per shard.
   std::size_t shards = 8;
   /// Client lanes: each client gets a private SPSC ingress/egress ring
   /// pair per shard.
@@ -88,7 +88,7 @@ inline SpinWait owner_idle_wait() noexcept {
   return SpinWait(/*spin_limit=*/474, /*max_pauses=*/8);
 }
 
-/// One shard: a FlowTable owned by the worker running owner_loop(), plus
+/// One shard: a FlowTable owned by the thread running owner_loop(), plus
 /// per-client SPSC lanes. The owner is the table's Dekker *primary* — every
 /// packet it accounts costs an l-mfence announce only — while the control
 /// plane reaches the table through the secondary side (directly or via
@@ -111,9 +111,9 @@ class Shard {
   SpscRing<Response>& egress(std::size_t lane) { return *egress_[lane]; }
   flowtable::FlowTable<P>& table() noexcept { return table_; }
 
-  /// The shard's serving loop; runs as a scheduler task until `stop`.
-  /// Registers the calling worker as the table's primary, bumps `ready`,
-  /// then drains lanes in bounded batches.
+  /// The shard's serving loop; runs on the shard's owner thread until
+  /// `stop`. Registers the calling thread as the table's primary, bumps
+  /// `ready`, then drains lanes in bounded batches.
   void owner_loop(const ServeConfig& cfg, const std::atomic<bool>& stop,
                   std::atomic<std::size_t>& ready) {
     table_.bind_owner();

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -259,6 +263,40 @@ TYPED_TEST(ServerTest, RequestAfterAnIdleGapIsServed) {
   EXPECT_EQ(s.packets, 3 * kKeys);
   EXPECT_GT(s.shards[0].requests, 0u);
   EXPECT_GT(s.shards[1].requests, 0u);
+}
+
+/// This process's thread ids: the entries of /proc/self/task.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(task.path().filename().string());
+  }
+  return ids;
+}
+
+TYPED_TEST(ServerTest, StartAddsOneThreadPerShardAndStopJoinsThem) {
+  ServeConfig cfg = small_config();
+  cfg.shards = 4;
+  Server<TypeParam> srv(cfg);
+  const std::set<std::string> before = thread_ids();
+  srv.start();
+  std::set<std::string> added;
+  std::ranges::set_difference(thread_ids(), before,
+                              std::inserter(added, added.end()));
+  EXPECT_EQ(added.size(), cfg.shards);
+  srv.stop();
+  // Ids, not counts: a thread that exited before start() can be reaped at
+  // any moment. The kernel also wakes a joiner before it reaps the exited
+  // thread, so a joined owner's entry can outlive stop() by a moment.
+  const auto owner_listed = [&] {
+    const std::set<std::string> now = thread_ids();
+    return std::ranges::any_of(
+        added, [&](const std::string& id) { return now.contains(id); });
+  };
+  Stopwatch waited;
+  while (owner_listed() && waited.seconds() < 5.0) std::this_thread::yield();
+  EXPECT_FALSE(owner_listed());
 }
 
 TEST(ServerClients, TwoClientLanesAreIndependent) {

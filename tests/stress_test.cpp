@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "lbmf/core/lmfence.hpp"
+#include "lbmf/core/policies.hpp"
 #include "lbmf/core/serializer.hpp"
 #include "lbmf/dekker/biased_lock.hpp"
 #include "lbmf/rwlock/rwlock.hpp"
@@ -118,6 +119,20 @@ TEST(SerializerStress, RegistryExhaustionYieldsInvalidHandleNotCrash) {
   auto again = reg.register_self();
   EXPECT_TRUE(again.valid());
   reg.unregister_self(again);
+}
+
+TEST(SerializerStressDeathTest, SignalPolicyRegistrationAbortsWhenFull) {
+  // The registry's invalid handle would leave a signal-policy primary on a
+  // compiler fence that no serialize() drains, so the policy refuses it.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto& reg = SerializerRegistry::instance();
+        while (reg.register_self().valid()) {
+        }
+        AsymmetricSignalFence::register_primary();
+      },
+      "serializer registry full");
 }
 
 // -------------------------------------------------------- guarded location
